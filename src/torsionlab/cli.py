@@ -341,27 +341,29 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, algebra=False, f=False):
+    def common(p, algebra=False, f=False, v=False, with_bases=False):
+        """Add the shared flags, each only where the subcommand reads it."""
         if algebra:
             p.add_argument("--algebra", required=True, help="builder shorthand, JSON file, or inline JSON")
         if f:
             p.add_argument("--f", required=True, help="matrix of f as JSON (file or inline)")
-        p.add_argument("--v", help="transversal vector, comma-separated rationals")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--with-bases", action="store_true")
+        if v:
+            p.add_argument("--v", help="transversal vector, comma-separated rationals")
+        if with_bases:
+            p.add_argument("--with-bases", action="store_true")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("space", help="dims/bases of k~, K, K^(1), D, F")
-    common(p, algebra=True)
+    common(p, algebra=True, v=True, with_bases=True)
     p.set_defaults(fn=cmd_space)
 
     p = sub.add_parser("check", help="torsion-free certificate or refusal for f")
-    common(p, algebra=True, f=True)
+    common(p, algebra=True, f=True, v=True, with_bases=True)
     p.add_argument("--hyperplane-map", help="invertible matrix T straightening the hyperplane type")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("flat", help="left-invariantly-flat certificate (f in k~)")
-    common(p, algebra=True, f=True)
+    common(p, algebra=True, f=True, with_bases=True)
     p.set_defaults(fn=cmd_flat)
 
     p = sub.add_parser("exists", help="existence of torsion-free structures of any type")
@@ -373,7 +375,7 @@ def build_parser():
     p.set_defaults(fn=cmd_exists)
 
     p = sub.add_parser("classify-hpc", help="hyperparacomplex normal-form classification")
-    common(p, f=True)
+    common(p, f=True, with_bases=True)
     p.set_defaults(fn=cmd_classify_hpc)
 
     p = sub.add_parser("orbits", help="hyperplane-orbit representatives for a group")

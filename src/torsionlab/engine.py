@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebras import LinearSubalgebra, conjugate
-from .linalg import LinMap, Mat, ShapeError, Subspace, fr, kernel, solve_affine, vec
+from .linalg import LinMap, Mat, ShapeError, Subspace, fr, image_on_kernel, kernel, solve_affine, vec
 
 
 class AlmostAbelian:
@@ -82,11 +82,6 @@ class ConnectionTensor:
         n = self.n
         return self.gamma[i * n * n + j * n + k]
 
-    def derivative_along(self, i) -> Mat:
-        """The endomorphism nabla_{e_i}."""
-        n = self.n
-        return Mat([[self.at(i, j, k) for j in range(n)] for k in range(n)])
-
     def is_zero(self):
         return all(x == 0 for x in self.gamma)
 
@@ -124,26 +119,16 @@ class Refusal:
         raise AttributeError("Refusal is immutable")
 
 
-def _hyperplane_preserving_coeffs(h: LinearSubalgebra):
-    """Coefficient vectors of {F in h : F(R^{n-1}) <= R^{n-1}}."""
-    n, d = h.n, h.dim
-    if d == 0:
-        return []
-    rows = [[h.basis[b].data[n - 1][j] for b in range(d)] for j in range(n - 1)]
-    return [list(v) for v in kernel(Mat(rows, n - 1, d)).basis]
-
-
 @lru_cache(maxsize=None)
 def characteristic_subalgebra(h: LinearSubalgebra) -> Subspace:
     """k~_h: restrictions to R^{n-1} of elements of h preserving R^{n-1}."""
     n = h.n
     if n < 2:
         raise ShapeError("need n >= 2")
-    vecs = []
-    for coeffs in _hyperplane_preserving_coeffs(h):
-        f = h.element(coeffs)
-        vecs.append(f.submatrix(range(n - 1), range(n - 1)).flatten())
-    return Subspace.span((n - 1) * (n - 1), vecs)
+    m = n - 1
+    return image_on_kernel(
+        m, m * m, ((f.data[m][:m], f.submatrix(range(m), range(m)).flatten()) for f in h.basis)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -155,33 +140,30 @@ def tableau(h: LinearSubalgebra) -> Subspace:
     )
 
 
-@lru_cache(maxsize=None)
-def first_prolongation(h: LinearSubalgebra) -> Subspace:
-    """K^(1) = ((R^{n-1})* x K) meet (S^2(R^{n-1})* x R^n).
+def _symmetric_on_hyperplane(n, dirs, width, values) -> Subspace:
+    """Tensors X with X_i in span(values) for each direction i < dirs and
+    X_a(e_b) = X_b(e_a) for all hyperplane pairs a, b < n - 1.
 
-    The value space is all of R^n: restricting it to R^{n-1} would kill
-    the prolongations of metric and totally real subalgebras, whose
-    symmetric parts point along the transversal.
+    Each value is a flat row-major n x width matrix (entry [k][j] at
+    k*width + j), and X_i(e_j)_k sits at i*width*n + j*n + k.  The values
+    embed sparsely, so the kernel of the symmetry conditions on the
+    coefficients is taken first and combined afterwards.
     """
-    n = h.n
-    kt = tableau(h)
-    m = n - 1
-    ambient = m * m * n
-    if kt.dim == 0 or m == 0:
+    ambient = dirs * width * n
+    if not values:
         return Subspace.zero(ambient)
-    kb = list(kt.basis)  # each flat n x (n-1), entry [k][j] at k*m + j
-    dom = [(i, t) for i in range(m) for t in range(len(kb))]
+    dom = [(i, t) for i in range(dirs) for t in range(len(values))]
     rows = []
-    for a in range(m):
-        for b in range(a + 1, m):
+    for a in range(n - 1):
+        for b in range(a + 1, n - 1):
             for k in range(n):
                 row = []
                 for (i, t) in dom:
                     coeff = Fraction(0)
                     if i == a:
-                        coeff += kb[t][k * m + b]
+                        coeff += values[t][k * width + b]
                     if i == b:
-                        coeff -= kb[t][k * m + a]
+                        coeff -= values[t][k * width + a]
                     row.append(coeff)
                 rows.append(row)
     if rows:
@@ -194,50 +176,29 @@ def first_prolongation(h: LinearSubalgebra) -> Subspace:
         for (i, t), c in zip(dom, cv):
             if c == 0:
                 continue
+            value = values[t]
             for k in range(n):
-                for j in range(m):
-                    flat[i * m * n + j * n + k] += c * kb[t][k * m + j]
+                for j in range(width):
+                    flat[i * width * n + j * n + k] += c * value[k * width + j]
         vecs.append(flat)
     return Subspace.span(ambient, vecs)
 
 
 @lru_cache(maxsize=None)
+def first_prolongation(h: LinearSubalgebra) -> Subspace:
+    """K^(1) = ((R^{n-1})* x K) meet (S^2(R^{n-1})* x R^n).
+
+    The value space is all of R^n: restricting it to R^{n-1} would kill
+    the prolongations of metric and totally real subalgebras, whose
+    symmetric parts point along the transversal.
+    """
+    return _symmetric_on_hyperplane(h.n, h.n - 1, h.n - 1, tableau(h).basis)
+
+
+@lru_cache(maxsize=None)
 def connection_space(h: LinearSubalgebra) -> Subspace:
     """D_h: (R^n)* x h, symmetric on hyperplane pairs, inside R^{n^3}."""
-    n = h.n
-    ambient = n**3
-    if h.dim == 0:
-        return Subspace.zero(ambient)
-    dom = [(i, b) for i in range(n) for b in range(h.dim)]
-    rows = []
-    for a in range(n - 1):
-        for b in range(a + 1, n - 1):
-            for k in range(n):
-                row = []
-                for (i, c) in dom:
-                    coeff = Fraction(0)
-                    if i == a:
-                        coeff += h.basis[c].data[k][b]
-                    if i == b:
-                        coeff -= h.basis[c].data[k][a]
-                    row.append(coeff)
-                rows.append(row)
-    if rows:
-        coeff_kernel = kernel(Mat(rows, len(rows), len(dom))).basis
-    else:
-        coeff_kernel = Subspace.full(len(dom)).basis
-    vecs = []
-    for cv in coeff_kernel:
-        flat = [Fraction(0)] * ambient
-        for (i, b), c in zip(dom, cv):
-            if c == 0:
-                continue
-            mat = h.basis[b]
-            for k in range(n):
-                for j in range(n):
-                    flat[i * n * n + j * n + k] += c * mat.data[k][j]
-        vecs.append(flat)
-    return Subspace.span(ambient, vecs)
+    return _symmetric_on_hyperplane(h.n, h.n, h.n, [f.flatten() for f in h.basis])
 
 
 def _check_transversal(n, v):
@@ -276,11 +237,14 @@ def split_torsion(tmat: Mat, v):
     return t1, tuple(beta)
 
 
-@lru_cache(maxsize=None)
 def torsion_maps(h: LinearSubalgebra, v=None):
     """(T1, T2) as linear maps on D_h coordinates (D given by its canonical basis)."""
+    return _torsion_maps(h, _check_transversal(h.n, v))
+
+
+@lru_cache(maxsize=None)
+def _torsion_maps(h: LinearSubalgebra, v):
     n = h.n
-    v = _check_transversal(n, v)
     d = connection_space(h)
     t1_cols, t2_cols = [], []
     for gamma in d.basis:
@@ -297,14 +261,16 @@ def torsion_maps(h: LinearSubalgebra, v=None):
     return LinMap(t1_mat, d.dim, (n - 1) * (n - 1)), LinMap(t2_mat, d.dim, n - 1)
 
 
-@lru_cache(maxsize=None)
 def obstruction_space(h: LinearSubalgebra, v=None) -> Subspace:
     """F_h = T1(ker T2); independent of the choice of transversal v."""
-    n = h.n
-    v = _check_transversal(n, v)
-    t1, t2 = torsion_maps(h, v)
-    vecs = [t1.matrix.matvec(c) for c in kernel(t2).basis]
-    return Subspace.span((n - 1) * (n - 1), vecs)
+    return _obstruction_space(h, _check_transversal(h.n, v))
+
+
+@lru_cache(maxsize=None)
+def _obstruction_space(h: LinearSubalgebra, v) -> Subspace:
+    t1, t2 = _torsion_maps(h, v)
+    cols = zip(t2.matrix.transpose().data, t1.matrix.transpose().data)
+    return image_on_kernel(t2.codomain_dim, t1.codomain_dim, cols)
 
 
 def torsion_tensor(nabla: ConnectionTensor, aa: AlmostAbelian):

@@ -53,7 +53,6 @@ def orbit_catalog(group, n, p=None) -> OrbitCatalog:
     if group == "product":
         if p is None or not 1 <= p <= n - 1:
             raise ValueError("product orbits need a signature 1 <= p <= n-1")
-        q = n - p
         u1 = Subspace.span(n, [_unit(n, i) for i in range(n - 1)])
         u2_basis = [_unit(n, i) for i in range(p - 1)] + [_unit(n, i) for i in range(p, n)]
         u3_basis = (
@@ -115,7 +114,6 @@ def product_obstruction(n, p, type_index) -> Subspace:
     """The obstruction block pattern for product structures of type [U_k]."""
     if not 1 <= p <= n - 1:
         raise ValueError("need 1 <= p <= n-1")
-    q = n - p
     n1 = n - 1
     if type_index == 1:
         return _pattern_subspace(n1, lambda i, j: not (i < p and j >= p))
@@ -312,25 +310,18 @@ def _background_even(split, skip_fd):
     return True
 
 
-def _paired_chain_bases(f, split, special=None):
+def _paired_chain_bases(f, split, fd_special, special_chains):
     """V1/V2 chain bases with every chain paired by factor and length.
 
-    special = (fd, chain_index, levels_to_drop): that chain is shortened
-    before pairing (its dropped top is handled by the caller).
+    The chains of fd_special are replaced by special_chains, from which
+    the caller has shortened or removed the chains it places itself.
     Returns (v1_vectors, v2_vectors) or None if pairing fails.
     """
     v1, v2 = [], []
     for fd in split:
-        chains = jordan_chains(f, fd)
-        adjusted = []
-        for idx, ch in enumerate(chains):
-            if special is not None and fd is special[0] and idx == special[1]:
-                ch = ch[special[2] :]
-                if not ch:
-                    continue
-            adjusted.append(ch)
+        chains = special_chains if fd is fd_special else jordan_chains(f, fd)
         by_len = {}
-        for ch in adjusted:
+        for ch in chains:
             by_len.setdefault(len(ch), []).append(ch)
         for length, group in sorted(by_len.items()):
             if len(group) % 2:
@@ -356,7 +347,9 @@ def _construct_case_a(f, split, fd, s, m):
     chains = jordan_chains(f, fd)
     idx = next(i for i, ch in enumerate(chains) if len(ch) == s)
     top = chains[idx][0]
-    paired = _paired_chain_bases(f, split, special=(fd, idx, 1))
+    # the top of the chosen chain is the line; the rest of it is paired
+    shortened = chains[:idx] + ([chains[idx][1:]] if s > 1 else []) + chains[idx + 1 :]
+    paired = _paired_chain_bases(f, split, fd, shortened)
     if paired is None:
         return None
     v1, v2 = paired
@@ -440,7 +433,7 @@ def _construct_case_b(f, split, fd, mode, s, m):
         extra = [chains[i][0] for i in ones[:3]]
         drop = set(ones[:3])
         keep = [ch for i, ch in enumerate(chains) if i not in drop]
-        paired = _paired_adjusted(f, split, fd, keep)
+        paired = _paired_chain_bases(f, split, fd, keep)
         if paired is None:
             return None
         v1, v2 = paired
@@ -521,22 +514,6 @@ def _case_b_coupling_ok(fp, m):
     return True
 
 
-def _paired_adjusted(f, split, fd_special, adjusted_chains):
-    v1, v2 = [], []
-    for fd in split:
-        chains = adjusted_chains if fd is fd_special else jordan_chains(f, fd)
-        by_len = {}
-        for ch in chains:
-            by_len.setdefault(len(ch), []).append(ch)
-        for length, group in sorted(by_len.items()):
-            if len(group) % 2:
-                return None
-            for k in range(0, len(group), 2):
-                v1.extend(chain_vectors(f, fd, group[k]))
-                v2.extend(chain_vectors(f, fd, group[k + 1]))
-    return v1, v2
-
-
 def _paired_with_forced(f, split, fd_special, remaining, forced_pairs):
     """Pair chains with designated chains forced into opposite copies."""
     v1, v2 = [], []
@@ -545,7 +522,7 @@ def _paired_with_forced(f, split, fd_special, remaining, forced_pairs):
             return None
         v1.extend(chain_vectors(f, fd_special, a))
         v2.extend(chain_vectors(f, fd_special, b))
-    rest = _paired_adjusted(f, split, fd_special, remaining)
+    rest = _paired_chain_bases(f, split, fd_special, remaining)
     if rest is None:
         return None
     v1.extend(rest[0])

@@ -341,14 +341,11 @@ class Subspace:
         return Subspace.span(self.ambient_dim, list(self.basis) + list(other.basis))
 
     def intersect(self, other):
-        """Zassenhaus: rref of [A|A; B|0]; zero-left rows carry the intersection."""
+        """Zassenhaus: A(ker B) on the generators (a, a), a in self, and (b, 0), b in other."""
         self._check(other)
-        d = self.ambient_dim
-        rows = [list(r) + list(r) for r in self.basis]
-        rows += [list(r) + [Fraction(0)] * d for r in other.basis]
-        red, pivots, rank = _rref_rows(rows)
-        inter = [row[d:] for row in red[:rank] if all(x == 0 for x in row[:d])]
-        return Subspace.span(d, inter)
+        zero = (Fraction(0),) * self.ambient_dim
+        pairs = [(r, r) for r in self.basis] + [(r, zero) for r in other.basis]
+        return image_on_kernel(self.ambient_dim, self.ambient_dim, pairs)
 
     def is_direct_sum(self, other):
         return self.intersect(other).dim == 0
@@ -356,6 +353,25 @@ class Subspace:
     def _check(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError("ambient dimension mismatch")
+
+
+def image_on_kernel(cond_dim, value_dim, generators) -> Subspace:
+    """A(ker B) on the span of the generators, by one Zassenhaus elimination.
+
+    generators yields the pairs (B g, A g) for g spanning the domain.  In
+    the reduced row-echelon form of the rows [B g | A g], the rows whose
+    pivot lies in the A block are exactly those whose B block is zero,
+    and their A blocks are already the canonical basis of A(ker B).
+    """
+    rows = []
+    for cond, value in generators:
+        if len(cond) != cond_dim or len(value) != value_dim:
+            raise ShapeError("generator pair does not match (cond_dim, value_dim)")
+        rows.append(list(vec(cond)) + list(vec(value)))
+    red, pivots, rank = _rref_rows(rows)
+    return Subspace(
+        value_dim, tuple(tuple(row[cond_dim:]) for row, c in zip(red, pivots) if c >= cond_dim)
+    )
 
 
 class LinMap:

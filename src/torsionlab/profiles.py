@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .algebras import LinearSubalgebra, MetricContext, bracket, is_degenerate, orthogonal_complement
 from .engine import characteristic_subalgebra, first_prolongation, obstruction_space, tableau
-from .linalg import LinMap, Mat, Subspace, kernel, solve_affine
+from .linalg import LinMap, Mat, Subspace, image_on_kernel, kernel, solve_affine
 
 
 class NoRuleApplies(ValueError):
@@ -22,14 +22,10 @@ class NoRuleApplies(ValueError):
 
 
 def _sub_with_conditions(h: LinearSubalgebra, conds):
-    """Elements of h on which every linear functional in conds vanishes."""
-    if h.dim == 0:
-        return []
-    rows = [[cond(b) for b in h.basis] for cond in conds]
-    if not rows:
-        return list(h.basis)
-    coeffs = kernel(Mat(rows, len(rows), h.dim)).basis
-    return [h.element(c) for c in coeffs]
+    """A basis of the elements of h on which every linear functional in conds vanishes."""
+    n = h.n
+    pairs = (([cond(b) for cond in conds], b.flatten()) for b in h.basis)
+    return [Mat.unflatten(n, n, flat) for flat in image_on_kernel(len(conds), n * n, pairs).basis]
 
 
 def _column_kill_conditions(vectors, n):

@@ -37,10 +37,6 @@ def vector_to_json(v):
     return [rational_to_str(x) for x in v]
 
 
-def vector_from_json(entries):
-    return tuple(rational_from_str(x) for x in entries)
-
-
 def subspace_to_json(s: Subspace):
     return {"ambient_dim": s.ambient_dim, "dim": s.dim, "basis": [vector_to_json(b) for b in s.basis]}
 

@@ -278,13 +278,3 @@ def _subset_sum(option_lists, target):
                     nxt[t] = picks + [o]
         reach = nxt
     return reach.get(target)
-
-
-def block_profile(f: Mat):
-    """{factor -> {size: count}} over split factors, plus unsplit info.
-
-    Returns (profile dict keyed by Poly, summary).
-    """
-    summary, split = primary_components(f)
-    profile = {fd.phi: fd for fd in split}
-    return profile, summary

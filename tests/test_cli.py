@@ -1,12 +1,18 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(*args, env_extra=None):
-    import os
-
     env = dict(os.environ)
+    # the child interpreter finds the package the same way pytest does
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -169,3 +175,23 @@ def test_orbits_type_filter():
 def test_exists_family_dimension_error():
     proc = run_cli("exists", "family", "--group", "u", "--f", json.dumps([["1", "0"], ["0", "1"]]))
     assert proc.returncode == 2
+
+
+F3 = json.dumps([["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("flat", "--algebra", "sp:m=2", "--f", F3, "--v", "1,0,0,1"),
+        ("space", "--algebra", "sp:m=2", "--seed", "1"),
+        ("check", "--algebra", "sp:m=2", "--f", F3, "--seed", "1"),
+        ("exists", "product", "--p", "2", "--f", F3, "--with-bases"),
+        ("classify-hpc", "--f", F3, "--v", "1,0,0,1"),
+    ],
+    ids=["flat-v", "space-seed", "check-seed", "exists-with-bases", "classify-hpc-v"],
+)
+def test_unread_flags_rejected(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr

@@ -10,6 +10,7 @@ from torsionlab.builders import (
     build_so,
     build_sp,
     build_u,
+    catalog,
     standard_J,
 )
 from torsionlab.engine import (
@@ -32,7 +33,7 @@ from torsionlab.engine import (
     torsion_tensor,
 )
 from torsionlab.algebras import LinearSubalgebra
-from torsionlab.linalg import Mat, Subspace
+from torsionlab.linalg import Mat, Subspace, kernel
 
 
 def E(n, i, j):
@@ -150,6 +151,51 @@ def test_connection_space_independent_route():
                     sym_vecs.append(flat)
         sym = Subspace.span(ambient, sym_vecs)
         assert connection_space(h) == span_h.intersect(sym)
+
+
+def reference_obstruction_space(h):
+    """F by the kernel-then-T1 route: a kernel basis of T2, then T1 on each vector."""
+    t1, t2 = torsion_maps(h)
+    return Subspace.span((h.n - 1) ** 2, [t1.matrix.matvec(c) for c in kernel(t2).basis])
+
+
+def reference_characteristic_subalgebra(h):
+    """k~ by the coefficient route: coefficients of the elements of h with
+    a zero last row on R^{n-1}, then the top-left block of each element."""
+    m = h.n - 1
+    if h.dim == 0:
+        return Subspace.zero(m * m)
+    rows = [[b.data[m][j] for b in h.basis] for j in range(m)]
+    coeffs = kernel(Mat(rows, m, h.dim)).basis
+    return Subspace.span(
+        m * m, [h.element(c).submatrix(range(m), range(m)).flatten() for c in coeffs]
+    )
+
+
+def test_zassenhaus_matches_reference_routes():
+    for h in catalog() + [build_gl(n) for n in (4, 5, 6)]:
+        assert obstruction_space(h) == reference_obstruction_space(h), h.name
+        assert characteristic_subalgebra(h) == reference_characteristic_subalgebra(h), h.name
+
+
+def test_zero_algebra_spaces():
+    zero = LinearSubalgebra(3, [], name="0")
+    assert characteristic_subalgebra(zero) == Subspace.zero(4)
+    assert connection_space(zero) == Subspace.zero(27)
+    assert obstruction_space(zero) == Subspace.zero(4)
+
+
+def test_transversal_normalized_before_cache():
+    h = build_sp(2)
+    e_n = tuple(Fraction(x) for x in (0, 0, 0, 1))
+    # a list is accepted and equals the tuple; None and e_n share one entry
+    assert obstruction_space(h, [0, 0, 0, 1]) == obstruction_space(h, e_n)
+    assert obstruction_space(h) is obstruction_space(h, e_n)
+    assert obstruction_space(h, [0, 0, 0, 1]) is obstruction_space(h)
+    assert torsion_maps(h) is torsion_maps(h, [0, 0, 0, 1])
+    assert obstruction_space(h, [1, 0, 0, 2]) == obstruction_space(h)
+    with pytest.raises(ValueError):
+        obstruction_space(h, [1, 0, 0, 0])
 
 
 def test_torsion_of_zero_connection():

@@ -9,6 +9,7 @@ from torsionlab.linalg import (
     ShapeError,
     Subspace,
     image,
+    image_on_kernel,
     kernel,
     rref,
     solve_affine,
@@ -75,6 +76,35 @@ def test_subspace_sum_intersect():
     assert Subspace.full(2).intersect(diag) == diag
     assert x_axis.is_direct_sum(diag)
     assert not (x_axis + y_axis).is_direct_sum(diag)
+
+
+def test_image_on_kernel_edge_cases():
+    # no generators (h.dim == 0): the zero subspace of the value space
+    assert image_on_kernel(2, 3, []) == Subspace.zero(3)
+    # no conditions (cond_dim == 0): the span of the values, canonical
+    pairs = [((), (2, 4, 0)), ((), (1, 2, 0)), ((), (0, 0, 5))]
+    got = image_on_kernel(0, 3, pairs)
+    assert got == Subspace.span(3, [(1, 2, 0), (0, 0, 1)])
+    assert got.basis == Subspace.span(3, [v for _, v in pairs]).basis
+    # B injective on the domain: an empty image even though A is not zero
+    assert image_on_kernel(2, 2, [((1, 0), (1, 1)), ((0, 1), (0, 1))]).dim == 0
+    # ker B = span(g1 - g2), so the image is A(g1 - g2)
+    got = image_on_kernel(1, 2, [((1,), (1, 0)), ((1,), (0, 1))])
+    assert got == Subspace.span(2, [(1, -1)])
+    with pytest.raises(ShapeError):
+        image_on_kernel(1, 2, [((1, 0), (1, 0))])
+
+
+def test_image_on_kernel_matches_kernel_then_map_randomized():
+    rng = random.Random(11)
+    for _ in range(30):
+        d, c, v = rng.randint(1, 6), rng.randint(0, 4), rng.randint(1, 5)
+        b_mat = rand_mat(rng, c, d) if c else Mat.zeros(0, d)
+        a_mat = rand_mat(rng, v, d)
+        ker = kernel(b_mat) if c else Subspace.full(d)
+        expected = Subspace.span(v, [a_mat.matvec(x) for x in ker.basis])
+        pairs = [(b_mat.col(j), a_mat.col(j)) for j in range(d)]
+        assert image_on_kernel(c, v, pairs) == expected
 
 
 def test_contains_and_reduce():
