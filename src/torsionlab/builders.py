@@ -18,6 +18,7 @@ Conventions fixed here once and used everywhere:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .algebras import LinearSubalgebra, commutant, solve_matrix_space
 from .linalg import Mat, Subspace, fr, kernel
@@ -384,7 +385,13 @@ def pair_swap_gram(m: int) -> Mat:
 
 def catalog():
     """The fixed list of algebras exercised by the verification suite."""
-    return [
+    return list(_catalog())
+
+
+@cache
+def _catalog():
+    # built once per process; LinearSubalgebra is immutable
+    return (
         build_sp(2),
         build_sp(3),
         build_gl_C(2),
@@ -411,4 +418,4 @@ def catalog():
         build_so_g(witt_gram(3)),
         build_so_g(witt_gram(4)),
         build_u(1, 1, gram=pair_swap_gram(2)),
-    ]
+    )

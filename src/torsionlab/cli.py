@@ -87,11 +87,27 @@ def parse_matrix(text) -> Mat:
     data = _load_json_arg(text)
     if isinstance(data, dict) and "f" in data:
         data = data["f"]
-    return reporting.mat_from_json(data)
+    try:
+        return reporting.mat_from_json(data)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"not a matrix of rationals: {exc}") from exc
 
 
 def parse_vector(text):
-    return tuple(reporting.rational_from_str(x) for x in text.split(","))
+    try:
+        return tuple(reporting.rational_from_str(x) for x in text.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"not a vector of rationals: {text!r}") from exc
+
+
+def parse_transversal(text, n):
+    """--v as a vector of R^n outside the hyperplane R^{n-1}; None when absent."""
+    if not text:
+        return None
+    v = parse_vector(text)
+    if len(v) != n or v[n - 1] == 0:
+        raise InputError(f"--v must have {n} entries with a nonzero last entry (a transversal to R^{n - 1})")
+    return v
 
 
 def _emit(report, fmt):
@@ -121,7 +137,7 @@ def _emit_text(report, indent=0):
 
 def cmd_space(args):
     h = parse_algebra(args.algebra)
-    v = parse_vector(args.v) if args.v else None
+    v = parse_transversal(args.v, h.n)
     spaces = {
         "k_tilde": characteristic_subalgebra(h),
         "tableau": tableau(h),
@@ -153,7 +169,7 @@ def cmd_check(args):
         raise InputError(f"f must be {h.n - 1} x {h.n - 1} for this algebra")
     t = parse_matrix(args.hyperplane_map) if args.hyperplane_map else None
     aa = AlmostAbelian(f)
-    result = check_torsion_free(h, aa, hyperplane_map=t, v=parse_vector(args.v) if args.v else None)
+    result = check_torsion_free(h, aa, hyperplane_map=t, v=parse_transversal(args.v, h.n))
     if isinstance(result, Certificate):
         report = {"algebra": h.name, "verdict": "torsion-free"}
         if args.with_bases:
@@ -208,8 +224,8 @@ def cmd_exists(args):
         raise InputError(f"ambient dimension {n} exceeds TORSIONLAB_MAX_N={_max_n()}")
     aa = AlmostAbelian(f)
     if args.mode == "product":
-        if args.p is None:
-            raise InputError("product existence needs --p")
+        if args.p is None or not 1 <= args.p <= n - 1:
+            raise InputError(f"product existence needs --p with 1 <= p <= {n - 1}")
         res = admits_torsion_free("product", aa, p=args.p)
         res["detail"] = _basis_payload(res["detail"])
     elif args.mode == "tangent":

@@ -187,7 +187,7 @@ def decide_product(aa: AlmostAbelian, p):
     f = aa.f
     n1 = n - 1
     q = n - p
-    dims, exact = achievable_invariant_dims(f)
+    dims, _ = achievable_invariant_dims(f)
     # type [U1]: an invariant subspace of dimension q-1 spanned by the tail
     if q - 1 in dims:
         w = invariant_subspace(f, q - 1)
@@ -216,7 +216,7 @@ def decide_tangent(aa: AlmostAbelian):
     m = n // 2
     f = aa.f
     n1 = n - 1
-    dims, exact = achievable_invariant_dims(f)
+    dims, _ = achievable_invariant_dims(f)
     pattern = lambda i, j: not (i < m - 1 and m - 1 <= j < n1 - 1)
     for d in (m, m - 1):
         if d not in dims:

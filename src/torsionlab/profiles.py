@@ -1,18 +1,23 @@
 """Closed-form obstruction-space formulas and the structural data they need.
 
-Each closed-form rule carries its own guard (complex, commuting
+Each closed-form rule tests its own hypothesis (complex, commuting
 endomorphism, totally real by type, vanishing first prolongation,
 S^2 U x v prolongation shape, metric non-degenerate/degenerate,
-unitary).  ``crosscheck`` evaluates every rule whose guard fires and
-compares the result with the generic engine; a mismatch is reported,
-never swallowed.
+unitary) and, when it holds, returns its formula for F.  ``crosscheck``
+evaluates every rule that fires and compares the result with the
+generic engine; a mismatch is reported, never swallowed.
+
+Every subspace of the structural profile is a preimage
+{F in h : F x in T for every x in X}, computed by ``_preimage``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .algebras import LinearSubalgebra, MetricContext, bracket, is_degenerate, orthogonal_complement
+from .builders import build_sp, standard_omega
 from .engine import characteristic_subalgebra, first_prolongation, obstruction_space, tableau
 from .linalg import LinMap, Mat, Subspace, image_on_kernel, kernel, solve_affine
 
@@ -21,50 +26,43 @@ class NoRuleApplies(ValueError):
     """No closed-form theorem covers this subalgebra; use the generic engine."""
 
 
-def _sub_with_conditions(h: LinearSubalgebra, conds):
-    """A basis of the elements of h on which every linear functional in conds vanishes."""
-    n = h.n
-    pairs = (([cond(b) for cond in conds], b.flatten()) for b in h.basis)
-    return [Mat.unflatten(n, n, flat) for flat in image_on_kernel(len(conds), n * n, pairs).basis]
+def _preimage(mats, vectors, target: Subspace) -> Subspace:
+    """{F in span(mats) : F x in target for every x in vectors}, flattened.
 
+    F x is computed once per basis element and vector; pairing it with
+    the rows of target's annihilator gives the conditions that
+    image_on_kernel kills.
+    """
+    n = target.ambient_dim
+    ann = kernel(Mat([list(b) for b in target.basis], target.dim, n)).basis
 
-def _column_kill_conditions(vectors, n):
-    """Functionals F -> (F x)_k for x in vectors, all k."""
-    conds = []
-    for x in vectors:
-        for k in range(n):
-            conds.append(lambda f, x=tuple(x), k=k: f.matvec(x)[k])
-    return conds
+    def conditions(f):
+        images = [f.matvec(x) for x in vectors]
+        return [sum(a * y for a, y in zip(row, fx) if a) for fx in images for row in ann]
 
-
-def _into_subspace_conditions(vectors, target: Subspace, n):
-    """Functionals forcing F x into target, for x in vectors."""
-    ann = _annihilator_rows(target)
-    conds = []
-    for x in vectors:
-        for a in ann:
-            conds.append(
-                lambda f, x=tuple(x), a=a: sum(ai * fi for ai, fi in zip(a, f.matvec(x)))
-            )
-    return conds
-
-
-def _annihilator_rows(s: Subspace):
-    if s.dim == 0:
-        return [tuple(Fraction(1 if i == j else 0) for i in range(s.ambient_dim)) for j in range(s.ambient_dim)]
-    return list(kernel(Mat([list(b) for b in s.basis], s.dim, s.ambient_dim)).basis)
+    pairs = ((conditions(f), f.flatten()) for f in mats)
+    return image_on_kernel(len(vectors) * len(ann), n * n, pairs)
 
 
 def _hyperplane(n) -> Subspace:
-    return Subspace.span(n, [tuple(Fraction(1 if i == j else 0) for i in range(n)) for j in range(n - 1)])
+    return Subspace.span(n, _basis_vectors(n)[: n - 1])
 
 
 def _basis_vectors(n):
     return [tuple(Fraction(1 if i == j else 0) for i in range(n)) for j in range(n)]
 
 
-def _span_mats(mats, n) -> Subspace:
-    return Subspace.span(n * n, [m.flatten() for m in mats])
+def _mats_of(span: Subspace, n):
+    return [Mat.unflatten(n, n, flat) for flat in span.basis]
+
+
+def _left_span(a: Mat, h: LinearSubalgebra) -> Subspace:
+    """The span of a b for b in h, flattened."""
+    return Subspace.span(h.n * h.n, [(a * b).flatten() for b in h.basis])
+
+
+def _commutes(h: LinearSubalgebra, a: Mat) -> bool:
+    return all(bracket(b, a).is_zero() for b in h.basis)
 
 
 class StructuralProfile:
@@ -98,74 +96,48 @@ def profile(h: LinearSubalgebra, require=()) -> StructuralProfile:
     n = h.n
     ee = _basis_vectors(n)
     hyper = ee[: n - 1]
+    hyperplane = _hyperplane(n)
 
-    h1_mats = _sub_with_conditions(h, _column_kill_conditions(hyper, n))
-    h1 = _span_mats(h1_mats, n)
-    h1_span = LinearSubalgebra(n, h1_mats, name="h1", validate=False)
-    h1_inv_mats = _sub_with_conditions(
-        h1_span, [lambda f: f.data[n - 1][n - 1]]
-    )
-    h1_inv = _span_mats(h1_inv_mats, n)
-    w = Subspace.span(n - 1, [f.col(n - 1)[: n - 1] for f in h1_inv_mats])
-
+    h1 = _preimage(h.basis, hyper, Subspace.zero(n))
+    h1_inv = _preimage(_mats_of(h1, n), ee[n - 1 :], hyperplane)
+    w = Subspace.span(n - 1, [f.col(n - 1)[: n - 1] for f in _mats_of(h1_inv, n)])
     fields = {"h1": h1, "h1_inv": h1_inv, "W": w}
 
     j = h.structures.get("J")
     if j is not None:
-        rj = _hyperplane(n).intersect(Subspace.span(n, [j.matvec(x) for x in hyper]))
-        h2_mats = _sub_with_conditions(h, _column_kill_conditions([list(b) for b in rj.basis], n))
-        h2_span = LinearSubalgebra(n, h2_mats, name="h2", validate=False)
-        h2_inv_mats = _sub_with_conditions(
-            h2_span, [lambda f, jcol=jcol: f.data[n - 1][jcol] for jcol in range(n - 1)]
-        )
-        h2_J_mats = _sub_with_conditions(h2_span, _into_subspace_conditions(hyper, rj, n))
+        rj = hyperplane.intersect(Subspace.span(n, [j.matvec(x) for x in hyper]))
+        h2 = _preimage(h.basis, rj.basis, Subspace.zero(n))
+        h2_mats = _mats_of(h2, n)
         fields.update(
             RJ=rj,
-            h2=_span_mats(h2_mats, n),
-            h2_inv=_span_mats(h2_inv_mats, n),
-            h2_J=_span_mats(h2_J_mats, n),
+            h2=h2,
+            h2_inv=_preimage(h2_mats, hyper, hyperplane),
+            h2_J=_preimage(h2_mats, hyper, rj),
         )
 
-    v_info = _detect_line_prolongation(h)
-    if v_info is not None:
-        v0 = v_info
-        hv_mats = _sub_with_conditions(
-            h, _into_subspace_conditions(hyper, Subspace.span(n, [v0]), n)
-        )
-        hv_span = LinearSubalgebra(n, hv_mats, name="hv", validate=False)
-        hv_inv_mats = _sub_with_conditions(
-            hv_span, [lambda f, v0=v0: f.matvec(v0)[n - 1]]
-        )
-        u_rows = []
-        for f in hv_mats:
-            u_rows.append(tuple(f.matvec(x)[n - 1] / v0[n - 1] for x in hyper))
-        u_cal = Subspace.span(n - 1, u_rows)
-        nu = _nu_map(h, u_cal, v0)
+    v0 = _detect_line_prolongation(h)
+    if v0 is not None:
+        v_line = Subspace.span(n, [v0])
+        hv = _preimage(h.basis, hyper, v_line)
+        hv_mats = _mats_of(hv, n)
+        u_cal = Subspace.span(n - 1, [tuple(y / v0[n - 1] for y in f.data[n - 1][: n - 1]) for f in hv_mats])
         fields.update(
-            v_line=Subspace.span(n, [v0]),
-            hv=_span_mats(hv_mats, n),
-            hv_inv=_span_mats(hv_inv_mats, n),
+            v_line=v_line,
+            hv=hv,
+            hv_inv=_preimage(hv_mats, [v0], hyperplane),
             U_cal=u_cal,
-            nu=nu,
+            nu=_nu_map(h, u_cal, v0),
         )
 
     g = h.structures.get("g")
     if g is not None:
-        ctx = MetricContext(g)
-        perp = orthogonal_complement(ctx, _hyperplane(n))
-        h_perp_mats = _sub_with_conditions(h, _into_subspace_conditions(hyper, perp, n))
-        hp_span = LinearSubalgebra(n, h_perp_mats, name="h_perp", validate=False)
-        h_perp_inv_mats = _sub_with_conditions(
-            hp_span, [lambda f, jcol=jcol: f.data[n - 1][jcol] for jcol in range(n)]
-        )
+        perp = orthogonal_complement(MetricContext(g), hyperplane)
+        h_perp = _preimage(h.basis, hyper, perp)
+        h_perp_inv = _preimage(_mats_of(h_perp, n), ee, hyperplane)
         u_tilde = Subspace.span(
-            n - 1, [f.col(jcol)[: n - 1] for f in h_perp_inv_mats for jcol in range(n)]
+            n - 1, [f.col(jcol)[: n - 1] for f in _mats_of(h_perp_inv, n) for jcol in range(n)]
         )
-        fields.update(
-            h_perp=_span_mats(h_perp_mats, n),
-            h_perp_inv=_span_mats(h_perp_inv_mats, n),
-            U_tilde=u_tilde,
-        )
+        fields.update(h_perp=h_perp, h_perp_inv=h_perp_inv, U_tilde=u_tilde)
 
     return StructuralProfile(**fields)
 
@@ -225,11 +197,13 @@ def totally_real_type(h: LinearSubalgebra, j: Mat | None = None):
     j = j if j is not None else h.structures.get("J")
     if j is None:
         raise KeyError("totally real typing needs a complex structure J")
-    n = h.n
-    jh = Subspace.span(n * n, [(j * b).flatten() for b in h.basis])
-    if h.span.intersect(jh).dim != 0:
+    if h.span.intersect(_left_span(j, h)).dim != 0:
         raise ValueError("subalgebra is not totally real: h meets Jh")
-    prof = profile(h)
+    return _totally_real_type(h, j, profile(h))
+
+
+def _totally_real_type(h, j, prof):
+    n = h.n
     d2, d2r, d2j = prof.h2.dim, prof.h2_inv.dim, prof.h2_J.dim
     if not (d2j <= d2r <= d2 and d2r - d2j <= 1 and d2 - d2r <= 1):
         raise AssertionError("h2 chain steps must have codimension at most 1")
@@ -242,18 +216,16 @@ def totally_real_type(h: LinearSubalgebra, j: Mat | None = None):
     else:
         tag = "IV"
     witnesses = {"h2_chain_dims": (d2j, d2r, d2)}
-    ee = _basis_vectors(n)
-    rj = prof.RJ
-    v_in_hyper = next(x for x in ee[: n - 1] if not rj.contains(x))
+    v_in_hyper = next(x for x in _basis_vectors(n)[: n - 1] if not prof.RJ.contains(x))
     if tag == "III":
-        f = _pick_outside(h, prof.h2, prof.h2_inv, n)
+        f = _pick_outside(prof.h2, prof.h2_inv, n)
         fv = f.matvec(v_in_hyper)
         jfv = j.matvec(fv)
         lam = jfv[n - 1] / fv[n - 1]
         witnesses.update(F=f, lam=lam)
     if tag == "IV":
-        f1 = _pick_outside(h, prof.h2_inv, prof.h2_J, n)
-        f2p = _pick_outside(h, prof.h2, prof.h2_inv, n)
+        f1 = _pick_outside(prof.h2_inv, prof.h2_J, n)
+        f2p = _pick_outside(prof.h2, prof.h2_inv, n)
         jf1v = j.matvec(f1.matvec(v_in_hyper))
         jf2pv = j.matvec(f2p.matvec(v_in_hyper))
         lam = jf2pv[n - 1] / jf1v[n - 1]
@@ -263,7 +235,7 @@ def totally_real_type(h: LinearSubalgebra, j: Mat | None = None):
     return tag, witnesses
 
 
-def _pick_outside(h, big: Subspace, small: Subspace, n):
+def _pick_outside(big: Subspace, small: Subspace, n):
     """A matrix spanning big over small (both given as flattened spans)."""
     for flat in big.basis:
         if not small.contains(flat):
@@ -271,138 +243,101 @@ def _pick_outside(h, big: Subspace, small: Subspace, n):
     raise AssertionError("spaces were equal")
 
 
-def _mats_of(span: Subspace, n):
-    return [Mat.unflatten(n, n, flat) for flat in span.basis]
-
-
 # ---------------------------------------------------------------------------
-# closed-form rules
+# closed-form rules: rule(h, prof) returns None when its hypothesis fails,
+# else (F, tag); prof() builds profile(h) on first use.
 
 
-def _rule_complex(h):
+def _rule_complex(h, prof):
     j = h.structures.get("J")
-    if j is None:
+    if j is None or not _commutes(h, j) or _left_span(j, h) != h.span:
         return None
-    if any(not bracket(b, j).is_zero() for b in h.basis):
-        return None
-    jh = Subspace.span(h.n * h.n, [(j * b).flatten() for b in h.basis])
-    if jh != h.span:
-        return None
-    return {"A": j}
+    return characteristic_subalgebra(h), None
 
 
-def _value_char(h, ctx):
-    return characteristic_subalgebra(h)
-
-
-def _rule_commuting_endo(h):
+def _rule_commuting_endo(h, prof):
     n = h.n
-    candidates = []
-    for key in ("product", "tangent"):
-        if key in h.structures:
-            candidates.append(h.structures[key])
-    if "hpc" in h.structures:
-        candidates.extend(h.structures["hpc"])
-    if "hypercomplex" in h.structures:
-        candidates.extend(h.structures["hypercomplex"])
-    ee = _basis_vectors(n)
+    structures = h.structures
+    candidates = [structures[key] for key in ("product", "tangent") if key in structures]
+    candidates += [*structures.get("hpc", ()), *structures.get("hypercomplex", ())]
     for a in candidates:
-        if any(not bracket(b, a).is_zero() for b in h.basis):
+        if not _commutes(h, a):
             continue
-        if all(a.matvec(x)[n - 1] == 0 for x in ee[: n - 1]):
+        if all(x == 0 for x in a.data[n - 1][: n - 1]):
             continue  # hyperplane is A-invariant
-        ah = Subspace.span(n * n, [(a * b).flatten() for b in h.basis])
-        if h.span.contains_space(ah):
-            return {"A": a}
+        if h.span.contains_space(_left_span(a, h)):
+            return characteristic_subalgebra(h), None
     return None
 
 
-def _rule_totally_real(h):
+def _rule_totally_real(h, prof):
     j = h.structures.get("J")
-    if j is None:
+    if j is None or not _commutes(h, j) or h.span.intersect(_left_span(j, h)).dim != 0:
         return None
-    if any(not bracket(b, j).is_zero() for b in h.basis):
+    tag, wit = _totally_real_type(h, j, prof())
+    if tag == "II" and not _type_II_extra_condition(h, prof()):
         return None
-    jh = Subspace.span(h.n * h.n, [(j * b).flatten() for b in h.basis])
-    if h.span.intersect(jh).dim != 0:
-        return None
-    tag, wit = totally_real_type(h, j)
-    if tag == "II" and not _type_II_extra_condition(h):
-        return None
-    return {"tag": tag, "witnesses": wit, "J": j}
-
-
-def _type_II_extra_condition(h):
-    """Every F in h with F(R_J) <= R^{n-1} must preserve R^{n-1}."""
     n = h.n
-    prof = profile(h)
-    rj = prof.RJ
-    conds = []
-    for b in rj.basis:
-        conds.append(lambda f, b=tuple(b): f.matvec(b)[n - 1])
-    s_mats = _sub_with_conditions(h, conds)
-    return all(all(f.data[n - 1][jj] == 0 for jj in range(n - 1)) for f in s_mats)
-
-
-def _value_totally_real(h, ctx):
-    n = h.n
-    j = ctx["J"]
-    prof = profile(h)
-    base = [Mat.unflatten(n - 1, n - 1, flat) for flat in characteristic_subalgebra(h).basis]
-    extra = []
-    for f in _mats_of(prof.h2_J, n):
-        extra.append((j * f).submatrix(range(n - 1), range(n - 1)))
-    tag = ctx["tag"]
-    wit = ctx["witnesses"]
+    hyper = range(n - 1)
+    extra = [(j * f).submatrix(hyper, hyper) for f in _mats_of(prof().h2_J, n)]
     if tag == "III":
         f, lam = wit["F"], wit["lam"]
-        extra.append((j * f - f.scale(lam)).submatrix(range(n - 1), range(n - 1)))
+        extra.append((j * f - f.scale(lam)).submatrix(hyper, hyper))
     if tag == "IV":
         f1, f2 = wit["F1"], wit["F2"]
-        extra.append((f2 - j * f1).submatrix(range(n - 1), range(n - 1)))
-        extra.append((j * f2).submatrix(range(n - 1), range(n - 1)))
-    return Subspace.span(
-        (n - 1) * (n - 1), [m.flatten() for m in base] + [m.flatten() for m in extra]
-    )
+        extra.append((f2 - j * f1).submatrix(hyper, hyper))
+        extra.append((j * f2).submatrix(hyper, hyper))
+    vecs = list(characteristic_subalgebra(h).basis) + [m.flatten() for m in extra]
+    return Subspace.span((n - 1) * (n - 1), vecs), tag
 
 
-def _rule_k1_zero(h):
+def _type_II_extra_condition(h, prof):
+    """Every F in h with F(R_J) <= R^{n-1} must preserve R^{n-1}."""
+    n = h.n
+    s = _preimage(h.basis, prof.RJ.basis, _hyperplane(n))
+    return all(all(x == 0 for x in f.data[n - 1][: n - 1]) for f in _mats_of(s, n))
+
+
+def _rule_k1_zero(h, prof):
     if first_prolongation(h).dim != 0:
         return None
-    return {}
-
-
-def _value_k1_zero(h, ctx):
     n = h.n
-    prof = profile(h)
+    p = prof()
     vecs = []
-    if prof.h1 == prof.h1_inv:
+    if p.h1 == p.h1_inv:
         vecs.extend(list(characteristic_subalgebra(h).basis))
     else:
-        f0 = _pick_outside(h, prof.h1, prof.h1_inv, n)
+        f0 = _pick_outside(p.h1, p.h1_inv, n)
         v0 = f0.col(n - 1)
         m = n - 1
         for flat in tableau(h).basis:
             out = [[flat[k * m + jj] - (flat[(n - 1) * m + jj] / v0[n - 1]) * v0[k] for jj in range(m)] for k in range(m)]
             vecs.append(Mat(out).flatten())
     for i in range(n - 1):
-        for w in prof.W.basis:
+        for w in p.W.basis:
             out = [[w[k] if jj == i else Fraction(0) for jj in range(n - 1)] for k in range(n - 1)]
             vecs.append(Mat(out).flatten())
-    return Subspace.span((n - 1) * (n - 1), vecs)
+    return Subspace.span((n - 1) * (n - 1), vecs), None
 
 
-def _rule_s2uv(h):
+def _rule_s2uv(h, prof):
     n = h.n
-    prof = profile(h)
-    if prof.hv is None or prof.U_cal is None or prof.U_cal.dim == 0:
+    p = prof()
+    if p.hv is None or p.U_cal.dim == 0 or p.hv != p.hv_inv:
         return None
-    if prof.hv != prof.hv_inv:
+    if not _k1_matches_s2uv(h, p.U_cal, p.v_line.basis[0]):
         return None
-    v0 = prof.v_line.basis[0]
-    if not _k1_matches_s2uv(h, prof.U_cal, v0):
-        return None
-    return {"profile": prof}
+    nu_cols = [p.nu.matrix.col(t) for t in range(p.nu.domain_dim)]
+    ub = list(p.U_cal.basis)
+    vecs = list(characteristic_subalgebra(h).basis)
+    for a in range(len(ub)):
+        for b in range(a, len(ub)):
+            out = [
+                [ub[b][jj] * nu_cols[a][k] + ub[a][jj] * nu_cols[b][k] for jj in range(n - 1)]
+                for k in range(n - 1)
+            ]
+            vecs.append(Mat(out).flatten())
+    return Subspace.span((n - 1) * (n - 1), vecs), None
 
 
 def _k1_matches_s2uv(h, u_cal, v0):
@@ -423,107 +358,61 @@ def _k1_matches_s2uv(h, u_cal, v0):
     return first_prolongation(h) == Subspace.span(m * m * n, vecs)
 
 
-def _value_s2uv(h, ctx):
-    n = h.n
-    prof = ctx["profile"]
-    nu_cols = [prof.nu.matrix.col(t) for t in range(prof.nu.domain_dim)]
-    ub = list(prof.U_cal.basis)
-    vecs = list(characteristic_subalgebra(h).basis)
-    for a in range(len(ub)):
-        for b in range(a, len(ub)):
-            out = [
-                [ub[b][jj] * nu_cols[a][k] + ub[a][jj] * nu_cols[b][k] for jj in range(n - 1)]
-                for k in range(n - 1)
-            ]
-            vecs.append(Mat(out).flatten())
-    return Subspace.span((n - 1) * (n - 1), vecs)
-
-
-def _rule_sp_full(h):
+def _rule_sp_full(h, prof):
     """The full standard symplectic algebra: F equals the characteristic
     subalgebra (the block form [[A, 0], [w^t, a]] with A symplectic)."""
     omega = h.structures.get("omega")
-    if omega is None or h.n % 2:
+    if omega is None or h.n % 2 or omega != standard_omega(h.n) or h.span != build_sp(h.n // 2).span:
         return None
-    from .builders import standard_omega
-
-    if omega != standard_omega(h.n):
-        return None
-    full = _span_mats(
-        _sub_with_conditions_gl(h.n, omega), h.n
-    )
-    if h.span != full:
-        return None
-    return {}
+    return characteristic_subalgebra(h), None
 
 
-def _sub_with_conditions_gl(n, omega):
-    from .algebras import solve_matrix_space
-
-    return solve_matrix_space(n, [lambda f, om=omega: om * f + f.transpose() * om])
-
-
-def _rule_nondeg_metric(h):
-    g = h.structures.get("g")
-    if g is None:
-        return None
-    ctx = MetricContext(g)
-    hyper = _hyperplane(h.n)
-    if is_degenerate(ctx, hyper):
-        return None
-    return {"ctx": ctx}
-
-
-def _value_nondeg_metric(h, rctx):
+def _k_tilde_plus_s2u_flat(h, g, u_basis):
+    """k~ plus u_a x g(u_b, .) + u_b x g(u_a, .) on the hyperplane, u_a, u_b in u_basis."""
     n = h.n
-    ctx = rctx["ctx"]
-    hyper = _hyperplane(n)
-    v0 = orthogonal_complement(ctx, hyper).basis[0]
-    hv_mats = _sub_with_conditions(
-        h, _into_subspace_conditions(_basis_vectors(n)[: n - 1], Subspace.span(n, [v0]), n)
-    )
-    u_vecs = [f.matvec(v0)[: n - 1] for f in hv_mats]
-    u_basis = [list(b) for b in Subspace.span(n - 1, u_vecs).basis]
+    flats = [g.matvec(tuple(u) + (Fraction(0),))[: n - 1] for u in u_basis]
     vecs = list(characteristic_subalgebra(h).basis)
     for a in range(len(u_basis)):
         for b in range(a, len(u_basis)):
-            ua, ubv = u_basis[a], u_basis[b]
-            fa = ctx.g.matvec(tuple(ua) + (Fraction(0),))[: n - 1]
-            fb = ctx.g.matvec(tuple(ubv) + (Fraction(0),))[: n - 1]
-            out = [[fb[jj] * ua[k] + fa[jj] * ubv[k] for jj in range(n - 1)] for k in range(n - 1)]
-            vecs.append(Mat(out).flatten())
+            ua, ub, fa, fb = u_basis[a], u_basis[b], flats[a], flats[b]
+            vecs.append(tuple(fb[jj] * ua[k] + fa[jj] * ub[k] for k in range(n - 1) for jj in range(n - 1)))
     return Subspace.span((n - 1) * (n - 1), vecs)
 
 
-def _rule_unitary(h):
+def _rule_nondeg_metric(h, prof):
     g = h.structures.get("g")
-    j = h.structures.get("J")
-    if g is None or j is None:
+    if g is None:
         return None
     n = h.n
-    for b in h.basis:
-        if not bracket(b, j).is_zero():
-            return None
-        if not (g * b + b.transpose() * g).is_zero():
-            return None
-    return {"ctx": MetricContext(g), "J": j}
+    ctx = MetricContext(g)
+    hyperplane = _hyperplane(n)
+    if is_degenerate(ctx, hyperplane):
+        return None
+    v0 = orthogonal_complement(ctx, hyperplane).basis[0]
+    hv = _preimage(h.basis, _basis_vectors(n)[: n - 1], Subspace.span(n, [v0]))
+    u = Subspace.span(n - 1, [f.matvec(v0)[: n - 1] for f in _mats_of(hv, n)])
+    return _k_tilde_plus_s2u_flat(h, g, u.basis), None
 
 
-def _value_unitary(h, rctx):
+def _rule_unitary(h, prof):
+    g = h.structures.get("g")
+    j = h.structures.get("J")
+    if g is None or j is None or not _commutes(h, j):
+        return None
+    if any(not (g * b + b.transpose() * g).is_zero() for b in h.basis):
+        return None
     n = h.n
-    ctx, j = rctx["ctx"], rctx["J"]
+    ctx = MetricContext(g)
     hyper = _hyperplane(n)
-    kchar = characteristic_subalgebra(h)
-    vecs = list(kchar.basis)
+    vecs = list(characteristic_subalgebra(h).basis)
     if not is_degenerate(ctx, hyper):
-        ee = _basis_vectors(n)
-        rj = hyper.intersect(Subspace.span(n, [j.matvec(x) for x in ee[: n - 1]]))
-        rows = [list(ctx.g.matvec(b)) for b in rj.basis]
+        rj = hyper.intersect(Subspace.span(n, [j.matvec(x) for x in _basis_vectors(n)[: n - 1]]))
+        rows = [list(g.matvec(b)) for b in rj.basis]
         perp_in_hyper = kernel(Mat(rows, len(rows), n)).intersect(hyper)
         v0 = next(b for b in perp_in_hyper.basis if not rj.contains(b))
         jv = j.matvec(v0)
-        gv = ctx.g.matvec(v0)
-        gjv = ctx.g.matvec(jv)
+        gv = g.matvec(v0)
+        gjv = g.matvec(jv)
         test = Mat([[gjv[jj] * v0[k] - gv[jj] * jv[k] for jj in range(n)] for k in range(n)])
         if h.contains(test):
             extra = Mat([[gv[jj] * v0[k] for jj in range(n - 1)] for k in range(n - 1)])
@@ -531,74 +420,58 @@ def _value_unitary(h, rctx):
     else:
         v0 = orthogonal_complement(ctx, hyper).basis[0]
         jv = j.matvec(v0)
-        gv = ctx.g.matvec(v0)
-        gjv = ctx.g.matvec(jv)
+        gv = g.matvec(v0)
+        gjv = g.matvec(jv)
         test = Mat([[gv[jj] * jv[k] - gjv[jj] * v0[k] for jj in range(n)] for k in range(n)])
         if h.contains(test):
             extra = Mat([[gjv[jj] * jv[k] for jj in range(n - 1)] for k in range(n - 1)])
             vecs.append(extra.flatten())
-    return Subspace.span((n - 1) * (n - 1), vecs)
+    return Subspace.span((n - 1) * (n - 1), vecs), None
 
 
-def _rule_deg_metric(h):
+def _rule_deg_metric(h, prof):
     g = h.structures.get("g")
-    if g is None:
+    if g is None or not is_degenerate(MetricContext(g), _hyperplane(h.n)):
         return None
-    ctx = MetricContext(g)
-    if not is_degenerate(ctx, _hyperplane(h.n)):
+    p = prof()
+    if p.h_perp != p.h_perp_inv:
         return None
-    prof = profile(h)
-    if prof.h_perp != prof.h_perp_inv:
-        return None
-    return {"ctx": ctx, "profile": prof}
-
-
-def _value_deg_metric(h, rctx):
-    n = h.n
-    ctx, prof = rctx["ctx"], rctx["profile"]
-    u_basis = [list(b) for b in prof.U_tilde.basis]
-    vecs = list(characteristic_subalgebra(h).basis)
-    for a in range(len(u_basis)):
-        for b in range(a, len(u_basis)):
-            ua, ubv = u_basis[a], u_basis[b]
-            fa = ctx.g.matvec(tuple(ua) + (Fraction(0),))[: n - 1]
-            fb = ctx.g.matvec(tuple(ubv) + (Fraction(0),))[: n - 1]
-            out = [[fb[jj] * ua[k] + fa[jj] * ubv[k] for jj in range(n - 1)] for k in range(n - 1)]
-            vecs.append(Mat(out).flatten())
-    return Subspace.span((n - 1) * (n - 1), vecs)
+    return _k_tilde_plus_s2u_flat(h, g, p.U_tilde.basis), None
 
 
 RULES = [
-    ("complex", _rule_complex, _value_char),
-    ("commuting-endo", _rule_commuting_endo, _value_char),
-    ("totally-real", _rule_totally_real, _value_totally_real),
-    ("K1-zero", _rule_k1_zero, _value_k1_zero),
-    ("S2Uv", _rule_s2uv, _value_s2uv),
-    ("sp-full", _rule_sp_full, _value_char),
-    ("nondeg-metric", _rule_nondeg_metric, _value_nondeg_metric),
-    ("unitary", _rule_unitary, _value_unitary),
-    ("deg-metric", _rule_deg_metric, _value_deg_metric),
+    ("complex", _rule_complex),
+    ("commuting-endo", _rule_commuting_endo),
+    ("totally-real", _rule_totally_real),
+    ("K1-zero", _rule_k1_zero),
+    ("S2Uv", _rule_s2uv),
+    ("sp-full", _rule_sp_full),
+    ("nondeg-metric", _rule_nondeg_metric),
+    ("unitary", _rule_unitary),
+    ("deg-metric", _rule_deg_metric),
 ]
 
 
+def _fired(h):
+    """(label, F, tag) for each rule that fires, in RULES order.
+
+    profile(h) is built at most once, by the first rule that reads it.
+    """
+    prof = cache(lambda: profile(h))
+    for label, rule in RULES:
+        out = rule(h, prof)
+        if out is not None:
+            yield (label, *out)
+
+
 def applicable_rules(h):
-    out = []
-    for label, guard, value in RULES:
-        ctx = guard(h)
-        if ctx is not None:
-            out.append((label, value(h, ctx)))
-    return out
+    return [(label, sub) for label, sub, _ in _fired(h)]
 
 
 def closed_form_F(h: LinearSubalgebra):
     """First closed-form rule that fires, with its label; raises otherwise."""
-    for label, guard, value in RULES:
-        ctx = guard(h)
-        if ctx is not None:
-            sub = value(h, ctx)
-            if label == "totally-real":
-                label = f"totally-real-{ctx['tag']}"
-            return sub, label
+    for label, sub, tag in _fired(h):
+        return sub, f"{label}-{tag}" if tag else label
     raise NoRuleApplies(h.name or "subalgebra")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebras import LinearSubalgebra, bracket, conjugate
+from .algebras import LinearSubalgebra, MetricContext, bracket, conjugate, is_degenerate
 from .builders import (
     build_delta_gl,
     build_gl_C,
@@ -52,7 +52,7 @@ from .existence import (
     product_obstruction,
     tangent_obstruction,
 )
-from .linalg import Mat, Subspace
+from .linalg import Mat, Subspace, kernel
 from .profiles import applicable_rules, crosscheck, profile
 
 
@@ -469,14 +469,11 @@ def _structural_invariants():
     # non-degenerate metric algebras with nonzero prolongation have
     # K^(1) = S^2 U x normal; the S2Uv guard recomputes both sides
     ok = True
-    from .algebras import MetricContext, is_degenerate
-    from .linalg import Subspace as _S
-
     for h in catalog():
         g = h.structures.get("g")
         if g is None:
             continue
-        hyper = _S.span(h.n, [tuple(Fraction(1 if i == j else 0) for i in range(h.n)) for j in range(h.n - 1)])
+        hyper = Subspace.span(h.n, [tuple(Fraction(1 if i == j else 0) for i in range(h.n)) for j in range(h.n - 1)])
         if is_degenerate(MetricContext(g), hyper):
             continue
         if first_prolongation(h).dim == 0:
@@ -490,8 +487,6 @@ def _structural_invariants():
 
 def _annihilator_of(rj: Subspace, m):
     """Generator of the annihilator of R_J inside (R^{n-1})*."""
-    from .linalg import kernel
-
     rows = [list(b[:m]) for b in rj.basis]
     ann = kernel(Mat(rows, len(rows), m)).basis
     return ann[0]

@@ -195,3 +195,21 @@ def test_unread_flags_rejected(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert "unrecognized arguments" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("space", "--algebra", "gl:n=4", "--v", "1,0,0,0"),
+        ("space", "--algebra", "gl:n=4", "--v", "1/0,0,0,1"),
+        ("check", "--algebra", "gl:n=3", "--f", '[["x",0],[0,0]]'),
+        ("check", "--algebra", "gl:n=3", "--f", '{"f":3}'),
+        ("exists", "product", "--f", F3, "--p", "9"),
+    ],
+    ids=["v-in-hyperplane", "v-zero-denominator", "f-not-rational", "f-not-a-matrix", "p-out-of-range"],
+)
+def test_bad_input_is_an_input_error(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr

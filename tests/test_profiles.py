@@ -4,12 +4,14 @@ import pytest
 
 from torsionlab.builders import (
     build_delta_gl,
+    build_gl,
     build_gl_C,
     build_gl_H,
     build_lagrangian_symplectic,
     build_so,
     build_so_g,
     build_sp,
+    build_sp_H,
     build_su,
     build_u,
     catalog,
@@ -17,10 +19,15 @@ from torsionlab.builders import (
     standard_omega,
     witt_gram,
 )
+from torsionlab import profiles
+from torsionlab.algebras import LinearSubalgebra, MetricContext, orthogonal_complement
 from torsionlab.engine import obstruction_space
-from torsionlab.linalg import Mat, Subspace
+from torsionlab.linalg import Mat, Subspace, image_on_kernel, kernel
 from torsionlab.profiles import (
     NoRuleApplies,
+    _detect_line_prolongation,
+    _preimage,
+    applicable_rules,
     closed_form_F,
     crosscheck,
     profile,
@@ -187,3 +194,120 @@ def test_k1_zero_rule_case_b():
     assert label == "K1-zero"
     expected = Subspace.span(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
     assert sub == expected == obstruction_space(h)
+
+
+# Reference route for _preimage: one callable per scalar functional,
+# each recomputing F x, as profiles.py encoded the conditions before.
+
+
+def _ref_sub_with_conditions(h, conds):
+    n = h.n
+    pairs = (([cond(b) for cond in conds], b.flatten()) for b in h.basis)
+    return image_on_kernel(len(conds), n * n, pairs)
+
+
+def _ref_column_kill(vectors, n):
+    return [lambda f, x=tuple(x), k=k: f.matvec(x)[k] for x in vectors for k in range(n)]
+
+
+def _ref_into_hyperplane(vectors, n):
+    return [lambda f, x=tuple(x): f.matvec(x)[n - 1] for x in vectors]
+
+
+def _ref_into_subspace(vectors, target):
+    ann = kernel(Mat([list(b) for b in target.basis], target.dim, target.ambient_dim)).basis
+    return [
+        lambda f, x=tuple(x), a=a: sum(ai * fi for ai, fi in zip(a, f.matvec(x)))
+        for x in vectors
+        for a in ann
+    ]
+
+
+def _table_cases(h):
+    """(row, vectors, target, reference conditions) for each profile subspace h carries."""
+    n = h.n
+    ee = [tuple(Fraction(1 if i == j else 0) for i in range(n)) for j in range(n)]
+    hyper = ee[: n - 1]
+    hyperplane = Subspace.span(n, hyper)
+    zero = Subspace.zero(n)
+    cases = [
+        ("h1", hyper, zero, _ref_column_kill(hyper, n)),
+        ("h1_inv", ee[n - 1 :], hyperplane, _ref_into_hyperplane(ee[n - 1 :], n)),
+        ("h2_inv", hyper, hyperplane, _ref_into_hyperplane(hyper, n)),
+        ("h_perp_inv", ee, hyperplane, _ref_into_hyperplane(ee, n)),
+    ]
+    j = h.structures.get("J")
+    if j is not None:
+        rj = hyperplane.intersect(Subspace.span(n, [j.matvec(x) for x in hyper]))
+        cases.append(("h2", rj.basis, zero, _ref_column_kill(rj.basis, n)))
+        cases.append(("h2_J", hyper, rj, _ref_into_subspace(hyper, rj)))
+        cases.append(("type-II", rj.basis, hyperplane, _ref_into_hyperplane(rj.basis, n)))
+    v0 = _detect_line_prolongation(h)
+    if v0 is not None:
+        line = Subspace.span(n, [v0])
+        cases.append(("hv", hyper, line, _ref_into_subspace(hyper, line)))
+        cases.append(("hv_inv", [v0], hyperplane, _ref_into_hyperplane([v0], n)))
+    g = h.structures.get("g")
+    if g is not None:
+        ctx = MetricContext(g)
+        perp = orthogonal_complement(ctx, hyperplane)
+        # for a non-degenerate hyperplane perp is the line of v0, the nondeg-metric h_v
+        cases.append(("h_perp", hyper, perp, _ref_into_subspace(hyper, perp)))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "h",
+    catalog() + [build_gl(4), build_sp(3), build_so(5), build_u(3)],
+    ids=lambda h: h.name,
+)
+def test_preimage_matches_functional_conditions(h):
+    for row, vectors, target, conds in _table_cases(h):
+        assert _preimage(h.basis, vectors, target) == _ref_sub_with_conditions(h, conds), row
+
+
+def test_preimage_edge_cases():
+    h = build_gl(3)
+    e3 = (Fraction(0), Fraction(0), Fraction(1))
+    # no vectors: every element; full target: every element; no generators: zero
+    assert _preimage(h.basis, [], Subspace.zero(3)) == h.span
+    assert _preimage(h.basis, [e3], Subspace.full(3)) == h.span
+    assert _preimage([], [e3], Subspace.zero(3)).dim == 0
+    # F e3 = 0 kills the third column: 6 of the 9 entries stay free
+    assert _preimage(h.basis, [e3], Subspace.zero(3)).dim == 6
+
+
+@pytest.fixture
+def profile_builds(monkeypatch):
+    calls = []
+    real = profiles.profile
+
+    def counting(h, require=()):
+        calls.append(h.name)
+        return real(h, require)
+
+    monkeypatch.setattr(profiles, "profile", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "run, builder, builds",
+    [
+        (applicable_rules, lambda: build_su(2), 1),
+        (closed_form_F, lambda: build_delta_gl(3), 1),
+        (closed_form_F, lambda: build_gl_C(2), 0),
+    ],
+    ids=["applicable_rules-su2", "closed_form_F-delta_gl3", "closed_form_F-gl_C2"],
+)
+def test_one_profile_per_rule_pass(profile_builds, run, builder, builds):
+    run(builder())
+    assert len(profile_builds) == builds
+
+
+def test_profile_is_not_shared_between_equal_spans():
+    # equal spans hash equal, but only the structured copy has J and g
+    h = build_sp_H(1)
+    bare = LinearSubalgebra(4, h.basis, name="sp(1)-bare", validate=False)
+    assert bare == h and hash(bare) == hash(h)
+    assert profile(h).RJ is not None and profile(h).h_perp is not None
+    assert profile(bare).RJ is None and profile(bare).h_perp is None
