@@ -223,9 +223,10 @@ def cmd_exists(args):
     if n > _max_n():
         raise InputError(f"ambient dimension {n} exceeds TORSIONLAB_MAX_N={_max_n()}")
     aa = AlmostAbelian(f)
-    if args.mode == "product":
+    if args.mode == "product" or (args.mode == "family" and args.group == "product"):
         if args.p is None or not 1 <= args.p <= n - 1:
             raise InputError(f"product existence needs --p with 1 <= p <= {n - 1}")
+    if args.mode == "product":
         res = admits_torsion_free("product", aa, p=args.p)
         res["detail"] = _basis_payload(res["detail"])
     elif args.mode == "tangent":

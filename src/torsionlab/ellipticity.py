@@ -129,23 +129,24 @@ def low_rank_witness(h: LinearSubalgebra, r, budget=20000, coeff_range=2):
     A returned witness is exact: (coeffs, matrix) with rank verified.
     Absence is not a proof; see classify_low_rank for certificates.
     """
-    if h.dim == 0:
-        return None
-    grid = range(-coeff_range, coeff_range + 1)
-    tried = 0
-    for coeffs in itertools.product(grid, repeat=h.dim):
-        if all(c == 0 for c in coeffs):
-            continue
-        first = next(c for c in coeffs if c != 0)
-        if first < 0:
-            continue  # sign-normalized
-        tried += 1
+    for tried, coeffs in enumerate(_sign_normalized_grid(h.dim, coeff_range), start=1):
         if tried > budget:
             return None
         m = h.element([Fraction(c) for c in coeffs])
         if 0 < m.rank() <= r:
             return tuple(Fraction(c) for c in coeffs), m
     return None
+
+
+def _sign_normalized_grid(dim, coeff_range):
+    """The nonzero tuples over [-coeff_range, coeff_range] whose first
+    nonzero entry is positive, in lexicographic order: a zero prefix
+    (longest first), a positive leading entry, then a free tail."""
+    grid = range(-coeff_range, coeff_range + 1)
+    for lead in reversed(range(dim)):
+        for c in range(1, coeff_range + 1):
+            for tail in itertools.product(grid, repeat=dim - lead - 1):
+                yield (0,) * lead + (c,) + tail
 
 
 def _minors(mat_entries, size, n):

@@ -14,9 +14,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .builders import build_sl_C, build_sp_C
 from .engine import AlmostAbelian, obstruction_space
 from .linalg import Mat, Subspace
-from .polynomials import Poly, count_real_roots, min_poly, poly_gcd, squarefree_part
+from .polynomials import (
+    Poly,
+    char_poly,
+    count_real_roots,
+    min_poly,
+    poly_gcd,
+    rational_roots,
+    squarefree_part,
+)
 from .spectral import (
     achievable_invariant_dims,
     chain_vectors,
@@ -179,18 +188,29 @@ def _complete_basis(vectors, n1):
     return out
 
 
+def _check_signature(n, p):
+    if p is None or not 1 <= p <= n - 1:
+        raise ValueError("need 1 <= p <= n-1")
+
+
+def _invariant_data(f):
+    """primary_components(f) and the invariant-subspace dimensions it reaches."""
+    summary, split = primary_components(f)
+    return summary, split, achievable_invariant_dims(f, summary, split)
+
+
 def decide_product(aa: AlmostAbelian, p):
     """Product structures of signature (p, q) always exist; construct when possible."""
-    n = aa.n
-    if not 1 <= p <= n - 1:
-        raise ValueError("need 1 <= p <= n-1")
-    f = aa.f
-    n1 = n - 1
-    q = n - p
-    dims, _ = achievable_invariant_dims(f)
+    _check_signature(aa.n, p)
+    return _product_basis(aa.f, p, *_invariant_data(aa.f))
+
+
+def _product_basis(f, p, summary, split, dims):
+    n1 = f.rows
+    q = n1 + 1 - p
     # type [U1]: an invariant subspace of dimension q-1 spanned by the tail
     if q - 1 in dims:
-        w = invariant_subspace(f, q - 1)
+        w = invariant_subspace(f, summary, split, q - 1)
         completion = _complete_basis(list(w.basis), n1)[w.dim :]
         cols = completion + list(w.basis)
         checked = _conjugated_pattern_check(f, cols, lambda i, j: not (i < p and j >= p))
@@ -198,7 +218,7 @@ def decide_product(aa: AlmostAbelian, p):
             s, fp = checked
             return {"verdict": "yes", "type": "[U1]", "basis": s, "conjugated": fp, "rule": "invariant-subspace"}
     if p - 1 in dims:
-        w = invariant_subspace(f, p - 1)
+        w = invariant_subspace(f, summary, split, p - 1)
         cols = list(w.basis) + _complete_basis(list(w.basis), n1)[w.dim :]
         checked = _conjugated_pattern_check(f, cols, lambda i, j: not (i >= p - 1 and j < p - 1))
         if checked is not None:
@@ -210,18 +230,19 @@ def decide_product(aa: AlmostAbelian, p):
 
 def decide_tangent(aa: AlmostAbelian):
     """Tangent structures always exist on even-dimensional algebras."""
-    n = aa.n
-    if n % 2:
+    if aa.n % 2:
         raise ValueError("tangent structures need even dimension")
-    m = n // 2
-    f = aa.f
-    n1 = n - 1
-    dims, _ = achievable_invariant_dims(f)
+    return _tangent_basis(aa.f, *_invariant_data(aa.f))
+
+
+def _tangent_basis(f, summary, split, dims):
+    n1 = f.rows
+    m = (n1 + 1) // 2
     pattern = lambda i, j: not (i < m - 1 and m - 1 <= j < n1 - 1)
     for d in (m, m - 1):
         if d not in dims:
             continue
-        w = invariant_subspace(f, d)
+        w = invariant_subspace(f, summary, split, d)
         if d == m:
             middle = list(w.basis[: m - 1])
             last = [w.basis[m - 1]]
@@ -229,10 +250,7 @@ def decide_tangent(aa: AlmostAbelian):
             middle = list(w.basis)
             span_w = Subspace.span(n1, middle)
             last = [next(_unit(n1, i) for i in range(n1) if not span_w.contains(_unit(n1, i)))]
-        rest = [
-            v
-            for v in _complete_basis(middle + last, n1)[len(middle) + 1 :]
-        ]
+        rest = _complete_basis(middle + last, n1)[len(middle) + 1 :]
         cols = rest + middle + last
         checked = _conjugated_pattern_check(f, cols, pattern)
         if checked is not None:
@@ -241,23 +259,29 @@ def decide_tangent(aa: AlmostAbelian):
     return {"verdict": "yes", "type": None, "basis": None, "rule": "existence-only"}
 
 
-# -- hyperparacomplex classification ----------------------------------------
+def _divisible_after_removal(fd, removals, factors, modulus):
+    """Whether every block count is divisible by modulus once one block
+    of each size in removals leaves the factor fd.
 
-
-def _counts_after(counts, removals):
-    """Block counts after decrementing one block per listed size, or None."""
-    c = dict(counts)
+    Removing a block of size s leaves one of size s - 1.  The counts
+    checked are fd's after the removal and those of the other factors.
+    """
+    counts = dict(fd.block_counts)
     for s in removals:
-        if c.get(s, 0) <= 0:
-            return None
-        c[s] -= 1
+        if counts.get(s, 0) <= 0:
+            return False
+        counts[s] -= 1
         if s > 1:
-            c[s - 1] = c.get(s - 1, 0) + 1
-    return {k: v for k, v in c.items() if v}
+            counts[s - 1] = counts.get(s - 1, 0) + 1
+    others = [other.block_counts for other in factors if other is not fd]
+    return all(v % modulus == 0 for c in [counts, *others] for v in c.values())
 
 
 def _rational_eigen_factors(split):
     return [fd for fd in split if fd.deg == 1]
+
+
+# -- hyperparacomplex classification ----------------------------------------
 
 
 def classify_hyperparacomplex(aa: AlmostAbelian):
@@ -277,37 +301,20 @@ def classify_hyperparacomplex(aa: AlmostAbelian):
     total_real = sum(c for _, _, c in summary.squarefree)
     if total_real == 0:
         return {"verdict": "no", "rule": "no-real-eigenvalue"}
-    exhaustive = summary.fully_split
-
-    for fd in _rational_eigen_factors(split):
-        a = fd.rational_eigenvalue()
-        for s in sorted(fd.block_counts, reverse=True):
-            after = _counts_after(fd.block_counts, [s])
-            if after is None or any(v % 2 for v in after.values()):
-                continue
-            if not _background_even(split, fd):
-                continue
-            if summary.unsplit:
-                # cannot confirm evenness inside unfactored pieces
-                continue
-            built = _construct_case_a(f, split, fd, s, m)
-            if built is not None:
-                return built
-    case_b = _classify_case_b(aa, summary, split, m)
-    if case_b is not None:
-        return case_b
-    if exhaustive and n <= 8:
-        return {"verdict": "no", "rule": "exhaustive-normal-form-search"}
+    # block counts inside unfactored pieces are unknown
+    if summary.fully_split:
+        for fd in _rational_eigen_factors(split):
+            for s in sorted(fd.block_counts, reverse=True):
+                if _divisible_after_removal(fd, [s], split, 2):
+                    built = _construct_case_a(f, split, fd, s, m)
+                    if built is not None:
+                        return built
+        case_b = _classify_case_b(f, split, m)
+        if case_b is not None:
+            return case_b
+        if n <= 8:
+            return {"verdict": "no", "rule": "exhaustive-normal-form-search"}
     return {"verdict": "unknown", "rule": "outside-rational-spectral-regime"}
-
-
-def _background_even(split, skip_fd):
-    for fd in split:
-        if fd is skip_fd:
-            continue
-        if any(v % 2 for v in fd.block_counts.values()):
-            return False
-    return True
 
 
 def _paired_chain_bases(f, split, fd_special, special_chains):
@@ -391,8 +398,7 @@ def _case_b_pattern(m):
     return allowed
 
 
-def _classify_case_b(aa, summary, split, m):
-    f = aa.f
+def _classify_case_b(f, split, m):
     for fd in _rational_eigen_factors(split):
         counts = fd.block_counts
         variants = []
@@ -404,12 +410,7 @@ def _classify_case_b(aa, summary, split, m):
             if counts.get(s, 0) >= 3 and counts.get(s - 1, 0) >= 1:
                 variants.append(("triple", [s, s, s], s))
         for mode, removals, s in variants:
-            after = _counts_after(counts, removals)
-            if after is None or any(v % 2 for v in after.values()):
-                continue
-            if not _background_even(split, fd):
-                continue
-            if summary.unsplit:
+            if not _divisible_after_removal(fd, removals, split, 2):
                 continue
             built = _construct_case_b(f, split, fd, mode, s, m)
             if built is not None:
@@ -567,28 +568,26 @@ def admits_torsion_free(group, aa: AlmostAbelian, p=None):
     """
     n = aa.n
     if group == "product":
-        res = decide_product(aa, p)
-        dims, exact = achievable_invariant_dims(aa.f)
-        types = []
-        for label, d in (("[U1]", n - p - 1), ("[U2]", p - 1)):
-            if d in dims:
-                types.append(_typed_verdict(label, "yes"))
-            elif exact:
-                types.append(_typed_verdict(label, "no"))
-            else:
-                types.append(_typed_verdict(label, "unknown"))
-        types.append(_typed_verdict("[U3]", _u3_verdict(aa.f, p, exact)))
+        _check_signature(n, p)
+        summary, split, dims = _invariant_data(aa.f)
+        res = _product_basis(aa.f, p, summary, split, dims)
+        unreached = "no" if summary.fully_split else "unknown"
+        types = [
+            _typed_verdict("[U1]", "yes" if n - p - 1 in dims else unreached),
+            _typed_verdict("[U2]", "yes" if p - 1 in dims else unreached),
+            _typed_verdict("[U3]", _u3_verdict(summary, split, p - 1, n - p - 1)),
+        ]
         return {"group": group, "types": types, "overall": "yes", "detail": res}
     if group == "tangent":
         if n % 2:
             raise ValueError("tangent structures need even dimension")
         m = n // 2
-        res = decide_tangent(aa)
-        dims, exact = achievable_invariant_dims(aa.f)
-        t2 = "yes" if (m in dims or m - 1 in dims) else ("no" if exact else "unknown")
+        summary, split, dims = _invariant_data(aa.f)
+        res = _tangent_basis(aa.f, summary, split, dims)
+        unreached = "no" if summary.fully_split else "unknown"
         types = [
-            _typed_verdict("[U1]", _tangent_u1_verdict(aa)),
-            _typed_verdict("[U2]", t2),
+            _typed_verdict("[U1]", _tangent_u1_verdict(summary, split)),
+            _typed_verdict("[U2]", "yes" if m in dims or m - 1 in dims else unreached),
         ]
         return {"group": group, "types": types, "overall": "yes", "detail": res}
     simple = {
@@ -617,51 +616,32 @@ def _typed_verdict(label, verdict):
     return out
 
 
-def _u3_verdict(f, p, exact):
-    n1 = f.rows
-    q = n1 + 1 - p
-    pair = _disjoint_invariant_pair_exists(f, p - 1, q - 1)
-    if pair:
-        return "yes"
-    return "no" if exact else "unknown"
-
-
-def _disjoint_invariant_pair_exists(f, d1, d2):
-    """Chains can be split between two disjoint invariant subspaces."""
-    summary, split = primary_components(f)
+def _u3_verdict(summary, split, d1, d2):
+    """[U3]: the Jordan chains split between two disjoint invariant
+    subspaces of dimensions d1 and d2."""
     if not summary.fully_split:
-        return False
-    caps = []
-    for fd in split:
-        for ch in jordan_chains(f, fd):
-            caps.append((len(ch) * fd.deg, fd.deg))
+        return "unknown"
+    chains = [(fd, length) for fd in split for length, count in fd.block_counts.items() for _ in range(count)]
     reach = {(0, 0)}
-    for cap, deg in caps:
+    for fd, length in chains:
         nxt = set()
         for a, b in reach:
-            for take in range(0, cap + 1, deg):
+            for take in range(0, length * fd.deg + 1, fd.deg):
                 if a + take <= d1:
                     nxt.add((a + take, b))
                 if b + take <= d2:
                     nxt.add((a, b + take))
         reach = nxt
-    return (d1, d2) in reach
+    return "yes" if (d1, d2) in reach else "no"
 
 
-def _tangent_u1_verdict(aa):
-    n = aa.n
-    m = n // 2
-    summary, split = primary_components(aa.f)
-    if summary.fully_split:
-        for fd in _rational_eigen_factors(split):
-            for s in sorted(fd.block_counts, reverse=True):
-                after = _counts_after(fd.block_counts, [s])
-                if after is None or any(v % 2 for v in after.values()):
-                    continue
-                if _background_even(split, fd):
-                    return "yes"
-        return "no"
-    return "unknown"
+def _tangent_u1_verdict(summary, split):
+    if not summary.fully_split:
+        return "unknown"
+    for fd in _rational_eigen_factors(split):
+        if any(_divisible_after_removal(fd, [s], split, 2) for s in fd.block_counts):
+            return "yes"
+    return "no"
 
 
 def _semisimple(f):
@@ -669,29 +649,31 @@ def _semisimple(f):
     return poly_gcd(mp, mp.derivative()).degree == 0
 
 
-def _unitary_verdict(aa):
-    """f similar to diag(A, a) with A skew-Hermitian: semisimple, trace
-    eigenvalue a, remaining spectrum purely imaginary pairs."""
-    f = aa.f
-    from .polynomials import char_poly
-
+def _unitary_spectrum(f):
+    """r with char(f) = (x - tr f) r(x^2) if f is similar to diag(A, a)
+    with A skew-Hermitian, else None: f semisimple, its trace an
+    eigenvalue, the remaining spectrum purely imaginary pairs."""
     chi = char_poly(f)
     a = f.trace()
     lin = Poly([-a, 1])
     if not (chi % lin).is_zero():
-        return "no"
+        return None
     rest = chi.exact_div(lin)
     if any(rest.coeffs[i] != 0 for i in range(1, len(rest.coeffs), 2)):
-        return "no"
+        return None
     r = Poly(rest.coeffs[::2])
     # all roots of r must be real and <= 0 (they are -theta^2)
     if count_real_roots(r) != _count_distinct_roots(r):
-        return "no"
+        return None
     if count_real_roots(r, 0, _root_bound(r)) > 0:
-        return "no"
+        return None
     if not _semisimple(f):
-        return "no"
-    return "yes"
+        return None
+    return r
+
+
+def _unitary_verdict(aa):
+    return "no" if _unitary_spectrum(aa.f) is None else "yes"
 
 
 def _count_distinct_roots(r):
@@ -709,21 +691,13 @@ def _root_bound(r):
 
 
 def _special_unitary_verdict(aa):
-    if _unitary_verdict(aa) != "yes":
-        return "no"
     f = aa.f
-    if f.trace() != 0:
+    r = _unitary_spectrum(f)
+    if r is None or f.trace() != 0:
         return "no"
-    from .polynomials import char_poly
-
-    chi = char_poly(f)
-    rest = chi.exact_div(Poly([0, 1]))
-    r = Poly(rest.coeffs[::2])
     roots = {}
     work = r
-    from .polynomials import rational_roots as rr
-
-    for root, mult in rr(r):
+    for root, mult in rational_roots(r):
         roots[root] = mult
         for _ in range(mult):
             work = work.exact_div(Poly([-root, 1]))
@@ -780,18 +754,10 @@ def _signed_cancellation_possible(coeffs):
 def _complex_verdict(aa):
     """f similar to [[A, v], [0, a]] with A complex-linear: remove one
     dimension at a real eigenvalue, all real-eigenvalue block counts even."""
-    f = aa.f
-    summary, split = primary_components(f)
-    if _try_removal(split, summary, modulus=2, removals_fn=lambda counts: [[s] for s in counts]):
-        return "yes"
-    if any(c > 0 for _, _, c in summary.unsplit):
-        return "unknown"
-    return "no"
+    return _removal_verdict(aa.f, 2, lambda counts: [[s] for s in counts])
 
 
 def _quaternionic_verdict(aa):
-    f = aa.f
-
     def variants(counts):
         out = []
         if counts.get(1, 0) >= 3:
@@ -801,43 +767,23 @@ def _quaternionic_verdict(aa):
                 out.append([s, s, s])
         return out
 
+    return _removal_verdict(aa.f, 4, variants)
+
+
+def _removal_verdict(f, modulus, variants):
+    """yes if removing the blocks of one variant at a rational eigenvalue
+    leaves every real factor's block counts divisible by modulus."""
     summary, split = primary_components(f)
-    if _try_removal(split, summary, modulus=4, removals_fn=variants):
-        return "yes"
     if any(c > 0 for _, _, c in summary.unsplit):
         return "unknown"
+    real_factors = [fd for fd in split if fd.deg == 1 or count_real_roots(fd.phi) > 0]
+    for fd in _rational_eigen_factors(split):
+        if any(_divisible_after_removal(fd, r, real_factors, modulus) for r in variants(fd.block_counts)):
+            return "yes"
     return "no"
 
 
-def _try_removal(split, summary, modulus, removals_fn):
-    """Exists a rational eigenvalue whose removal evens all real factors."""
-    real_factors = [
-        fd for fd in split if fd.deg == 1 or count_real_roots(fd.phi) > 0
-    ]
-    if summary.unsplit and any(c > 0 for _, _, c in summary.unsplit):
-        unsplit_blocks = True
-    else:
-        unsplit_blocks = False
-    for fd in _rational_eigen_factors(split):
-        for removals in removals_fn(fd.block_counts):
-            after = _counts_after(fd.block_counts, removals)
-            if after is None or any(v % modulus for v in after.values()):
-                continue
-            others_ok = True
-            for other in real_factors:
-                if other is fd:
-                    continue
-                if any(v % modulus for v in other.block_counts.values()):
-                    others_ok = False
-                    break
-            if others_ok and not unsplit_blocks:
-                return True
-    return False
-
-
 def _direct_membership_verdict(group, aa):
-    from .builders import build_sl_C, build_sp_C
-
     n = aa.n
     h = build_sl_C(n // 2) if group == "sl_C" else build_sp_C(n // 4)
     fs = obstruction_space(h)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Mat, fr
+from .linalg import Mat, fr, solve_affine
 
 
 class Poly:
@@ -331,8 +331,6 @@ def min_poly(m: Mat) -> Poly:
 
 def _solve_columns(basis_rows, target):
     """Express target as a combination of basis_rows, or None."""
-    from .linalg import solve_affine
-
     cols = list(zip(*basis_rows))
     return solve_affine([list(c) for c in cols], list(target))
 

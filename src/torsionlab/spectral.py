@@ -84,20 +84,22 @@ class FactorData:
         return -self.phi.coeffs[0] if self.deg == 1 else None
 
 
-def factor_data(f: Mat, phi: Poly, mult: int) -> FactorData:
-    n = f.rows
+def _kernel_ladder(f: Mat, phi: Poly, mult: int):
+    """ker phi(f)^k for k = 1..mult, up to where the dimension stops growing."""
     nmat = phi.eval_mat(f)
+    power = Mat.identity(f.rows)
     ladder = []
-    power = Mat.identity(n)
-    prev_dim = 0
     for _ in range(mult):
         power = power * nmat
         ker = kernel(power)
-        ladder.append(ker)
-        if ker.dim == prev_dim:
-            ladder.pop()
+        if ker.dim == (ladder[-1].dim if ladder else 0):
             break
-        prev_dim = ker.dim
+        ladder.append(ker)
+    return ladder
+
+
+def factor_data(f: Mat, phi: Poly, mult: int) -> FactorData:
+    ladder = _kernel_ladder(f, phi, mult)
     dims = [0] + [k.dim for k in ladder]
     while len(dims) < mult + 2:
         dims.append(dims[-1])
@@ -143,7 +145,7 @@ def jordan_chains(f: Mat, fd: FactorData):
                 continue
             chain = [tuple(cand)]
             for _ in range(j - 1):
-                chain.append(f_apply(nmat, chain[-1]))
+                chain.append(nmat.matvec(chain[-1]))
             chains.append(chain)
             new_vs = list(avoid.basis) + [cand]
             if fd.deg == 2:
@@ -153,10 +155,6 @@ def jordan_chains(f: Mat, fd: FactorData):
     if total != fd.dim:
         raise AssertionError("chain decomposition lost dimensions")
     return chains
-
-
-def f_apply(m: Mat, v):
-    return m.matvec(v)
 
 
 def chain_vectors(f: Mat, fd: FactorData, chain, levels=None):
@@ -171,89 +169,69 @@ def chain_vectors(f: Mat, fd: FactorData, chain, levels=None):
     return out
 
 
-def achievable_invariant_dims(f: Mat):
-    """(set of invariant-subspace dimensions, exact: bool).
+def _invariant_parts(f: Mat, summary: SpectralSummary, split):
+    """(allowed dimensions, source) for every primary component.
 
-    Exact when char(f) fully splits into rational linear and quadratic
-    factors; otherwise the set is a sound subset built from kernel
-    flags of the unsplit pieces.
+    Inside a linear-factor component any dimension is reachable, inside
+    a quadratic component any even one, inside an unsplit piece only
+    whole kernel flags; the source is the FactorData or the flags by
+    dimension.
     """
-    summary, split = primary_components(f)
-    options = []
-    for fd in split:
-        if fd.deg == 1:
-            options.append(set(range(fd.dim + 1)))
-        else:
-            options.append(set(range(0, fd.dim + 1, 2)))
+    parts = [(range(0, fd.dim + 1, fd.deg), fd) for fd in split]
     for q, mult, _ in summary.unsplit:
-        flags = {0}
-        power = Mat.identity(f.rows)
-        qm = q.eval_mat(f)
-        prev = 0
-        for _ in range(mult):
-            power = power * qm
-            d = kernel(power).dim
-            flags.add(d)
-            if d == prev:
-                break
-            prev = d
-        options.append(flags)
-    acc = {0}
-    for opt in options:
-        acc = {a + b for a in acc for b in opt}
-    return acc, summary.fully_split
+        flags = {0: Subspace.zero(f.rows)}
+        flags.update((k.dim, k) for k in _kernel_ladder(f, q, mult))
+        parts.append((list(flags), flags))
+    return parts
 
 
-def invariant_subspace(f: Mat, d_target: int):
+def _reachable(parts):
+    """Every reachable total dimension -> the first choice per part reaching it."""
+    reach = {0: []}
+    for allowed, _ in parts:
+        nxt = {}
+        for total, picks in reach.items():
+            for d in allowed:
+                nxt.setdefault(total + d, picks + [d])
+        reach = nxt
+    return reach
+
+
+def achievable_invariant_dims(f: Mat, summary: SpectralSummary, split):
+    """Dimensions of the f-invariant subspaces built from kernel flags.
+
+    (summary, split) is primary_components(f).  The set is exact when
+    summary.fully_split; otherwise it is a sound subset.
+    """
+    return set(_reachable(_invariant_parts(f, summary, split)))
+
+
+def invariant_subspace(f: Mat, summary: SpectralSummary, split, d_target: int):
     """An f-invariant subspace of exactly d_target dimensions, or None.
 
-    Built from kernel flags: inside a linear-factor component any
-    dimension is reachable, inside a quadratic component any even one,
-    inside an unsplit piece only whole kernel flags.
+    (summary, split) is primary_components(f); the subspace is built
+    from the choice of achievable_invariant_dims that reaches d_target.
     """
     n = f.rows
     if d_target == 0:
         return Subspace.zero(n)
-    summary, split = primary_components(f)
-    parts = []
-    for fd in split:
-        if fd.deg == 1:
-            allowed = list(range(fd.dim + 1))
-        else:
-            allowed = list(range(0, fd.dim + 1, 2))
-        parts.append(("split", fd, allowed))
-    for q, mult, _ in summary.unsplit:
-        flags = [0]
-        power = Mat.identity(n)
-        qm = q.eval_mat(f)
-        subs = {0: Subspace.zero(n)}
-        prev = 0
-        for _ in range(mult):
-            power = power * qm
-            ker = kernel(power)
-            if ker.dim == prev:
-                break
-            flags.append(ker.dim)
-            subs[ker.dim] = ker
-            prev = ker.dim
-        parts.append(("flag", subs, flags))
-    choice = _subset_sum([p[2] for p in parts], d_target)
+    parts = _invariant_parts(f, summary, split)
+    choice = _reachable(parts).get(d_target)
     if choice is None:
         return None
     vectors = []
-    for (kind, data, _), want in zip(parts, choice):
+    for (_, source), want in zip(parts, choice):
         if want == 0:
             continue
-        if kind == "flag":
-            vectors.extend(list(data[want].basis))
+        if not isinstance(source, FactorData):
+            vectors.extend(source[want].basis)
             continue
-        fd = data
-        remaining = want // fd.deg
-        for chain in jordan_chains(f, fd):
+        remaining = want // source.deg
+        for chain in jordan_chains(f, source):
             if remaining == 0:
                 break
             take = min(remaining, len(chain))
-            vectors.extend(chain_vectors(f, fd, chain, take))
+            vectors.extend(chain_vectors(f, source, chain, take))
             remaining -= take
         if remaining:
             raise AssertionError("component cannot supply requested dimensions")
@@ -264,17 +242,3 @@ def invariant_subspace(f: Mat, d_target: int):
         if not sub.contains(f.matvec(b)):
             raise AssertionError("constructed subspace is not invariant")
     return sub
-
-
-def _subset_sum(option_lists, target):
-    """One choice per list summing to target, or None (small exact DP)."""
-    reach = {0: []}
-    for opts in option_lists:
-        nxt = {}
-        for total, picks in reach.items():
-            for o in opts:
-                t = total + o
-                if t <= target and t not in nxt:
-                    nxt[t] = picks + [o]
-        reach = nxt
-    return reach.get(target)

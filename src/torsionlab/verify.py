@@ -315,47 +315,42 @@ def _transversals(n):
     return vs
 
 
+def _on_hyperplane(gamma, n):
+    """The components Gamma_ij^k of a connection with i, j < n - 1."""
+    m = n - 1
+    return [gamma[i * n * n + j * n + k] for i in range(m) for j in range(m) for k in range(n)]
+
+
+def _failures_check(name, failures):
+    return _check(name, not failures, "; ".join(failures[:3]))
+
+
 def check_invariant_suite():
-    out = []
-    algebras = catalog()
-    ok_contain = ok_vindep = ok_module = ok_w = ok_d_in_k1 = ok_certs = True
-    detail = []
-    for h in algebras:
+    # one profile per catalog algebra, shared with the structural checks
+    pairs = [(h, profile(h)) for h in catalog()]
+    contain, vindep, module, w_cov, d_in_k1, certs = ([] for _ in range(6))
+    for h, prof in pairs:
         n = h.n
         kc = characteristic_subalgebra(h)
         fs = obstruction_space(h)
         if not fs.contains_space(kc):
-            ok_contain = False
-            detail.append(f"k~ not inside F for {h.name}")
-        for v in _transversals(n):
-            if obstruction_space(h, v) != fs:
-                ok_vindep = False
-                detail.append(f"v-dependence for {h.name}")
+            contain.append(f"k~ not inside F for {h.name}")
+        if any(obstruction_space(h, v) != fs for v in _transversals(n)):
+            vindep.append(f"v-dependence for {h.name}")
         kc_mats = [Mat.unflatten(n - 1, n - 1, b) for b in kc.basis]
         fs_mats = [Mat.unflatten(n - 1, n - 1, b) for b in fs.basis]
-        for a in kc_mats:
-            for b in fs_mats:
-                if not fs.contains(bracket(a, b).flatten()):
-                    ok_module = False
-                    detail.append(f"[k~,F] escapes F for {h.name}")
-        prof = profile(h)
-        for i in range(n - 1):
-            for w in prof.W.basis:
-                mat = Mat([[w[k] if j == i else Fraction(0) for j in range(n - 1)] for k in range(n - 1)])
-                if not fs.contains(mat.flatten()):
-                    ok_w = False
-                    detail.append(f"covector x W escapes F for {h.name}")
+        if any(not fs.contains(bracket(a, b).flatten()) for a in kc_mats for b in fs_mats):
+            module.append(f"[k~,F] escapes F for {h.name}")
+        covectors_x_w = (
+            Mat([[w[k] if j == i else Fraction(0) for j in range(n - 1)] for k in range(n - 1)])
+            for i in range(n - 1)
+            for w in prof.W.basis
+        )
+        if any(not fs.contains(mat.flatten()) for mat in covectors_x_w):
+            w_cov.append(f"covector x W escapes F for {h.name}")
         k1 = first_prolongation(h)
-        m = n - 1
-        for gamma in connection_space(h).basis:
-            restricted = [Fraction(0)] * (m * m * n)
-            for i in range(m):
-                for j in range(m):
-                    for k in range(n):
-                        restricted[i * m * n + j * n + k] = gamma[i * n * n + j * n + k]
-            if not k1.contains(restricted):
-                ok_d_in_k1 = False
-                detail.append(f"D restriction escapes K^(1) for {h.name}")
+        if any(not k1.contains(_on_hyperplane(gamma, n)) for gamma in connection_space(h).basis):
+            d_in_k1.append(f"D restriction escapes K^(1) for {h.name}")
         # certificates: flat from a k~ element, torsion-free from an F element
         if kc.dim:
             f_mat = Mat.unflatten(n - 1, n - 1, kc.basis[0])
@@ -364,23 +359,23 @@ def check_invariant_suite():
             if not isinstance(cert, Certificate) or any(
                 x != 0 for x in torsion_tensor(cert.nabla, aa)
             ) or any(x != 0 for x in curvature_tensor(cert.nabla, aa)):
-                ok_certs = False
-                detail.append(f"flat certificate failed for {h.name}")
+                certs.append(f"flat certificate failed for {h.name}")
         if fs.dim:
             f_mat = Mat.unflatten(n - 1, n - 1, fs.basis[-1])
             aa = AlmostAbelian(f_mat)
             cert = check_torsion_free(h, aa)
             if not isinstance(cert, Certificate) or any(x != 0 for x in torsion_tensor(cert.nabla, aa)):
-                ok_certs = False
-                detail.append(f"torsion-free certificate failed for {h.name}")
-    out.append(_check("invariants: k~ inside F over the whole catalog", ok_contain, "; ".join(detail[:3])))
-    out.append(_check("invariants: F independent of the transversal (3 choices)", ok_vindep))
-    out.append(_check("invariants: [k~, F] inside F", ok_module))
-    out.append(_check("invariants: covectors x W inside F", ok_w))
-    out.append(_check("invariants: D restricted to the hyperplane inside K^(1)", ok_d_in_k1))
-    out.append(_check("invariants: every emitted certificate re-validates exactly", ok_certs))
+                certs.append(f"torsion-free certificate failed for {h.name}")
+    out = [
+        _failures_check("invariants: k~ inside F over the whole catalog", contain),
+        _failures_check("invariants: F independent of the transversal (3 choices)", vindep),
+        _failures_check("invariants: [k~, F] inside F", module),
+        _failures_check("invariants: covectors x W inside F", w_cov),
+        _failures_check("invariants: D restricted to the hyperplane inside K^(1)", d_in_k1),
+        _failures_check("invariants: every emitted certificate re-validates exactly", certs),
+    ]
     out.extend(_nijenhuis_checks())
-    out.extend(_structural_invariants())
+    out.extend(_structural_invariants(pairs))
     return out
 
 
@@ -404,11 +399,12 @@ def _nijenhuis_checks():
     ]
 
 
-def _structural_invariants():
+def _structural_invariants(pairs):
+    """Structural checks over (algebra, profile) pairs of the catalog."""
     out = []
     # super-elliptic metric algebras have vanishing first prolongation
     ok = True
-    for h in catalog():
+    for h, _ in pairs:
         if "g" not in h.structures:
             continue
         res = classify_low_rank(h, 2)
@@ -417,7 +413,7 @@ def _structural_invariants():
     out.append(_check("invariants: super-elliptic metric catalog algebras have K^(1) = 0", ok))
     # totally real: K^(1) inside S^2 (R_J)^0 x R^n
     ok = True
-    for h in catalog():
+    for h, prof in pairs:
         j = h.structures.get("J")
         if j is None:
             continue
@@ -425,7 +421,6 @@ def _structural_invariants():
         jh = Subspace.span(n * n, [(j * b).flatten() for b in h.basis])
         if h.span.intersect(jh).dim != 0:
             continue
-        prof = profile(h)
         ann = _annihilator_of(prof.RJ, n - 1)
         target_vecs = []
         m = n - 1
@@ -459,8 +454,7 @@ def _structural_invariants():
     out.append(_check("invariants: commuting-endomorphism sandwich k~ <= F <= k~_{h+Ah}", ok))
     # nu is injective or zero whenever defined
     ok = True
-    for h in catalog():
-        prof = profile(h)
+    for _, prof in pairs:
         if prof.nu is not None and prof.U_cal is not None:
             rank = prof.nu.matrix.rank()
             if rank not in (0, prof.U_cal.dim):
@@ -469,7 +463,7 @@ def _structural_invariants():
     # non-degenerate metric algebras with nonzero prolongation have
     # K^(1) = S^2 U x normal; the S2Uv guard recomputes both sides
     ok = True
-    for h in catalog():
+    for h, _ in pairs:
         g = h.structures.get("g")
         if g is None:
             continue

@@ -48,3 +48,37 @@ def test_acceptance(label, fn):
         if not r["ok"]:
             failures.append(r["name"])
     assert not failures, f"{label} failed: {failures}"
+
+
+def test_invariant_suite_builds_one_profile_per_algebra(monkeypatch):
+    from torsionlab import verify
+    from torsionlab.builders import build_gl, build_u
+
+    monkeypatch.setattr(verify, "catalog", lambda: [build_gl(3), build_u(2)])
+    built = []
+    real_profile = verify.profile
+    monkeypatch.setattr(verify, "profile", lambda h: built.append(h.name) or real_profile(h))
+    results = verify.check_invariant_suite()
+    assert all(r["ok"] and r["detail"] == "" for r in results)
+    assert len(built) == 2
+
+
+def test_invariant_check_names_the_failing_algebra(monkeypatch):
+    from torsionlab import verify
+    from torsionlab.builders import build_gl
+    from torsionlab.linalg import Subspace
+
+    h = build_gl(3)
+    monkeypatch.setattr(verify, "catalog", lambda: [h])
+    real_obstruction = verify.obstruction_space
+
+    def transversal_dependent(alg, v=None):
+        # F read through any explicit transversal comes back empty
+        return real_obstruction(alg) if v is None else Subspace.zero((alg.n - 1) ** 2)
+
+    monkeypatch.setattr(verify, "obstruction_space", transversal_dependent)
+    results = {r["name"]: r for r in verify.check_invariant_suite()}
+    broken = results["invariants: F independent of the transversal (3 choices)"]
+    assert not broken["ok"]
+    assert h.name in broken["detail"]
+    assert all(r["ok"] and r["detail"] == "" for r in results.values() if r is not broken)

@@ -205,8 +205,16 @@ def test_unread_flags_rejected(args):
         ("check", "--algebra", "gl:n=3", "--f", '[["x",0],[0,0]]'),
         ("check", "--algebra", "gl:n=3", "--f", '{"f":3}'),
         ("exists", "product", "--f", F3, "--p", "9"),
+        ("exists", "family", "--group", "product", "--f", "[[1]]"),
     ],
-    ids=["v-in-hyperplane", "v-zero-denominator", "f-not-rational", "f-not-a-matrix", "p-out-of-range"],
+    ids=[
+        "v-in-hyperplane",
+        "v-zero-denominator",
+        "f-not-rational",
+        "f-not-a-matrix",
+        "p-out-of-range",
+        "family-product-without-p",
+    ],
 )
 def test_bad_input_is_an_input_error(args):
     proc = run_cli(*args)

@@ -1,9 +1,11 @@
+import itertools
 from fractions import Fraction
 
 from torsionlab.algebras import LinearSubalgebra
-from torsionlab.builders import build_gl_H, build_sp_H, build_su, build_u
+from torsionlab.builders import build_gl_H, build_so, build_sp_H, build_su, build_u
 from torsionlab.ellipticity import (
     _decide_bivariate,
+    _sign_normalized_grid,
     classify_low_rank,
     generic_rank,
     low_rank_witness,
@@ -96,3 +98,27 @@ def test_decide_bivariate_witness():
     verdict, data = _decide_bivariate([p])
     assert verdict == "witness"
     assert data == (Fraction(0), Fraction(0))
+
+
+def _reference_sign_normalized_grid(dim, coeff_range):
+    """The full grid filtered to tuples whose first nonzero entry is positive."""
+    grid = range(-coeff_range, coeff_range + 1)
+    for coeffs in itertools.product(grid, repeat=dim):
+        nonzero = [c for c in coeffs if c != 0]
+        if nonzero and nonzero[0] > 0:
+            yield coeffs
+
+
+def test_sign_normalized_grid_matches_filtered_product():
+    for dim in range(1, 6):
+        for coeff_range in (1, 2):
+            assert list(_sign_normalized_grid(dim, coeff_range)) == list(
+                _reference_sign_normalized_grid(dim, coeff_range)
+            ), (dim, coeff_range)
+
+
+def test_so5_witness_is_last_basis_element():
+    h = build_so(5)
+    coeffs, mat = low_rank_witness(h, 2)
+    assert coeffs == tuple(Fraction(1 if i == h.dim - 1 else 0) for i in range(h.dim))
+    assert mat == h.basis[-1]

@@ -74,14 +74,14 @@ def test_jordan_chains_quadratic_nilpotent():
 
 def test_achievable_dims():
     f = Mat([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
-    dims, exact = achievable_invariant_dims(f)
-    assert exact
-    assert dims == {0, 1, 2, 3}
+    summary, split = primary_components(f)
+    assert summary.fully_split
+    assert achievable_invariant_dims(f, summary, split) == {0, 1, 2, 3}
     j2 = Mat([[0, -1], [1, 0]])
     f2 = Mat.block([[j2, None], [None, j2]])
-    dims2, exact2 = achievable_invariant_dims(f2)
-    assert exact2
-    assert dims2 == {0, 2, 4}
+    summary2, split2 = primary_components(f2)
+    assert summary2.fully_split
+    assert achievable_invariant_dims(f2, summary2, split2) == {0, 2, 4}
 
 
 def test_invariant_subspace_construction():
@@ -92,10 +92,10 @@ def test_invariant_subspace_construction():
         diag(1, 2, 3, 4, 5),
     ]
     for f in mats:
-        dims, exact = achievable_invariant_dims(f)
-        assert exact
-        for d in sorted(dims):
-            sub = invariant_subspace(f, d)
+        summary, split = primary_components(f)
+        assert summary.fully_split
+        for d in sorted(achievable_invariant_dims(f, summary, split)):
+            sub = invariant_subspace(f, summary, split, d)
             assert sub is not None and sub.dim == d
             for b in sub.basis:
                 assert sub.contains(f.matvec(b))
@@ -104,18 +104,19 @@ def test_invariant_subspace_construction():
 def test_invariant_subspace_respects_obstructions():
     j2 = Mat([[0, -1], [1, 0]])
     f = Mat.block([[j2, None], [None, j2]])
-    assert invariant_subspace(f, 1) is None
-    assert invariant_subspace(f, 3) is None
-    assert invariant_subspace(f, 2) is not None
+    summary, split = primary_components(f)
+    assert invariant_subspace(f, summary, split, 1) is None
+    assert invariant_subspace(f, summary, split, 3) is None
+    assert invariant_subspace(f, summary, split, 2) is not None
 
 
 def test_invariant_subspace_unsplit_flags():
     # irreducible quartic: only {0, 4} available
     f = Mat([[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]])
-    dims, exact = achievable_invariant_dims(f)
-    assert not exact
-    assert dims == {0, 4}
-    sub = invariant_subspace(f, 4)
+    summary, split = primary_components(f)
+    assert not summary.fully_split
+    assert achievable_invariant_dims(f, summary, split) == {0, 4}
+    sub = invariant_subspace(f, summary, split, 4)
     assert sub == Subspace.full(4)
 
 
