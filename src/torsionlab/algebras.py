@@ -3,13 +3,17 @@
 A ``LinearSubalgebra`` is a bracket-closed span of n x n rational
 matrices together with optional attached data (complex structure J,
 metric Gram g, product/tangent tensor, hyperparacomplex or hypercomplex
-triple, symplectic form).  Attached structures are validated against
-their defining identities at construction unless validation is skipped.
+triple, symplectic form).  ``STRUCTURE_KINDS`` says what each key is:
+an endomorphism or a triple of endomorphisms that h commutes with, a
+bilinear form h is skew for, or hyperplane-level data.  ``stabilizer``
+writes "F preserves these structures" as linear rows and returns its
+solution space, which is how every classical builder gets its basis.
+Attached structures are validated against their defining identities,
+and the basis against preserving them, at construction unless
+validation is skipped.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .linalg import Mat, ShapeError, Subspace, kernel, vec
 
@@ -39,81 +43,140 @@ def is_subalgebra(basis) -> bool:
     return True
 
 
-def solve_matrix_space(n, condition_fns):
-    """Basis of {F in gl(n) : expr(F) = 0 for every expr}.
+# Every attached structure is a tensor that h preserves.  This table is
+# the one place that says what each key is; validation, conjugation, the
+# JSON reader, the stabilizer builders and the closed-form rules read it.
+ENDOMORPHISM = "endomorphism"  # h commutes with A
+TRIPLE = "triple"  # h commutes with each of (A, B, C)
+FORM = "form"  # h is skew for B: B F + F^T B = 0
+HYPERPLANE = "hyperplane"  # data on R^{n-1}, not preserved by h
 
-    Each condition is a function Mat -> Mat (or -> scalar); the linear
-    system is assembled by evaluating on elementary matrices.
-    """
-    elem_images = []
-    for a in range(n):
-        for b in range(n):
-            e = [[Fraction(0)] * n for _ in range(n)]
-            e[a][b] = Fraction(1)
-            elem_images.append(Mat(e))
-    rows = []
-    for cond in condition_fns:
-        images = []
-        for e in elem_images:
-            val = cond(e)
-            images.append(val.flatten() if isinstance(val, Mat) else (Fraction(val),))
-        for k in range(len(images[0])):
-            rows.append([img[k] for img in images])
-    if not rows:
-        return [Mat.unflatten(n, n, v) for v in Subspace.full(n * n).basis]
-    ker = kernel(Mat(rows))
-    return [Mat.unflatten(n, n, v) for v in ker.basis]
+STRUCTURE_KINDS = {
+    "J": ENDOMORPHISM,
+    "product": ENDOMORPHISM,
+    "tangent": ENDOMORPHISM,
+    "hpc": TRIPLE,
+    "hypercomplex": TRIPLE,
+    "g": FORM,
+    "omega": FORM,
+    "omega_u": HYPERPLANE,
+    "lagrangian": HYPERPLANE,
+}
+
+
+def endomorphisms(key, value):
+    """The endomorphisms h commutes with to preserve the structure value."""
+    kind = STRUCTURE_KINDS[key]
+    if kind == ENDOMORPHISM:
+        return (value,)
+    return tuple(value) if kind == TRIPLE else ()
+
+
+# Conditions on F in gl(n) are sparse rows, lists of (index, coefficient)
+# over the row-major entries of F; the condition is row . F = 0.
+
+
+def _sparse(n, terms):
+    """One row from (row, col, coefficient) terms of F, duplicates summed."""
+    row = {}
+    for r, c, x in terms:
+        if x:
+            row[r * n + c] = row.get(r * n + c, 0) + x
+    return [(i, x) for i, x in row.items() if x]
+
+
+def _commutator_rows(a: Mat):
+    """A F - F A = 0, one row per entry."""
+    n, d = a.rows, a.data
+    return [
+        _sparse(n, [(k, j, d[i][k]) for k in range(n)] + [(i, k, -d[k][j]) for k in range(n)])
+        for i in range(n)
+        for j in range(n)
+    ]
+
+
+def form_rows(b: Mat, sign=1):
+    """B F + sign F^T B = 0, one row per entry: sign 1 says F is skew
+    for B, sign -1 that F is self-adjoint for B."""
+    n, d = b.rows, b.data
+    return [
+        _sparse(n, [(k, j, d[i][k]) for k in range(n)] + [(k, i, sign * d[k][j]) for k in range(n)])
+        for i in range(n)
+        for j in range(n)
+    ]
+
+
+def trace_row(m: Mat):
+    """tr(M F) = 0."""
+    n = m.rows
+    return _sparse(n, [(k, i, m.data[i][k]) for i in range(n) for k in range(n)])
+
+
+def _structure_rows(key, value):
+    """The conditions 'F preserves the structure value attached under key'."""
+    if STRUCTURE_KINDS[key] == FORM:
+        return form_rows(value)
+    return [row for a in endomorphisms(key, value) for row in _commutator_rows(a)]
+
+
+def _kills(rows, basis):
+    flats = [f.flatten() for f in basis]
+    return all(sum(x * flat[i] for i, x in row) == 0 for flat in flats for row in rows)
+
+
+def commutes(basis, a: Mat) -> bool:
+    """Whether every matrix in basis commutes with a."""
+    return _kills(_commutator_rows(a), basis)
+
+
+def stabilizer(n, structures, rows=()):
+    """Canonical basis of {F in gl(n) : F preserves every structure and
+    row . F = 0 for every extra row}."""
+    dense = []
+    for row in [r for key, value in structures.items() for r in _structure_rows(key, value)] + list(rows):
+        line = [0] * (n * n)
+        for i, x in row:
+            line[i] = x
+        dense.append(line)
+    return [Mat.unflatten(n, n, v) for v in kernel(Mat(dense, len(dense), n * n)).basis]
 
 
 class StructureError(ValueError):
     """An attached structure fails its defining identity."""
 
 
-def _check_structure(key, value, n, basis):
+def _check_identity(key, value, n):
+    """The defining identity of one attached tensor (input validation)."""
+    kind = STRUCTURE_KINDS[key]
+    if kind == HYPERPLANE:
+        return  # hyperplane-level extras are not validated here
+    tensors = (value,) if kind == FORM else endomorphisms(key, value)
+    for a in tensors:
+        if not isinstance(a, Mat) or a.rows != n or a.cols != n:
+            raise ShapeError(f"{key} must consist of {n} x {n} matrices")
     ident = Mat.identity(n)
     if key == "J":
         if value * value != -1 * ident:
             raise StructureError("J^2 != -I")
-        for f in basis:
-            if not bracket(f, value).is_zero():
-                raise StructureError("basis element does not commute with J")
     elif key == "g":
         if value.transpose() != value or value.det() == 0:
             raise StructureError("g must be symmetric invertible")
-        for f in basis:
-            if not (value * f + f.transpose() * value).is_zero():
-                raise StructureError("basis element not skew for g")
     elif key == "omega":
         if value.transpose() != -1 * value or value.det() == 0:
             raise StructureError("omega must be antisymmetric invertible")
-        for f in basis:
-            if not (value * f + f.transpose() * value).is_zero():
-                raise StructureError("basis element not in sp(omega)")
     elif key == "product":
         if value * value != ident or value == ident or value == -1 * ident:
             raise StructureError("P^2 = I with P != +-I required")
-        for f in basis:
-            if not bracket(f, value).is_zero():
-                raise StructureError("basis element does not commute with P")
     elif key == "tangent":
         if not (value * value).is_zero() or kernel(value) != Subspace.span(n, [value.col(j) for j in range(n)]):
             raise StructureError("T^2 = 0 with ker T = im T required")
-        for f in basis:
-            if not bracket(f, value).is_zero():
-                raise StructureError("basis element does not commute with T")
-    elif key in ("hpc", "hypercomplex"):
+    else:
         a, b, c = value
-        sq_a = -1 * ident
         sq_b = ident if key == "hpc" else -1 * ident
-        if a * a != sq_a or b * b != sq_b:
+        if a * a != -1 * ident or b * b != sq_b:
             raise StructureError(f"{key} squares wrong")
         if a * b != c or b * a != -1 * c:
             raise StructureError(f"{key} triple identity fails")
-        for f in basis:
-            for s in (a, b, c):
-                if not bracket(f, s).is_zero():
-                    raise StructureError(f"basis element does not commute with {key} triple")
-    # hyperplane-level extras (omega_u, lagrangian) are not validated here
 
 
 class LinearSubalgebra:
@@ -127,21 +190,24 @@ class LinearSubalgebra:
             if not (isinstance(m, Mat) and m.rows == n and m.cols == n):
                 raise ShapeError("basis must consist of n x n matrices")
         structures = dict(structures or {})
+        for key in structures:
+            if key not in STRUCTURE_KINDS:
+                raise StructureError(f"unknown structure {key!r}; known: {', '.join(STRUCTURE_KINDS)}")
         span = matrix_span(n, basis)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "structures", structures)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_span", span)
         if validate:
             if span.dim != len(basis):
                 raise ValueError("basis is linearly dependent")
             if not is_subalgebra(basis):
                 raise ValueError("basis is not bracket-closed")
             for key, value in structures.items():
-                if key in ("omega_u", "lagrangian"):
-                    continue
-                _check_structure(key, value, n, basis)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "structures", structures)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_span", span)
+                _check_identity(key, value, n)
+                if not self.preserves(key):
+                    raise StructureError(f"basis element does not preserve {key}")
 
     def __setattr__(self, *a):
         raise AttributeError("LinearSubalgebra is immutable")
@@ -156,6 +222,10 @@ class LinearSubalgebra:
 
     def contains(self, m: Mat) -> bool:
         return self._span.contains(m.flatten())
+
+    def preserves(self, key) -> bool:
+        """Whether h carries the structure key and every element preserves it."""
+        return key in self.structures and _kills(_structure_rows(key, self.structures[key]), self.basis)
 
     def element(self, coeffs) -> Mat:
         acc = Mat.zeros(self.n, self.n)
@@ -186,11 +256,12 @@ def conjugate(h: LinearSubalgebra, t: Mat) -> LinearSubalgebra:
     basis = [t * f * tinv for f in h.basis]
     structures = {}
     for key, value in h.structures.items():
-        if key in ("J", "product", "tangent"):
+        kind = STRUCTURE_KINDS[key]
+        if kind == ENDOMORPHISM:
             structures[key] = t * value * tinv
-        elif key in ("hpc", "hypercomplex"):
+        elif kind == TRIPLE:
             structures[key] = tuple(t * s * tinv for s in value)
-        elif key in ("g", "omega"):
+        elif kind == FORM:
             structures[key] = tinv.transpose() * value * tinv
         # hyperplane-level data does not transport under a general T
     return LinearSubalgebra(h.n, basis, structures, name=f"{h.name}^T" if h.name else "", validate=False)
@@ -200,8 +271,7 @@ def commutant(a: Mat) -> LinearSubalgebra:
     """gl(A) = {F : AF = FA}, as a subalgebra."""
     if not a.is_square():
         raise ShapeError("commutant of non-square matrix")
-    basis = solve_matrix_space(a.rows, [lambda f, a=a: a * f - f * a])
-    return LinearSubalgebra(a.rows, basis, name=f"gl(A)", validate=False)
+    return LinearSubalgebra(a.rows, stabilizer(a.rows, {}, _commutator_rows(a)), name="gl(A)", validate=False)
 
 
 class MetricContext:
@@ -210,8 +280,7 @@ class MetricContext:
     __slots__ = ("g", "hyperplane")
 
     def __init__(self, g: Mat, hyperplane: Subspace | None = None):
-        if g.transpose() != g or g.det() == 0:
-            raise StructureError("g must be symmetric invertible")
+        _check_identity("g", g, g.rows)
         if hyperplane is None:
             n = g.rows
             hyperplane = Subspace.span(n, [Mat.identity(n).data[i] for i in range(n - 1)])

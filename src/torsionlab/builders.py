@@ -13,6 +13,11 @@ Conventions fixed here once and used everywhere:
   quaternion, I0/J0/K0 act by left multiplication by i/j/k, so that
   I0 J0 = K0.  gl(k, H) is their commutant (right multiplications); the
   opposite sign convention gives a conjugated subalgebra.
+
+Every classical builder is the stabilizer in gl(n) of the structures it
+attaches (``algebras.stabilizer``), cut down by trace rows for sl(m, C)
+and su(m); ``algebras.STRUCTURE_KINDS`` says what preserving each one
+means.
 """
 
 from __future__ import annotations
@@ -20,7 +25,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .algebras import LinearSubalgebra, commutant, solve_matrix_space
+from .algebras import (
+    HYPERPLANE,
+    STRUCTURE_KINDS,
+    TRIPLE,
+    LinearSubalgebra,
+    form_rows,
+    stabilizer,
+    trace_row,
+)
 from .linalg import Mat, Subspace, fr, kernel
 
 
@@ -101,12 +114,9 @@ def _diag(entries) -> Mat:
     return Mat([[fr(entries[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)])
 
 
-def _skew_condition(gram):
-    return lambda f: gram * f + f.transpose() * gram
-
-
-def _commute_condition(a):
-    return lambda f: a * f - f * a
+def _stabilizer_algebra(n, structures, name, rows=()):
+    """The stabilizer of structures in gl(n), cut down by extra rows."""
+    return LinearSubalgebra(n, stabilizer(n, structures, rows), structures, name=name, validate=False)
 
 
 def build_gl(n):
@@ -117,40 +127,27 @@ def build_gl(n):
 def build_sp(m):
     """sp(2m, R) = {A : A.omega0 = 0} in gl(2m)."""
     n = 2 * m
-    omega = standard_omega(n)
-    basis = solve_matrix_space(n, [_skew_condition(omega)])
-    return LinearSubalgebra(n, basis, {"omega": omega}, name=f"sp({n},R)", validate=False)
+    return _stabilizer_algebra(n, {"omega": standard_omega(n)}, f"sp({n},R)")
 
 
 def build_so(p, q=0):
     gram = _diag([1] * p + [-1] * q)
-    n = gram.rows
-    basis = solve_matrix_space(n, [_skew_condition(gram)])
-    name = f"so({p},{q})" if q else f"so({p})"
-    return LinearSubalgebra(n, basis, {"g": gram}, name=name, validate=False)
+    return _stabilizer_algebra(gram.rows, {"g": gram}, f"so({p},{q})" if q else f"so({p})")
 
 
 def build_so_g(gram: Mat):
-    n = gram.rows
-    basis = solve_matrix_space(n, [_skew_condition(gram)])
-    return LinearSubalgebra(n, basis, {"g": gram}, name=f"so(g)[{n}]", validate=False)
+    return _stabilizer_algebra(gram.rows, {"g": gram}, f"so(g)[{gram.rows}]")
 
 
 def build_gl_C(m):
     n = 2 * m
-    J = standard_J(n)
-    basis = solve_matrix_space(n, [_commute_condition(J)])
-    return LinearSubalgebra(n, basis, {"J": J}, name=f"gl({m},C)", validate=False)
+    return _stabilizer_algebra(n, {"J": standard_J(n)}, f"gl({m},C)")
 
 
 def build_sl_C(m):
     n = 2 * m
     J = standard_J(n)
-    basis = solve_matrix_space(
-        n,
-        [_commute_condition(J), lambda f: f.trace(), lambda f, J=J: (J * f).trace()],
-    )
-    return LinearSubalgebra(n, basis, {"J": J}, name=f"sl({m},C)", validate=False)
+    return _stabilizer_algebra(n, {"J": J}, f"sl({m},C)", [trace_row(Mat.identity(n)), trace_row(J)])
 
 
 def complex_symplectic_omega(k: int) -> Mat:
@@ -168,10 +165,8 @@ def complex_symplectic_omega(k: int) -> Mat:
 
 def build_sp_C(k):
     n = 4 * k
-    J = standard_J(n)
-    omega = complex_symplectic_omega(k)
-    basis = solve_matrix_space(n, [_commute_condition(J), _skew_condition(omega)])
-    return LinearSubalgebra(n, basis, {"J": J, "omega": omega}, name=f"sp({2 * k},C)", validate=False)
+    structures = {"J": standard_J(n), "omega": complex_symplectic_omega(k)}
+    return _stabilizer_algebra(n, structures, f"sp({2 * k},C)")
 
 
 def build_u(p, q=0, gram=None):
@@ -182,97 +177,50 @@ def build_u(p, q=0, gram=None):
         gram = _diag([1] * (2 * p) + [-1] * (2 * q))
     if J.transpose() * gram * J != gram:
         raise ValueError("gram is not J-invariant")
-    basis = solve_matrix_space(n, [_commute_condition(J), _skew_condition(gram)])
     name = f"u({p},{q})" if q else f"u({m})"
     if gram != _diag([1] * (2 * p) + [-1] * (2 * q)):
         name += "[g]"
-    return LinearSubalgebra(n, basis, {"J": J, "g": gram}, name=name, validate=False)
+    return _stabilizer_algebra(n, {"J": J, "g": gram}, name)
 
 
 def build_su(m):
     n = 2 * m
     J = standard_J(n)
-    gram = Mat.identity(n)
-    basis = solve_matrix_space(
-        n,
-        [_commute_condition(J), _skew_condition(gram), lambda f, J=J: (J * f).trace()],
-    )
-    return LinearSubalgebra(n, basis, {"J": J, "g": gram}, name=f"su({m})", validate=False)
+    return _stabilizer_algebra(n, {"J": J, "g": Mat.identity(n)}, f"su({m})", [trace_row(J)])
 
 
 def build_gl_H(k):
     n = 4 * k
-    I0, J0, K0 = quaternion_triple(n)
-    basis = solve_matrix_space(n, [_commute_condition(I0), _commute_condition(J0)])
-    return LinearSubalgebra(
-        n, basis, {"hypercomplex": (I0, J0, K0), "J": I0}, name=f"gl({k},H)", validate=False
-    )
+    triple = quaternion_triple(n)
+    return _stabilizer_algebra(n, {"hypercomplex": triple, "J": triple[0]}, f"gl({k},H)")
 
 
 def build_sp_H(k):
     """sp(k): quaternion-unitary = gl(k,H) skew for the Euclidean metric."""
     n = 4 * k
-    I0, J0, K0 = quaternion_triple(n)
-    gram = Mat.identity(n)
-    basis = solve_matrix_space(
-        n, [_commute_condition(I0), _commute_condition(J0), _skew_condition(gram)]
-    )
-    return LinearSubalgebra(
-        n,
-        basis,
-        {"hypercomplex": (I0, J0, K0), "J": I0, "g": gram},
-        name=f"sp({k})",
-        validate=False,
-    )
+    triple = quaternion_triple(n)
+    return _stabilizer_algebra(n, {"hypercomplex": triple, "J": triple[0], "g": Mat.identity(n)}, f"sp({k})")
 
 
 def build_delta_gl(m):
     n = 2 * m
     triple = hyperparacomplex_triple(n)
-    basis = []
-    for a in range(m):
-        for b in range(m):
-            out = [[Fraction(0)] * n for _ in range(n)]
-            out[a][b] = Fraction(1)
-            out[m + a][m + b] = Fraction(1)
-            basis.append(Mat(out))
-    return LinearSubalgebra(
-        n, basis, {"hpc": triple, "J": triple[0]}, name=f"Dgl({m},R)", validate=False
-    )
+    return _stabilizer_algebra(n, {"hpc": triple, "J": triple[0]}, f"Dgl({m},R)")
 
 
 def build_delta_so(m):
     n = 2 * m
     triple = hyperparacomplex_triple(n)
-    basis = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            out = [[Fraction(0)] * n for _ in range(n)]
-            out[a][b] = Fraction(1)
-            out[b][a] = Fraction(-1)
-            out[m + a][m + b] = Fraction(1)
-            out[m + b][m + a] = Fraction(-1)
-            basis.append(Mat(out))
-    return LinearSubalgebra(
-        n,
-        basis,
-        {"hpc": triple, "J": triple[0], "g": Mat.identity(n)},
-        name=f"Dso({m})",
-        validate=False,
-    )
+    return _stabilizer_algebra(n, {"hpc": triple, "J": triple[0], "g": Mat.identity(n)}, f"Dso({m})")
 
 
 def build_product_gl(n, p):
-    P = product_P(n, p)
-    h = commutant(P)
-    return LinearSubalgebra(n, h.basis, {"product": P}, name=f"gl(P0)[{n},{p}]", validate=False)
+    return _stabilizer_algebra(n, {"product": product_P(n, p)}, f"gl(P0)[{n},{p}]")
 
 
 def build_tangent_gl(m):
     n = 2 * m
-    T = tangent_T(n)
-    h = commutant(T)
-    return LinearSubalgebra(n, h.basis, {"tangent": T}, name=f"gl(T0)[{n}]", validate=False)
+    return _stabilizer_algebra(n, {"tangent": tangent_T(n)}, f"gl(T0)[{n}]")
 
 
 def lagrangian_subspace(m) -> Subspace:
@@ -288,15 +236,11 @@ def build_lagrangian_symplectic(m):
     nu = 2 * m
     omega = standard_omega(nu)
     lag = lagrangian_subspace(m)
-    ann = Mat([list(r) for r in kernel(Mat([list(b) for b in lag.basis], lag.dim, nu)).basis], m, nu)
-    sym_l_basis = solve_matrix_space(
-        nu,
-        [
-            lambda f, om=omega: f.transpose() * om - om * f,
-            lambda f, L=lag: Mat([f.matvec(b) for b in L.basis], L.dim, nu),
-            lambda f, A=ann: A * f,
-        ],
-    )
+    ann = kernel(Mat([list(b) for b in lag.basis], lag.dim, nu)).basis
+    # F is omega-self-adjoint, kills L (F b = 0) and maps into L (a F = 0)
+    kills_l = [[(i * nu + k, b[k]) for k in range(nu) if b[k]] for b in lag.basis for i in range(nu)]
+    into_l = [[(k * nu + j, a[k]) for k in range(nu) if a[k]] for a in ann for j in range(nu)]
+    sym_l_basis = stabilizer(nu, {}, form_rows(omega, -1) + kills_l + into_l)
     basis = []
     zero_col = Mat.zeros(nu, 1)
     zero_row = Mat.zeros(1, nu)
@@ -356,12 +300,9 @@ def build(spec) -> LinearSubalgebra:
             raise ValueError("explicit basis must be non-empty")
         n = mats[0].rows
         structures = {}
-        for key in ("J", "g", "product", "tangent", "omega"):
-            if key in spec:
-                structures[key] = Mat(spec[key])
-        for key in ("hpc", "hypercomplex"):
-            if key in spec:
-                structures[key] = tuple(Mat(x) for x in spec[key])
+        for key, kind in STRUCTURE_KINDS.items():
+            if key in spec and kind != HYPERPLANE:
+                structures[key] = tuple(Mat(x) for x in spec[key]) if kind == TRIPLE else Mat(spec[key])
         return LinearSubalgebra(
             n,
             mats,

@@ -45,8 +45,10 @@ class InputError(ValueError):
     pass
 
 
-def _max_n():
-    return int(os.environ.get("TORSIONLAB_MAX_N", "12"))
+def _check_max_n(n):
+    max_n = int(os.environ.get("TORSIONLAB_MAX_N", "12"))
+    if n > max_n:
+        raise InputError(f"ambient dimension {n} exceeds TORSIONLAB_MAX_N={max_n}")
 
 
 def _load_json_arg(text):
@@ -78,8 +80,7 @@ def parse_algebra(spec_text) -> LinearSubalgebra:
         h = build(spec)
     except (KeyError, ValueError) as exc:
         raise InputError(str(exc)) from exc
-    if h.n > _max_n():
-        raise InputError(f"ambient dimension {h.n} exceeds TORSIONLAB_MAX_N={_max_n()}")
+    _check_max_n(h.n)
     return h
 
 
@@ -91,6 +92,14 @@ def parse_matrix(text) -> Mat:
         return reporting.mat_from_json(data)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a matrix of rationals: {exc}") from exc
+
+
+def parse_f(text, h) -> Mat:
+    """--f as an endomorphism of the hyperplane R^{n-1} of h."""
+    f = parse_matrix(text)
+    if f.rows != h.n - 1:
+        raise InputError(f"f must be {h.n - 1} x {h.n - 1} for this algebra")
+    return f
 
 
 def parse_vector(text):
@@ -162,16 +171,10 @@ def cmd_space(args):
     return 0
 
 
-def cmd_check(args):
-    h = parse_algebra(args.algebra)
-    f = parse_matrix(args.f)
-    if f.rows != h.n - 1:
-        raise InputError(f"f must be {h.n - 1} x {h.n - 1} for this algebra")
-    t = parse_matrix(args.hyperplane_map) if args.hyperplane_map else None
-    aa = AlmostAbelian(f)
-    result = check_torsion_free(h, aa, hyperplane_map=t, v=parse_transversal(args.v, h.n))
+def _report_certificate(h, result, verdict, args):
+    """Emit a certificate (exit 0) or a refusal (exit 1)."""
     if isinstance(result, Certificate):
-        report = {"algebra": h.name, "verdict": "torsion-free"}
+        report = {"algebra": h.name, "verdict": verdict}
         if args.with_bases:
             report["certificate"] = reporting.certificate_to_json(result, h.n)
         else:
@@ -181,26 +184,20 @@ def cmd_check(args):
     report = {"algebra": h.name, "verdict": "refused", **reporting.refusal_to_json(result)}
     _emit(report, args.format)
     return 1
+
+
+def cmd_check(args):
+    h = parse_algebra(args.algebra)
+    f = parse_f(args.f, h)
+    t = parse_matrix(args.hyperplane_map) if args.hyperplane_map else None
+    result = check_torsion_free(h, AlmostAbelian(f), hyperplane_map=t, v=parse_transversal(args.v, h.n))
+    return _report_certificate(h, result, "torsion-free", args)
 
 
 def cmd_flat(args):
     h = parse_algebra(args.algebra)
-    f = parse_matrix(args.f)
-    if f.rows != h.n - 1:
-        raise InputError(f"f must be {h.n - 1} x {h.n - 1} for this algebra")
-    aa = AlmostAbelian(f)
-    result = flat_certificate(h, aa)
-    if isinstance(result, Certificate):
-        report = {"algebra": h.name, "verdict": "left-invariantly-flat"}
-        if args.with_bases:
-            report["certificate"] = reporting.certificate_to_json(result, h.n)
-        else:
-            report["residuals"] = {k: reporting.rational_to_str(v) for k, v in result.residuals.items()}
-        _emit(report, args.format)
-        return 0
-    report = {"algebra": h.name, "verdict": "refused", **reporting.refusal_to_json(result)}
-    _emit(report, args.format)
-    return 1
+    f = parse_f(args.f, h)
+    return _report_certificate(h, flat_certificate(h, AlmostAbelian(f)), "left-invariantly-flat", args)
 
 
 def _basis_payload(res):
@@ -220,8 +217,7 @@ def _basis_payload(res):
 def cmd_exists(args):
     f = parse_matrix(args.f)
     n = f.rows + 1
-    if n > _max_n():
-        raise InputError(f"ambient dimension {n} exceeds TORSIONLAB_MAX_N={_max_n()}")
+    _check_max_n(n)
     aa = AlmostAbelian(f)
     if args.mode == "product" or (args.mode == "family" and args.group == "product"):
         if args.p is None or not 1 <= args.p <= n - 1:
@@ -266,8 +262,7 @@ def cmd_classify_hpc(args):
     n = f.rows + 1
     if n % 2:
         raise InputError("hyperparacomplex structures need even total dimension")
-    if n > _max_n():
-        raise InputError(f"ambient dimension {n} exceeds TORSIONLAB_MAX_N={_max_n()}")
+    _check_max_n(n)
     aa = AlmostAbelian(f)
     res = classify_hyperparacomplex(aa)
     report = _basis_payload(res)
@@ -290,8 +285,7 @@ def cmd_classify_hpc(args):
 
 
 def cmd_orbits(args):
-    if args.n > _max_n():
-        raise InputError(f"ambient dimension {args.n} exceeds TORSIONLAB_MAX_N={_max_n()}")
+    _check_max_n(args.n)
     try:
         cat = orbit_catalog(args.group, args.n, p=args.p)
     except (KeyError, ValueError) as exc:

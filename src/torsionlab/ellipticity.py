@@ -18,7 +18,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .algebras import LinearSubalgebra, bracket
+from .algebras import LinearSubalgebra
 from .polynomials import (
     Bivar,
     Poly,
@@ -181,10 +181,8 @@ def classify_low_rank(h: LinearSubalgebra, r, budget=20000, seed=0):
     if found is not None:
         coeffs, mat = found
         return {"status": "refuted", "witness_coeffs": coeffs, "witness": mat, "method": "grid"}
-    triple = h.structures.get("hypercomplex")
-    if triple is not None and r <= 3:
-        if all(bracket(b, s).is_zero() for b in h.basis for s in triple):
-            return {"status": "certified", "method": "quaternionic-image"}
+    if r <= 3 and h.preserves("hypercomplex"):
+        return {"status": "certified", "method": "quaternionic-image"}
     if h.dim <= 3:
         verdict = _exhaustive_small_dim(h, r)
         if verdict == "empty":

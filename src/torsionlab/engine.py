@@ -309,17 +309,15 @@ def curvature_tensor(nabla: ConnectionTensor, aa: AlmostAbelian):
     return tuple(out)
 
 
-def nijenhuis(a: Mat, aa: AlmostAbelian, standard_sign=True):
+def nijenhuis(a: Mat, aa: AlmostAbelian):
     """N_A(e_i, e_j), flattened n^3.
 
     Standard convention: [Ax, Ay] - A[Ax, y] - A[x, Ay] + A^2 [x, y],
-    for which N_J = 0 is integrability of a complex structure J; the
-    flag flips the sign of the A^2 term.
+    for which N_J = 0 is integrability of a complex structure J.
     """
     n = aa.n
     if a.rows != n or a.cols != n:
         raise ShapeError("A must be n x n")
-    sign = Fraction(1 if standard_sign else -1)
     cols = [a.col(j) for j in range(n)]
     a2 = a * a
     out = []
@@ -332,7 +330,7 @@ def nijenhuis(a: Mat, aa: AlmostAbelian, standard_sign=True):
             t3 = a.matvec(aa.bracket([Fraction(1 if r == i else 0) for r in range(n)], aj))
             t4 = a2.matvec(aa.bracket([Fraction(1 if r == i else 0) for r in range(n)], [Fraction(1 if r == j else 0) for r in range(n)]))
             for k in range(n):
-                out.append(t1[k] - t2[k] - t3[k] + sign * t4[k])
+                out.append(t1[k] - t2[k] - t3[k] + t4[k])
     return tuple(out)
 
 

@@ -31,10 +31,6 @@ class Poly:
     def const(cls, c):
         return cls([c])
 
-    @classmethod
-    def x(cls):
-        return cls([0, 1])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1  # -1 for the zero polynomial
@@ -106,10 +102,6 @@ class Poly:
             rem.pop()
         return Poly(quo), Poly(rem)
 
-    def __floordiv__(self, other):
-        q, r = divmod(self, other)
-        return q
-
     def __mod__(self, other):
         q, r = divmod(self, other)
         return r
@@ -119,16 +111,6 @@ class Poly:
         if not r.is_zero():
             raise ArithmeticError("division not exact")
         return q
-
-    def __pow__(self, k):
-        out = Poly([1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __call__(self, x):
         acc = Fraction(0)
@@ -150,14 +132,6 @@ class Poly:
             return self
         lead = self.leading()
         return Poly([c / lead for c in self.coeffs])
-
-    def compose_linear(self, a, b):
-        """p(a*x + b)."""
-        out = Poly([])
-        lin = Poly([fr(b), fr(a)])
-        for c in reversed(self.coeffs):
-            out = out * lin + Poly.const(c)
-        return out
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -417,13 +391,6 @@ class Bivar:
         """Specialize y, leaving a Poly in z."""
         zp = self.z_polys()
         return Poly([p(y0) for p in zp])
-
-    def eval(self, y, z):
-        acc = Fraction(0)
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                acc += c * y**i * z**j
-        return acc
 
 
 def zp_trim(p):

@@ -16,8 +16,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .algebras import LinearSubalgebra, MetricContext, bracket, is_degenerate, orthogonal_complement
-from .builders import build_sp, standard_omega
+from .algebras import (
+    LinearSubalgebra,
+    MetricContext,
+    commutes,
+    endomorphisms,
+    is_degenerate,
+    orthogonal_complement,
+)
+from .builders import standard_omega
 from .engine import characteristic_subalgebra, first_prolongation, obstruction_space, tableau
 from .linalg import LinMap, Mat, Subspace, image_on_kernel, kernel, solve_affine
 
@@ -61,10 +68,6 @@ def _left_span(a: Mat, h: LinearSubalgebra) -> Subspace:
     return Subspace.span(h.n * h.n, [(a * b).flatten() for b in h.basis])
 
 
-def _commutes(h: LinearSubalgebra, a: Mat) -> bool:
-    return all(bracket(b, a).is_zero() for b in h.basis)
-
-
 class StructuralProfile:
     """The subspaces h_1, W, the h_2 chain, h_v with U and nu, and the
     degenerate-metric family, each in canonical form (None when the
@@ -85,14 +88,8 @@ class StructuralProfile:
         raise AttributeError("StructuralProfile is immutable")
 
 
-def profile(h: LinearSubalgebra, require=()) -> StructuralProfile:
-    """Assemble the structural subspaces of h.
-
-    require may list 'J' or 'g'; missing required structures raise.
-    """
-    for key in require:
-        if key not in h.structures:
-            raise KeyError(f"profile requires attached structure {key!r}")
+def profile(h: LinearSubalgebra) -> StructuralProfile:
+    """Assemble the structural subspaces of h."""
     n = h.n
     ee = _basis_vectors(n)
     hyper = ee[: n - 1]
@@ -249,19 +246,17 @@ def _pick_outside(big: Subspace, small: Subspace, n):
 
 
 def _rule_complex(h, prof):
-    j = h.structures.get("J")
-    if j is None or not _commutes(h, j) or _left_span(j, h) != h.span:
+    if not h.preserves("J") or _left_span(h.structures["J"], h) != h.span:
         return None
     return characteristic_subalgebra(h), None
 
 
 def _rule_commuting_endo(h, prof):
     n = h.n
-    structures = h.structures
-    candidates = [structures[key] for key in ("product", "tangent") if key in structures]
-    candidates += [*structures.get("hpc", ()), *structures.get("hypercomplex", ())]
+    # every attached endomorphism but J, which the complex rule covers
+    candidates = [a for key, value in h.structures.items() if key != "J" for a in endomorphisms(key, value)]
     for a in candidates:
-        if not _commutes(h, a):
+        if not commutes(h.basis, a):
             continue
         if all(x == 0 for x in a.data[n - 1][: n - 1]):
             continue  # hyperplane is A-invariant
@@ -271,9 +266,9 @@ def _rule_commuting_endo(h, prof):
 
 
 def _rule_totally_real(h, prof):
-    j = h.structures.get("J")
-    if j is None or not _commutes(h, j) or h.span.intersect(_left_span(j, h)).dim != 0:
+    if not h.preserves("J") or h.span.intersect(_left_span(h.structures["J"], h)).dim != 0:
         return None
+    j = h.structures["J"]
     tag, wit = _totally_real_type(h, j, prof())
     if tag == "II" and not _type_II_extra_condition(h, prof()):
         return None
@@ -361,8 +356,10 @@ def _k1_matches_s2uv(h, u_cal, v0):
 def _rule_sp_full(h, prof):
     """The full standard symplectic algebra: F equals the characteristic
     subalgebra (the block form [[A, 0], [w^t, a]] with A symplectic)."""
-    omega = h.structures.get("omega")
-    if omega is None or h.n % 2 or omega != standard_omega(h.n) or h.span != build_sp(h.n // 2).span:
+    m, odd = divmod(h.n, 2)
+    if odd or h.structures.get("omega") != standard_omega(h.n) or not h.preserves("omega"):
+        return None
+    if h.span.dim != m * (2 * m + 1):  # a subspace of sp(omega0) this large is all of it
         return None
     return characteristic_subalgebra(h), None
 
@@ -395,12 +392,9 @@ def _rule_nondeg_metric(h, prof):
 
 
 def _rule_unitary(h, prof):
-    g = h.structures.get("g")
-    j = h.structures.get("J")
-    if g is None or j is None or not _commutes(h, j):
+    if not (h.preserves("J") and h.preserves("g")):
         return None
-    if any(not (g * b + b.transpose() * g).is_zero() for b in h.basis):
-        return None
+    g, j = h.structures["g"], h.structures["J"]
     n = h.n
     ctx = MetricContext(g)
     hyper = _hyperplane(n)

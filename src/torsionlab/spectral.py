@@ -80,9 +80,6 @@ class FactorData:
     def dim(self):
         return self.ladder[-1].dim if self.ladder else 0
 
-    def rational_eigenvalue(self):
-        return -self.phi.coeffs[0] if self.deg == 1 else None
-
 
 def _kernel_ladder(f: Mat, phi: Poly, mult: int):
     """ker phi(f)^k for k = 1..mult, up to where the dimension stops growing."""

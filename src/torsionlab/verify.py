@@ -260,41 +260,57 @@ def check_hyperparacomplex():
     return out
 
 
+def _engine_by_type(h, cat):
+    """F of conjugate(h, T_alpha) for each orbit type [U_alpha] of the catalog."""
+    return {rep["label"]: obstruction_space(conjugate(h, rep["T"])) for rep in cat.reps}
+
+
+def _decider_failures(res, f, spaces, label):
+    """Why a product/tangent decider answer fails: a verdict other than
+    yes, or a basis S with S^-1 f S != conjugated, or conjugated outside
+    the engine's F for the returned type (not the decider's pattern)."""
+    if res["verdict"] != "yes":
+        return [f"{label}: verdict {res['verdict']}"]
+    s = res["basis"]
+    if s is None:
+        return []
+    fp = res["conjugated"]
+    space = spaces.get(res["type"])
+    if s.inverse() * f * s != fp or space is None or not space.contains(fp.flatten()):
+        return [f"{label}: {res['type']} basis not certified by the engine for f = {f}"]
+    return []
+
+
 def check_product_tangent(seed=20260808):
     out = []
+    product_spaces, tangent_spaces = {}, {}
     for n, p in ((4, 2), (5, 2), (5, 3), (6, 3)):
-        h = build_product_gl(n, p)
         cat = orbit_catalog("product", n, p=p)
-        ok = all(
-            product_obstruction(n, p, t) == obstruction_space(conjugate(h, rep["T"]))
-            for t, rep in enumerate(cat.reps, start=1)
-        )
+        spaces = product_spaces[n, p] = _engine_by_type(build_product_gl(n, p), cat)
+        ok = all(product_obstruction(n, p, t) == spaces[rep["label"]] for t, rep in enumerate(cat.reps, start=1))
         invs = [product_eigendims(rep["subspace"], n, p) for rep in cat.reps]
         ok = ok and len(set(invs)) == 3
         out.append(_check(f"product patterns = engine on conjugates, (n,p)=({n},{p})", ok))
     for n in (4, 6):
-        h = build_tangent_gl(n // 2)
         cat = orbit_catalog("tangent", n)
-        ok = all(
-            tangent_obstruction(n, t) == obstruction_space(conjugate(h, rep["T"]))
-            for t, rep in enumerate(cat.reps, start=1)
-        )
+        spaces = tangent_spaces[n] = _engine_by_type(build_tangent_gl(n // 2), cat)
+        ok = all(tangent_obstruction(n, t) == spaces[rep["label"]] for t, rep in enumerate(cat.reps, start=1))
         out.append(_check(f"tangent patterns = engine on conjugates, n={n}", ok))
     rng = random.Random(seed)
-    all_yes = True
+    failures = []
     for n, p in ((4, 2), (5, 2), (5, 3), (6, 3)):
         for _ in range(100):
             f = Mat([[rng.randint(-5, 5) for _ in range(n - 1)] for _ in range(n - 1)])
-            if decide_product(AlmostAbelian(f), p)["verdict"] != "yes":
-                all_yes = False
-    out.append(_check("decide_product: yes on 100 seeded random f per size", all_yes))
-    all_yes = True
+            res = decide_product(AlmostAbelian(f), p)
+            failures += _decider_failures(res, f, product_spaces[n, p], f"product (n,p)=({n},{p})")
+    out.append(_failures_check("decide_product: yes on 100 seeded random f per size", failures))
+    failures = []
     for n in (4, 6):
         for _ in range(100):
             f = Mat([[rng.randint(-5, 5) for _ in range(n - 1)] for _ in range(n - 1)])
-            if decide_tangent(AlmostAbelian(f))["verdict"] != "yes":
-                all_yes = False
-    out.append(_check("decide_tangent: yes on 100 seeded random f per size", all_yes))
+            res = decide_tangent(AlmostAbelian(f))
+            failures += _decider_failures(res, f, tangent_spaces[n], f"tangent n={n}")
+    out.append(_failures_check("decide_tangent: yes on 100 seeded random f per size", failures))
     return out
 
 

@@ -82,3 +82,23 @@ def test_invariant_check_names_the_failing_algebra(monkeypatch):
     assert not broken["ok"]
     assert h.name in broken["detail"]
     assert all(r["ok"] and r["detail"] == "" for r in results.values() if r is not broken)
+
+
+@pytest.mark.parametrize("conjugated", ["f itself", "zero"])
+def test_product_sweep_rejects_an_uncertified_basis(monkeypatch, conjugated):
+    from torsionlab import verify
+    from torsionlab.linalg import Mat
+
+    def bad_product(aa, p):
+        # the identity basis leaves a random f outside the [U1] pattern;
+        # "zero" claims a conjugated f that S^-1 f S does not give
+        fp = aa.f if conjugated == "f itself" else Mat.zeros(aa.f.rows, aa.f.rows)
+        return {"verdict": "yes", "type": "[U1]", "basis": Mat.identity(aa.f.rows), "conjugated": fp, "rule": "invariant-subspace"}
+
+    monkeypatch.setattr(verify, "decide_product", bad_product)
+    monkeypatch.setattr(verify, "decide_tangent", lambda aa: {"verdict": "yes", "type": None, "basis": None, "rule": "existence-only"})
+    results = {r["name"]: r for r in verify.check_product_tangent()}
+    broken = results["decide_product: yes on 100 seeded random f per size"]
+    assert not broken["ok"]
+    assert "[U1] basis not certified" in broken["detail"]
+    assert all(r["ok"] and r["detail"] == "" for r in results.values() if r is not broken)

@@ -15,7 +15,16 @@ from torsionlab.algebras import (
     musical_sharp,
     orthogonal_complement,
 )
-from torsionlab.builders import build_sp, standard_J
+from torsionlab.builders import (
+    build_delta_gl,
+    build_gl_C,
+    build_so,
+    build_sp,
+    hyperparacomplex_triple,
+    quaternion_triple,
+    standard_J,
+    tangent_T,
+)
 from torsionlab.linalg import Mat, ShapeError, Subspace
 
 
@@ -85,6 +94,48 @@ def test_structure_validation():
         LinearSubalgebra(2, [E(2, 0, 1), E(2, 1, 0)])  # not closed
     with pytest.raises(ValueError):
         LinearSubalgebra(2, [E(2, 0, 1), E(2, 0, 1)])  # dependent
+
+
+def _swapped(triple):
+    a, b, c = triple
+    return (b, a, c)
+
+
+# (key, n, a tensor breaking its defining identity, a valid tensor, a
+# basis element that does not preserve the valid one)
+STRUCTURE_CASES = [
+    ("J", 2, Mat([[0, 1], [1, 0]]), standard_J(2), E(2, 0, 0)),
+    ("g", 2, Mat([[1, 1], [0, 1]]), Mat.identity(2), E(2, 0, 0)),
+    ("omega", 2, Mat.identity(2), Mat([[0, 1], [-1, 0]]), E(2, 0, 0)),
+    ("product", 2, Mat.identity(2), Mat([[1, 0], [0, -1]]), E(2, 0, 1)),
+    ("tangent", 2, Mat.zeros(2, 2), tangent_T(2), E(2, 0, 0)),
+    ("hpc", 2, _swapped(hyperparacomplex_triple(2)), hyperparacomplex_triple(2), E(2, 0, 0)),
+    ("hypercomplex", 4, _swapped(quaternion_triple(4)), quaternion_triple(4), E(4, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("key, n, bad, good, outsider", STRUCTURE_CASES, ids=[c[0] for c in STRUCTURE_CASES])
+def test_structure_validation_per_key(key, n, bad, good, outsider):
+    LinearSubalgebra(n, [], {key: good})
+    with pytest.raises(StructureError) as identity:
+        LinearSubalgebra(n, [], {key: bad})
+    assert "preserve" not in str(identity.value)
+    with pytest.raises(StructureError, match=f"does not preserve {key}"):
+        LinearSubalgebra(n, [outsider], {key: good})
+
+
+def test_unknown_structure_key():
+    with pytest.raises(StructureError):
+        LinearSubalgebra(2, [], {"complex": standard_J(2)}, validate=False)
+
+
+@pytest.mark.parametrize("build", [lambda: build_gl_C(2), lambda: build_delta_gl(2), lambda: build_so(2, 1)], ids=["endomorphism", "triple", "form"])
+def test_conjugate_output_revalidates(build):
+    h = build()
+    t = Mat([[1 if i == j else (i + 2 * j) % 3 - 1 if i < j else 0 for j in range(h.n)] for i in range(h.n)])
+    hc = conjugate(h, t)
+    again = LinearSubalgebra(hc.n, hc.basis, hc.structures, validate=True)
+    assert again == hc and again.structures == hc.structures and again.structures != h.structures
 
 
 def test_musical_maps_euclidean():

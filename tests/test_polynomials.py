@@ -80,7 +80,3 @@ def test_char_poly_random_cayley_hamilton():
         assert p.eval_mat(m).is_zero()
         assert min_poly(m).eval_mat(m).is_zero()
 
-
-def test_compose_linear():
-    p = Poly([0, 0, 1])
-    assert p.compose_linear(1, 1) == Poly([1, 2, 1])

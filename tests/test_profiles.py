@@ -52,11 +52,6 @@ def test_profile_u2_h2():
     assert prof.h2_J.dim == 0
 
 
-def test_profile_requires_structure():
-    with pytest.raises(KeyError):
-        profile(build_sp(2), require=("J",))
-
-
 def test_profile_lagrangian_symplectic():
     h = build_lagrangian_symplectic(2)
     prof = profile(h)
@@ -122,6 +117,13 @@ def test_crosscheck_sp4():
     assert rep["engine_dim"] == 6
     assert rep["any_rule"]
     assert rep["all_equal"]
+
+
+def test_sp_full_fires_only_on_all_of_sp():
+    # u(2) preserves omega0 too, but is a proper subalgebra of sp(4, R)
+    sub = LinearSubalgebra(4, build_u(2).basis, {"omega": standard_omega(4)}, name="u(2)-omega")
+    assert "sp-full" in dict(applicable_rules(build_sp(2)))
+    assert "sp-full" not in dict(applicable_rules(sub))
 
 
 def test_crosscheck_u2():
@@ -282,9 +284,9 @@ def profile_builds(monkeypatch):
     calls = []
     real = profiles.profile
 
-    def counting(h, require=()):
+    def counting(h):
         calls.append(h.name)
-        return real(h, require)
+        return real(h)
 
     monkeypatch.setattr(profiles, "profile", counting)
     return calls
