@@ -34,56 +34,48 @@ from .algebras import (
     stabilizer,
     trace_row,
 )
-from .linalg import Mat, Subspace, fr, kernel
+from .linalg import Mat, Subspace, kernel
+
+
+def _pairs(n, sign):
+    """The entries of the block diagonal of [[0, sign], [-sign, 0]] blocks."""
+    out = {}
+    for i in range(0, n, 2):
+        out[i, i + 1], out[i + 1, i] = sign, -sign
+    return out
 
 
 def standard_J(n: int) -> Mat:
     if n % 2:
         raise ValueError("complex structure needs even dimension")
-    m = Mat.zeros(n, n).data
-    out = [list(r) for r in m]
-    for i in range(0, n, 2):
-        out[i][i + 1] = Fraction(-1)
-        out[i + 1][i] = Fraction(1)
-    return Mat(out)
+    return Mat.from_entries(n, _pairs(n, -1))
 
 
 def standard_omega(n: int) -> Mat:
     if n % 2:
         raise ValueError("symplectic form needs even dimension")
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(0, n, 2):
-        out[i][i + 1] = Fraction(1)
-        out[i + 1][i] = Fraction(-1)
-    return Mat(out)
+    return Mat.from_entries(n, _pairs(n, 1))
 
 
 def product_P(n: int, p: int) -> Mat:
     if not 1 <= p <= n - 1:
         raise ValueError("signature requires 1 <= p <= n-1")
-    return Mat([[Fraction(1 if i < p else -1) if i == j else Fraction(0) for j in range(n)] for i in range(n)])
+    return _diag([1] * p + [-1] * (n - p))
 
 
 def tangent_T(n: int) -> Mat:
     if n % 2:
         raise ValueError("tangent structure needs even dimension")
     m = n // 2
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(m):
-        out[m + i][i] = Fraction(1)
-    return Mat(out)
+    return Mat.from_entries(n, {(m + i, i): 1 for i in range(m)})
 
 
 def hyperparacomplex_triple(n: int):
     if n % 2:
         raise ValueError("hyperparacomplex structure needs even dimension")
     m = n // 2
-    j = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(m):
-        j[m + i][i] = Fraction(1)
-        j[i][m + i] = Fraction(-1)
-    J = Mat(j)
-    E = Mat([[Fraction(1 if i < m else -1) if i == k else Fraction(0) for k in range(n)] for i in range(n)])
+    J = Mat.from_entries(n, {**{(m + i, i): 1 for i in range(m)}, **{(i, m + i): -1 for i in range(m)}})
+    E = _diag([1] * m + [-1] * m)
     return J, E, J * E
 
 
@@ -98,20 +90,16 @@ _LEFT_MULT = {
 def quaternion_triple(n: int):
     if n % 4:
         raise ValueError("quaternionic structure needs dimension divisible by 4")
-    k = n // 4
-    mats = []
-    for unit in ("i", "j", "k"):
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for blk in range(k):
-            for col, (row, sign) in enumerate(_LEFT_MULT[unit]):
-                out[4 * blk + row][4 * blk + col] = Fraction(sign)
-        mats.append(Mat(out))
-    return tuple(mats)
+    return tuple(
+        Mat.from_entries(
+            n, {(b + row, b + col): sign for b in range(0, n, 4) for col, (row, sign) in enumerate(_LEFT_MULT[u])}
+        )
+        for u in ("i", "j", "k")
+    )
 
 
 def _diag(entries) -> Mat:
-    n = len(entries)
-    return Mat([[fr(entries[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)])
+    return Mat.from_entries(len(entries), {(i, i): x for i, x in enumerate(entries)})
 
 
 def _stabilizer_algebra(n, structures, name, rows=()):
@@ -152,15 +140,8 @@ def build_sl_C(m):
 
 def complex_symplectic_omega(k: int) -> Mat:
     """Real part of the standard complex symplectic form on R^{4k}."""
-    n = 4 * k
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(k):
-        a = 4 * i
-        out[a][a + 3] = Fraction(1)
-        out[a + 3][a] = Fraction(-1)
-        out[a + 1][a + 2] = Fraction(1)
-        out[a + 2][a + 1] = Fraction(-1)
-    return Mat(out)
+    pairs = {(a, a + 3): 1 for a in range(0, 4 * k, 4)} | {(a + 1, a + 2): 1 for a in range(0, 4 * k, 4)}
+    return Mat.from_entries(4 * k, pairs | {(j, i): -v for (i, j), v in pairs.items()})
 
 
 def build_sp_C(k):
@@ -175,6 +156,8 @@ def build_u(p, q=0, gram=None):
     J = standard_J(n)
     if gram is None:
         gram = _diag([1] * (2 * p) + [-1] * (2 * q))
+    if (gram.rows, gram.cols) != (n, n):
+        raise ValueError(f"gram must be {n} x {n} for u({p},{q})")
     if J.transpose() * gram * J != gram:
         raise ValueError("gram is not J-invariant")
     name = f"u({p},{q})" if q else f"u({m})"
@@ -259,23 +242,25 @@ def build_lagrangian_symplectic(m):
     )
 
 
+# name: (builder, ambient dimension n from the same keyword parameters);
+# the ambient function's arguments name the parameters and their defaults
 _BUILDERS = {
-    "gl": lambda p: build_gl(int(p["n"])),
-    "sp": lambda p: build_sp(int(p["m"])),
-    "so": lambda p: build_so(int(p["p"]), int(p.get("q", 0))),
-    "so_g": lambda p: build_so_g(Mat(p["gram"])),
-    "gl_C": lambda p: build_gl_C(int(p["m"])),
-    "sl_C": lambda p: build_sl_C(int(p["m"])),
-    "sp_C": lambda p: build_sp_C(int(p["k"])),
-    "u": lambda p: build_u(int(p["p"]), int(p.get("q", 0)), Mat(p["gram"]) if "gram" in p else None),
-    "su": lambda p: build_su(int(p["m"])),
-    "gl_H": lambda p: build_gl_H(int(p["k"])),
-    "sp_H": lambda p: build_sp_H(int(p["k"])),
-    "delta_gl": lambda p: build_delta_gl(int(p["m"])),
-    "delta_so": lambda p: build_delta_so(int(p["m"])),
-    "product_gl": lambda p: build_product_gl(int(p["n"]), int(p["p"])),
-    "tangent_gl": lambda p: build_tangent_gl(int(p["m"])),
-    "lagrangian_symplectic": lambda p: build_lagrangian_symplectic(int(p["m"])),
+    "gl": (build_gl, lambda n: n),
+    "sp": (build_sp, lambda m: 2 * m),
+    "so": (build_so, lambda p, q=0: p + q),
+    "so_g": (build_so_g, lambda gram: gram.rows),
+    "gl_C": (build_gl_C, lambda m: 2 * m),
+    "sl_C": (build_sl_C, lambda m: 2 * m),
+    "sp_C": (build_sp_C, lambda k: 4 * k),
+    "u": (build_u, lambda p, q=0, gram=None: 2 * (p + q)),
+    "su": (build_su, lambda m: 2 * m),
+    "gl_H": (build_gl_H, lambda k: 4 * k),
+    "sp_H": (build_sp_H, lambda k: 4 * k),
+    "delta_gl": (build_delta_gl, lambda m: 2 * m),
+    "delta_so": (build_delta_so, lambda m: 2 * m),
+    "product_gl": (build_product_gl, lambda n, p: n),
+    "tangent_gl": (build_tangent_gl, lambda m: 2 * m),
+    "lagrangian_symplectic": (build_lagrangian_symplectic, lambda m: 2 * m + 1),
 }
 
 
@@ -283,17 +268,70 @@ def builder_names():
     return sorted(_BUILDERS)
 
 
+def _param(name, key, value):
+    """A builder parameter: a square matrix for gram, else an integer >= 0."""
+    if key == "gram":
+        try:
+            gram = Mat(value) if isinstance(value, list) else None
+        except (TypeError, ValueError):
+            gram = None
+        if gram is None or not gram.is_square():
+            raise ValueError(f"{name}: parameter {key} must be a square matrix of rationals")
+        return gram
+    if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name}: parameter {key} must be an integer >= 0, got {value!r}")
+    return value
+
+
+def _builder_call(spec):
+    """(builder, its keyword arguments, ambient dimension) of a builder
+    spec, every parameter checked and nothing built."""
+    name = spec["builder"]
+    if name not in _BUILDERS:
+        raise KeyError(f"unknown builder {name!r}; known: {', '.join(builder_names())}")
+    fn, ambient = _BUILDERS[name]
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"{name}: params must be an object")
+    known = ambient.__code__.co_varnames[: ambient.__code__.co_argcount]
+    required = known[: len(known) - len(ambient.__defaults__ or ())]
+    unknown = [key for key in params if key not in known]
+    missing = [key for key in required if key not in params]
+    if unknown or missing:
+        which = f"unknown parameter {unknown[0]!r}" if unknown else f"missing parameter {missing[0]!r}"
+        raise ValueError(f"{name}: {which}; parameters: {', '.join(known)}")
+    kwargs = {key: _param(name, key, value) for key, value in params.items()}
+    n = ambient(**kwargs)
+    if n < 2:
+        given = ", ".join(f"{key}={value}" for key, value in kwargs.items())
+        raise ValueError(f"{name}: {given} gives ambient dimension {n}; it must be at least 2")
+    return fn, kwargs, n
+
+
+def ambient_dim(spec) -> int:
+    """The ambient dimension of the algebra a spec describes, read from
+    its parameters or its first basis matrix before anything is built."""
+    if not isinstance(spec, dict):
+        raise ValueError("spec must be an object with 'builder' or 'basis'")
+    if "builder" in spec:
+        return _builder_call(spec)[2]
+    if "basis" in spec and isinstance(spec["basis"], list) and spec["basis"]:
+        return Mat(spec["basis"][0]).rows
+    raise ValueError("spec must contain 'builder' or a non-empty 'basis'")
+
+
 def build(spec) -> LinearSubalgebra:
     """Catalog dispatcher.
 
     Accepts {"builder": name, "params": {...}} or an explicit
     {"basis": [[[...]]], "J"/"g"/...: [[...]], "name": ..., "validate": bool}.
+    Builder parameters are checked before anything is built.
     """
     if "builder" in spec:
-        name = spec["builder"]
-        if name not in _BUILDERS:
-            raise KeyError(f"unknown builder {name!r}; known: {', '.join(builder_names())}")
-        return _BUILDERS[name](spec.get("params", {}))
+        fn, kwargs, _ = _builder_call(spec)
+        return fn(**kwargs)
     if "basis" in spec:
         mats = [Mat(b) for b in spec["basis"]]
         if not mats:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import reporting
 from .algebras import LinearSubalgebra
-from .builders import build, builder_names, catalog
+from .builders import ambient_dim, build, catalog
 from .engine import (
     AlmostAbelian,
     Certificate,
@@ -31,8 +31,10 @@ from .engine import (
     tableau,
 )
 from .existence import (
+    GROUPS,
     admits_torsion_free,
     classify_hyperparacomplex,
+    existence_group,
     hpc_flatness,
     orbit_catalog,
 )
@@ -54,8 +56,11 @@ def _check_max_n(n):
 def _load_json_arg(text):
     if text.strip().startswith(("{", "[")):
         return json.loads(text)
-    with open(text) as fh:
-        return json.load(fh)
+    try:
+        with open(text) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {text!r}: {exc.strerror}") from exc
 
 
 def parse_algebra(spec_text) -> LinearSubalgebra:
@@ -64,10 +69,6 @@ def parse_algebra(spec_text) -> LinearSubalgebra:
         spec = _load_json_arg(spec_text)
     else:
         name, _, params = spec_text.partition(":")
-        if name not in builder_names():
-            raise InputError(
-                f"unknown algebra {name!r}; builders: {', '.join(builder_names())}"
-            )
         kv = {}
         if params:
             for piece in params.split(","):
@@ -77,11 +78,12 @@ def parse_algebra(spec_text) -> LinearSubalgebra:
                 kv[key.strip()] = val.strip()
         spec = {"builder": name, "params": kv}
     try:
-        h = build(spec)
-    except (KeyError, ValueError) as exc:
+        _check_max_n(ambient_dim(spec))
+        return build(spec)
+    except KeyError as exc:
+        raise InputError(exc.args[0]) from exc
+    except (TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
-    _check_max_n(h.n)
-    return h
 
 
 def parse_matrix(text) -> Mat:
@@ -205,78 +207,60 @@ def _basis_payload(res):
     for key in ("basis", "conjugated", "A"):
         if isinstance(out.get(key), Mat):
             out[key] = reporting.mat_to_json(out[key])
-    for key in ("w1", "w2"):
+    for key in ("w1", "w2", "witness"):
         if key in out and out[key] is not None:
             out[key] = reporting.vector_to_json(out[key])
-    for key in ("a", "lam", "mu"):
+    for key in ("a", "lam", "mu", "expected_eigenvalue"):
         if key in out and isinstance(out[key], Fraction):
             out[key] = reporting.rational_to_str(out[key])
     return out
+
+
+def _existence_group(name, n, p=None, type_index=None):
+    """The GROUPS entry for name once n fits it; --p and --type are read
+    only where the table gives them a meaning."""
+    try:
+        group = existence_group(name)
+        group.check(n, p)
+    except (KeyError, ValueError) as exc:
+        raise InputError(exc.args[0]) from exc
+    if p is not None and not group.signature:
+        raise InputError(f"group {name} takes no signature --p")
+    if type_index is not None and f"[U{type_index}]" not in [o.label for o in group.orbits]:
+        raise InputError(f"no orbit type [U{type_index}] for group {name}")
+    return group
 
 
 def cmd_exists(args):
     f = parse_matrix(args.f)
     n = f.rows + 1
     _check_max_n(n)
-    aa = AlmostAbelian(f)
-    if args.mode == "product" or (args.mode == "family" and args.group == "product"):
-        if args.p is None or not 1 <= args.p <= n - 1:
-            raise InputError(f"product existence needs --p with 1 <= p <= {n - 1}")
-    if args.mode == "product":
-        res = admits_torsion_free("product", aa, p=args.p)
+    if args.mode != "family" and args.group is not None:
+        raise InputError(f"--group is read only by 'exists family'; 'exists {args.mode}' decides {args.mode}")
+    if args.mode == "family" and not args.group:
+        raise InputError("family existence needs --group")
+    name = args.group or args.mode
+    _existence_group(name, n, args.p, args.type)
+    res = admits_torsion_free(name, AlmostAbelian(f), p=args.p)
+    if "detail" in res:
         res["detail"] = _basis_payload(res["detail"])
-    elif args.mode == "tangent":
-        if n % 2:
-            raise InputError("tangent structures need even total dimension")
-        res = admits_torsion_free("tangent", aa)
-        res["detail"] = _basis_payload(res["detail"])
-    elif args.mode == "hpc":
-        if n % 2:
-            raise InputError("hyperparacomplex structures need even total dimension")
-        res = _basis_payload(classify_hyperparacomplex(aa))
-        res = {"group": "hpc", "overall": res["verdict"], "detail": res}
-    elif args.mode == "family":
-        if not args.group:
-            raise InputError("family existence needs --group")
-        try:
-            res = admits_torsion_free(args.group, aa, p=args.p)
-        except (KeyError, ValueError) as exc:
-            raise InputError(str(exc)) from exc
-    else:
-        raise InputError(f"unknown existence mode {args.mode!r}")
     if args.type is not None:
-        label = f"[U{args.type}]"
-        matching = [t for t in res.get("types", []) if t["type"] == label]
-        if not matching:
-            raise InputError(f"no orbit type {label} for this mode")
-        res = {"group": res.get("group"), "types": matching, "overall": matching[0]["verdict"]}
+        matching = [t for t in res["types"] if t["type"] == f"[U{args.type}]"]
+        res = {"group": name, "types": matching, "overall": matching[0]["verdict"]}
     _emit(res, args.format)
-    overall = res.get("overall")
-    if overall == "yes" or str(overall).startswith("yes"):
-        return 0
-    return 1
+    return 0 if str(res["overall"]).startswith("yes") else 1
 
 
 def cmd_classify_hpc(args):
     f = parse_matrix(args.f)
     n = f.rows + 1
-    if n % 2:
-        raise InputError("hyperparacomplex structures need even total dimension")
     _check_max_n(n)
+    _existence_group("hpc", n)
     aa = AlmostAbelian(f)
     res = classify_hyperparacomplex(aa)
     report = _basis_payload(res)
     if res["verdict"].startswith("yes"):
-        flat = hpc_flatness(aa, res)
-        report["flatness"] = {
-            "flat": flat["flat"],
-            **(
-                {"witness": reporting.vector_to_json(flat["witness"]),
-                 "expected_eigenvalue": reporting.rational_to_str(flat["expected_eigenvalue"])}
-                if not flat["flat"]
-                else {}
-            ),
-        }
+        report["flatness"] = _basis_payload(hpc_flatness(aa, res))
     if not args.with_bases:
         report.pop("basis", None)
         report.pop("conjugated", None)
@@ -286,27 +270,16 @@ def cmd_classify_hpc(args):
 
 def cmd_orbits(args):
     _check_max_n(args.n)
-    try:
-        cat = orbit_catalog(args.group, args.n, p=args.p)
-    except (KeyError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
-    reps = list(cat.reps)
+    if not _existence_group(args.group, args.n, args.p, args.type).orbits:
+        raise InputError(f"group {args.group} has no orbit types")
+    reps = orbit_catalog(args.group, args.n, p=args.p).reps
     if args.type is not None:
         reps = [rep for rep in reps if rep["label"] == f"[U{args.type}]"]
-        if not reps:
-            raise InputError(f"no orbit type [U{args.type}] for this group")
-    report = {
-        "group": cat.group,
-        "reps": [
-            {
-                "label": rep["label"],
-                "subspace": reporting.subspace_to_json(rep["subspace"]),
-                "T": reporting.mat_to_json(rep["T"]),
-            }
-            for rep in reps
-        ],
-    }
-    _emit(report, args.format)
+    reps = [
+        {"label": rep["label"], "subspace": reporting.subspace_to_json(rep["subspace"]), "T": reporting.mat_to_json(rep["T"])}
+        for rep in reps
+    ]
+    _emit({"group": args.group, "reps": reps}, args.format)
     return 0
 
 
@@ -364,6 +337,18 @@ def build_parser():
             p.add_argument("--with-bases", action="store_true")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
+    group_rules = "; ".join(
+        f"{g.name} ({g.rule}{', --p' if g.signature else ''}{f', --type 1..{len(g.orbits)}' if g.orbits else ''})"
+        for g in GROUPS.values()
+    )
+
+    def group_flags(p, group_help=None):
+        """--p and --type, read only for groups with a signature or orbit types."""
+        if group_help:
+            p.add_argument("--group", help=group_help)
+        p.add_argument("--p", type=int, help="signature 1 <= p <= n-1 (groups marked --p)")
+        p.add_argument("--type", type=int, help="restrict to the orbit type [Uk]")
+
     p = sub.add_parser("space", help="dims/bases of k~, K, K^(1), D, F")
     common(p, algebra=True, v=True, with_bases=True)
     p.set_defaults(fn=cmd_space)
@@ -378,11 +363,9 @@ def build_parser():
     p.set_defaults(fn=cmd_flat)
 
     p = sub.add_parser("exists", help="existence of torsion-free structures of any type")
-    p.add_argument("mode", choices=("product", "tangent", "hpc", "family"))
+    p.add_argument("mode", choices=("product", "tangent", "hpc", "family"), help="a group, or family with --group")
     common(p, f=True)
-    p.add_argument("--p", type=int, help="product signature parameter")
-    p.add_argument("--group", help="family label: gl_C, sl_C, sp_C, u, su, gl_H")
-    p.add_argument("--type", type=int, help="restrict to the orbit type [Uk]")
+    group_flags(p, group_help="family only; one of " + group_rules)
     p.set_defaults(fn=cmd_exists)
 
     p = sub.add_parser("classify-hpc", help="hyperparacomplex normal-form classification")
@@ -390,10 +373,9 @@ def build_parser():
     p.set_defaults(fn=cmd_classify_hpc)
 
     p = sub.add_parser("orbits", help="hyperplane-orbit representatives for a group")
-    p.add_argument("--group", required=True)
+    p.add_argument("--group", required=True, help="one of " + group_rules)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int)
-    p.add_argument("--type", type=int, help="show only the orbit type [Uk]")
+    group_flags(p)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(fn=cmd_orbits)
 
@@ -417,7 +399,7 @@ def main(argv=None):
     start = time.monotonic()
     try:
         code = args.fn(args)
-    except (InputError, ShapeError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InputError, ShapeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     except AssertionError as exc:

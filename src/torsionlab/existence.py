@@ -1,22 +1,28 @@
 """Existence of torsion-free structures of any hyperplane type.
 
-Orbit representatives for the product/tangent groups with their
-hyperplane-straightening maps, the explicit obstruction block patterns
-per type, and deciders that construct certified bases in the
+What each group is lives in one table, ``GROUPS``: its dimension rule,
+whether it takes a signature p, its hyperplane orbits [U_alpha] with
+their straightening maps T_alpha and obstruction patterns, and its
+verdict function.  ``orbit_catalog``, the pattern functions, the
+deciders and ``admits_torsion_free`` read the table.  In the
 rational-spectrum regime (characteristic polynomial splitting into
-rational roots and quadratics).  Outside that regime verdicts degrade
-to an honest "unknown"; "no" is only returned where the regime makes
-the search provably exhaustive.  Every "yes + basis" is certified by
-conjugating f and matching the claimed pattern entry by entry.
+rational roots and quadratics) the deciders construct certified bases;
+outside it verdicts degrade to an honest "unknown", and "no" is only
+returned where the regime makes the search provably exhaustive.  Every
+"yes + basis" is certified by conjugating f and matching the claimed
+pattern entry by entry.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
+from math import isqrt
+from typing import NamedTuple
 
 from .builders import build_sl_C, build_sp_C
 from .engine import AlmostAbelian, obstruction_space
-from .linalg import Mat, Subspace
+from .linalg import Mat, Subspace, entry_span, unit
 from .polynomials import (
     Poly,
     char_poly,
@@ -35,134 +41,129 @@ from .spectral import (
 )
 
 
-class OrbitCatalog:
-    __slots__ = ("group", "reps")
+class OrbitType(NamedTuple):
+    """A hyperplane orbit [U_alpha] of an existence group.
 
-    def __init__(self, group, reps):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "reps", tuple(reps))
+    frame(n, k) is a basis of U_alpha followed by a transversal;
+    T_alpha sends that frame to the standard one, so T_alpha U_alpha =
+    R^{n-1}.  The obstruction pattern in End(R^{n-1}) is spanned by E_ij
+    wherever allowed(i, j, n - 1, k) and by E_ij + E_kl for each pair
+    in tied(n - 1, k); an orbit whose F only the engine knows has none.
+    k is the coordinate the frames turn on (``Group.index``).
+    """
 
-    def __setattr__(self, *a):
-        raise AttributeError("OrbitCatalog is immutable")
+    label: str
+    frame: Callable
+    allowed: Callable | None = None
+    tied: Callable = lambda n1, k: ()
+
+    def predicate(self, n1, k):
+        return lambda i, j: self.allowed(i, j, n1, k)
+
+    def pattern(self, n, k) -> Subspace:
+        return entry_span(n - 1, self.predicate(n - 1, k), self.tied(n - 1, k))
 
 
-def _unit(n, i):
-    return tuple(Fraction(1 if k == i else 0) for k in range(n))
+class Group(NamedTuple):
+    """An existence group: n >= 2 divisible by modulus, a signature
+    1 <= p <= n-1 when signature is set, its orbit types ([U1] first)
+    and verdict(group, aa, p) -> (one verdict per orbit type, overall,
+    detail or None).  builder (sl_C, sp_C) builds, from n // modulus,
+    the algebra whose F decides membership.  The obstruction patterns
+    are defined from n = least_pattern_n on."""
+
+    name: str
+    modulus: int
+    signature: bool
+    orbits: tuple
+    verdict: Callable
+    builder: Callable | None = None
+    least_pattern_n: int = 2
+
+    @property
+    def rule(self):
+        m = self.modulus
+        return f"n >= {m} divisible by {m}" if m > 1 else "n >= 2"
+
+    def check(self, n, p=None):
+        """ValueError unless n, and p for a signature group, fit the group."""
+        if n < 2 or n % self.modulus:
+            raise ValueError(f"{self.name} structures need {self.rule}, got n = {n}")
+        if self.signature and (p is None or not 1 <= p <= n - 1):
+            raise ValueError(f"{self.name} structures need a signature 1 <= p <= {n - 1}, got p = {p}")
+
+    def index(self, n, p):
+        """The coordinate the orbit frames turn on: p, else n/2."""
+        return p if self.signature else n // 2
 
 
-def _map_from_images(pairs, n):
-    """The matrix sending each source vector to its image."""
-    src = Mat.from_cols([list(s) for s, _ in pairs])
-    dst = Mat.from_cols([list(t) for _, t in pairs])
-    return dst * src.inverse()
+def existence_group(name) -> Group:
+    """The table entry of a group; KeyError for any other name."""
+    if name not in GROUPS:
+        raise KeyError(f"unsupported group {name!r}; groups: {', '.join(GROUPS)}")
+    return GROUPS[name]
+
+
+class OrbitCatalog(NamedTuple):
+    group: str
+    reps: tuple
 
 
 def orbit_catalog(group, n, p=None) -> OrbitCatalog:
     """Hyperplane-orbit representatives (U_alpha, T_alpha) per group."""
-    if group == "product":
-        if p is None or not 1 <= p <= n - 1:
-            raise ValueError("product orbits need a signature 1 <= p <= n-1")
-        u1 = Subspace.span(n, [_unit(n, i) for i in range(n - 1)])
-        u2_basis = [_unit(n, i) for i in range(p - 1)] + [_unit(n, i) for i in range(p, n)]
-        u3_basis = (
-            [_unit(n, i) for i in range(p - 1)]
-            + [_unit(n, i) for i in range(p, n - 1)]
-            + [tuple(Fraction(1 if k in (p - 1, n - 1) else 0) for k in range(n))]
-        )
-        t2 = _map_from_images(
-            [(v, _unit(n, i)) for i, v in enumerate(u2_basis)] + [(_unit(n, p - 1), _unit(n, n - 1))], n
-        )
-        t3 = _map_from_images(
-            [(v, _unit(n, i)) for i, v in enumerate(u3_basis)] + [(_unit(n, n - 1), _unit(n, n - 1))], n
-        )
-        reps = [
-            {"label": "[U1]", "subspace": u1, "T": Mat.identity(n)},
-            {"label": "[U2]", "subspace": Subspace.span(n, u2_basis), "T": t2},
-            {"label": "[U3]", "subspace": Subspace.span(n, u3_basis), "T": t3},
-        ]
-        return OrbitCatalog("product", reps)
-    if group == "tangent":
-        if n % 2:
-            raise ValueError("tangent structures need even dimension")
-        m = n // 2
-        u1 = Subspace.span(n, [_unit(n, i) for i in range(n - 1)])
-        u2_basis = [_unit(n, i) for i in range(m - 1)] + [_unit(n, i) for i in range(m, n)]
-        t2 = _map_from_images(
-            [(v, _unit(n, i)) for i, v in enumerate(u2_basis)] + [(_unit(n, m - 1), _unit(n, n - 1))], n
-        )
-        reps = [
-            {"label": "[U1]", "subspace": u1, "T": Mat.identity(n)},
-            {"label": "[U2]", "subspace": Subspace.span(n, u2_basis), "T": t2},
-        ]
-        return OrbitCatalog("tangent", reps)
-    if group in ("gl_C", "sl_C", "sp_C", "u", "su", "gl_H"):
-        u1 = Subspace.span(n, [_unit(n, i) for i in range(n - 1)])
-        return OrbitCatalog(group, [{"label": "[U1]", "subspace": u1, "T": Mat.identity(n)}])
-    raise KeyError(f"unsupported group {group!r}")
+    g = existence_group(group)
+    if not g.orbits:
+        raise KeyError(f"group {group!r} has no orbit types")
+    g.check(n, p)
+    reps = []
+    for o in g.orbits:
+        basis, transversal = o.frame(n, g.index(n, p))
+        t = Mat.from_cols([*basis, transversal]).inverse()
+        reps.append({"label": o.label, "subspace": Subspace.span(n, basis), "T": t})
+    return OrbitCatalog(group, tuple(reps))
+
+
+def _coordinate_frame(n, k):
+    """[U1]: the hyperplane R^{n-1} itself."""
+    return [unit(n, i) for i in range(n - 1)], unit(n, n - 1)
+
+
+def _skip_frame(n, k):
+    """[U2]: the coordinate hyperplane x_k = 0 (coordinates from 1)."""
+    return [unit(n, i) for i in range(n) if i != k - 1], unit(n, k - 1)
+
+
+def _tilted_frame(n, k):
+    """[U3]: x_k = x_n, spanned by e_i (i != k, n) and e_k + e_n."""
+    tilt = tuple(a + b for a, b in zip(unit(n, k - 1), unit(n, n - 1)))
+    return [unit(n, i) for i in range(n - 1) if i != k - 1] + [tilt], unit(n, n - 1)
 
 
 def product_eigendims(sub: Subspace, n, p):
     """(d+, d-) = dims of the intersections with the P0 eigenspaces."""
-    plus = Subspace.span(n, [_unit(n, i) for i in range(p)])
-    minus = Subspace.span(n, [_unit(n, i) for i in range(p, n)])
+    plus = Subspace.span(n, [unit(n, i) for i in range(p)])
+    minus = Subspace.span(n, [unit(n, i) for i in range(p, n)])
     return sub.intersect(plus).dim, sub.intersect(minus).dim
-
-
-def _pattern_subspace(n1, allowed):
-    vecs = []
-    for i in range(n1):
-        for j in range(n1):
-            if allowed(i, j):
-                flat = [Fraction(0)] * (n1 * n1)
-                flat[i * n1 + j] = Fraction(1)
-                vecs.append(flat)
-    return Subspace.span(n1 * n1, vecs)
 
 
 def product_obstruction(n, p, type_index) -> Subspace:
     """The obstruction block pattern for product structures of type [U_k]."""
-    if not 1 <= p <= n - 1:
-        raise ValueError("need 1 <= p <= n-1")
-    n1 = n - 1
-    if type_index == 1:
-        return _pattern_subspace(n1, lambda i, j: not (i < p and j >= p))
-    if type_index == 2:
-        return _pattern_subspace(n1, lambda i, j: not (i >= p - 1 and j < p - 1))
-    if type_index == 3:
-        def allowed(i, j):
-            if j == n1 - 1:
-                return True
-            if i < p - 1 and j < p - 1:
-                return True
-            return p - 1 <= i < n1 - 1 and p - 1 <= j < n1 - 1
-        return _pattern_subspace(n1, allowed)
-    raise ValueError("type must be 1, 2 or 3")
+    return _obstruction("product", n, p, type_index)
 
 
 def tangent_obstruction(n, type_index) -> Subspace:
     """The obstruction pattern for tangent structures of type [U_k]."""
-    if n % 2:
-        raise ValueError("tangent structures need even dimension")
-    m = n // 2
-    if m < 2:
-        raise ValueError("degenerate tangent blocks at m = 1")
-    n1 = n - 1
-    if type_index == 1:
-        vecs = []
-        for i in range(m - 1):
-            for j in range(m - 1):
-                flat = [Fraction(0)] * (n1 * n1)
-                flat[i * n1 + j] = Fraction(1)
-                flat[(m + i) * n1 + (m + j)] = Fraction(1)
-                vecs.append(flat)
-        extra = _pattern_subspace(
-            n1,
-            lambda i, j: (j == m - 1) or (i >= m and j < m - 1),
-        )
-        return Subspace.span(n1 * n1, vecs + list(extra.basis))
-    if type_index == 2:
-        return _pattern_subspace(n1, lambda i, j: not (i < m - 1 and m - 1 <= j < n1 - 1))
-    raise ValueError("type must be 1 or 2")
+    return _obstruction("tangent", n, None, type_index)
+
+
+def _obstruction(name, n, p, type_index):
+    g = GROUPS[name]
+    g.check(n, p)
+    if n < g.least_pattern_n:
+        raise ValueError(f"{name} obstruction patterns need n >= {g.least_pattern_n}")
+    if not 1 <= type_index <= len(g.orbits):
+        raise ValueError(f"type must be 1..{len(g.orbits)}")
+    return g.orbits[type_index - 1].pattern(n, g.index(n, p))
 
 
 def _conjugated_pattern_check(f, basis_cols, in_pattern):
@@ -181,16 +182,11 @@ def _complete_basis(vectors, n1):
     out = list(vectors)
     span = Subspace.span(n1, out)
     for i in range(n1):
-        e = _unit(n1, i)
+        e = unit(n1, i)
         if not span.contains(e):
             out.append(e)
             span = Subspace.span(n1, out)
     return out
-
-
-def _check_signature(n, p):
-    if p is None or not 1 <= p <= n - 1:
-        raise ValueError("need 1 <= p <= n-1")
 
 
 def _invariant_data(f):
@@ -201,44 +197,46 @@ def _invariant_data(f):
 
 def decide_product(aa: AlmostAbelian, p):
     """Product structures of signature (p, q) always exist; construct when possible."""
-    _check_signature(aa.n, p)
+    GROUPS["product"].check(aa.n, p)
     return _product_basis(aa.f, p, *_invariant_data(aa.f))
 
 
 def _product_basis(f, p, summary, split, dims):
     n1 = f.rows
-    q = n1 + 1 - p
-    # type [U1]: an invariant subspace of dimension q-1 spanned by the tail
-    if q - 1 in dims:
-        w = invariant_subspace(f, summary, split, q - 1)
-        completion = _complete_basis(list(w.basis), n1)[w.dim :]
-        cols = completion + list(w.basis)
-        checked = _conjugated_pattern_check(f, cols, lambda i, j: not (i < p and j >= p))
-        if checked is not None:
-            s, fp = checked
-            return {"verdict": "yes", "type": "[U1]", "basis": s, "conjugated": fp, "rule": "invariant-subspace"}
-    if p - 1 in dims:
-        w = invariant_subspace(f, summary, split, p - 1)
-        cols = list(w.basis) + _complete_basis(list(w.basis), n1)[w.dim :]
-        checked = _conjugated_pattern_check(f, cols, lambda i, j: not (i >= p - 1 and j < p - 1))
-        if checked is not None:
-            s, fp = checked
-            return {"verdict": "yes", "type": "[U2]", "basis": s, "conjugated": fp, "rule": "invariant-subspace"}
+    u1, u2, _ = GROUPS["product"].orbits
+    # [U1]: an invariant subspace of dimension q - 1 = n1 - p spanned by the
+    # tail of the basis; [U2]: one of dimension p - 1 spanned by its head
+    for orbit, d in ((u1, n1 - p), (u2, p - 1)):
+        if d in dims:
+            w = list(invariant_subspace(f, summary, split, d).basis)
+            completion = _complete_basis(w, n1)[len(w) :]
+            found = _certified(f, completion + w if orbit is u1 else w + completion, orbit, p)
+            if found is not None:
+                return found
     # existence is guaranteed by the classification of product types
     return {"verdict": "yes", "type": None, "basis": None, "rule": "existence-only"}
 
 
+def _certified(f, cols, orbit, k):
+    """The decider's answer for the basis cols if it puts f into the
+    pattern of orbit, else None."""
+    checked = _conjugated_pattern_check(f, cols, orbit.predicate(f.rows, k))
+    if checked is None:
+        return None
+    s, fp = checked
+    return {"verdict": "yes", "type": orbit.label, "basis": s, "conjugated": fp, "rule": "invariant-subspace"}
+
+
 def decide_tangent(aa: AlmostAbelian):
     """Tangent structures always exist on even-dimensional algebras."""
-    if aa.n % 2:
-        raise ValueError("tangent structures need even dimension")
+    GROUPS["tangent"].check(aa.n)
     return _tangent_basis(aa.f, *_invariant_data(aa.f))
 
 
 def _tangent_basis(f, summary, split, dims):
     n1 = f.rows
     m = (n1 + 1) // 2
-    pattern = lambda i, j: not (i < m - 1 and m - 1 <= j < n1 - 1)
+    u2 = GROUPS["tangent"].orbits[1]
     for d in (m, m - 1):
         if d not in dims:
             continue
@@ -248,14 +246,11 @@ def _tangent_basis(f, summary, split, dims):
             last = [w.basis[m - 1]]
         else:
             middle = list(w.basis)
-            span_w = Subspace.span(n1, middle)
-            last = [next(_unit(n1, i) for i in range(n1) if not span_w.contains(_unit(n1, i)))]
+            last = [_complete_basis(middle, n1)[len(middle)]]
         rest = _complete_basis(middle + last, n1)[len(middle) + 1 :]
-        cols = rest + middle + last
-        checked = _conjugated_pattern_check(f, cols, pattern)
-        if checked is not None:
-            s, fp = checked
-            return {"verdict": "yes", "type": "[U2]", "basis": s, "conjugated": fp, "rule": "invariant-subspace"}
+        found = _certified(f, rest + middle + last, u2, m)
+        if found is not None:
+            return found
     return {"verdict": "yes", "type": None, "basis": None, "rule": "existence-only"}
 
 
@@ -292,9 +287,8 @@ def classify_hyperparacomplex(aa: AlmostAbelian):
     "no" is only claimed when the spectral regime makes the candidate
     sweep exhaustive (all real eigenvalues rational; n <= 8 for case B).
     """
+    GROUPS["hpc"].check(aa.n)
     n = aa.n
-    if n % 2:
-        raise ValueError("hyperparacomplex structures need even dimension")
     m = n // 2
     f = aa.f
     summary, split = primary_components(f)
@@ -561,52 +555,63 @@ def hpc_flatness(aa: AlmostAbelian, structure_data):
 
 
 def admits_torsion_free(group, aa: AlmostAbelian, p=None):
-    """Per-type verdicts for the classified groups.
+    """Per-type verdicts for the groups of ``GROUPS``.
 
     A positive verdict carries the adapted-frame recipe
     P = (v o T_alpha) . H with T_alpha the listed straightening map.
     """
+    g = existence_group(group)
+    g.check(aa.n, p)
+    verdicts, overall, detail = g.verdict(g, aa, p)
+    out = {"group": group}
+    if g.orbits:
+        out["types"] = [_typed_verdict(o.label, v) for o, v in zip(g.orbits, verdicts)]
+    out["overall"] = overall
+    if detail is not None:
+        out["detail"] = detail
+    return out
+
+
+def _product_verdicts(group, aa, p):
     n = aa.n
-    if group == "product":
-        _check_signature(n, p)
-        summary, split, dims = _invariant_data(aa.f)
-        res = _product_basis(aa.f, p, summary, split, dims)
-        unreached = "no" if summary.fully_split else "unknown"
-        types = [
-            _typed_verdict("[U1]", "yes" if n - p - 1 in dims else unreached),
-            _typed_verdict("[U2]", "yes" if p - 1 in dims else unreached),
-            _typed_verdict("[U3]", _u3_verdict(summary, split, p - 1, n - p - 1)),
-        ]
-        return {"group": group, "types": types, "overall": "yes", "detail": res}
-    if group == "tangent":
-        if n % 2:
-            raise ValueError("tangent structures need even dimension")
-        m = n // 2
-        summary, split, dims = _invariant_data(aa.f)
-        res = _tangent_basis(aa.f, summary, split, dims)
-        unreached = "no" if summary.fully_split else "unknown"
-        types = [
-            _typed_verdict("[U1]", _tangent_u1_verdict(summary, split)),
-            _typed_verdict("[U2]", "yes" if m in dims or m - 1 in dims else unreached),
-        ]
-        return {"group": group, "types": types, "overall": "yes", "detail": res}
-    simple = {
-        "u": _unitary_verdict,
-        "su": _special_unitary_verdict,
-        "gl_C": _complex_verdict,
-        "gl_H": _quaternionic_verdict,
-    }
-    if group in simple or group in ("sl_C", "sp_C"):
-        modulus = 4 if group in ("gl_H", "sp_C") else 2
-        if n % modulus:
-            raise ValueError(f"group {group} lives in dimension divisible by {modulus}, got n = {n}")
-    if group in simple:
-        v = simple[group](aa)
-        return {"group": group, "types": [_typed_verdict("[U1]", v)], "overall": v}
-    if group in ("sl_C", "sp_C"):
-        v = _direct_membership_verdict(group, aa)
-        return {"group": group, "types": [_typed_verdict("[U1]", v)], "overall": v}
-    raise KeyError(f"unsupported group {group!r}")
+    summary, split, dims = _invariant_data(aa.f)
+    d1, d2 = p - 1, n - p - 1
+    verdicts = (_reached(summary, dims, d2), _reached(summary, dims, d1), _u3_verdict(summary, split, d1, d2))
+    return verdicts, "yes", _product_basis(aa.f, p, summary, split, dims)
+
+
+def _tangent_verdicts(group, aa, p):
+    m = aa.n // 2
+    summary, split, dims = _invariant_data(aa.f)
+    verdicts = (_tangent_u1_verdict(summary, split), _reached(summary, dims, m, m - 1))
+    return verdicts, "yes", _tangent_basis(aa.f, summary, split, dims)
+
+
+def _reached(summary, dims, *wanted):
+    """yes if f has an invariant subspace of a wanted dimension; otherwise
+    no, or unknown when the spectrum did not split."""
+    return "yes" if any(d in dims for d in wanted) else "no" if summary.fully_split else "unknown"
+
+
+def _hpc_verdicts(group, aa, p):
+    res = classify_hyperparacomplex(aa)
+    return (), res["verdict"], res
+
+
+def _one_orbit(decide):
+    """A one-orbit group: decide(group, aa) is its [U1] and overall verdict."""
+
+    def verdict(group, aa, p):
+        v = decide(group, aa)
+        return (v,), v, None
+
+    return verdict
+
+
+def _membership_verdict(group, aa):
+    """yes when f lies in F of the group's algebra, else unknown."""
+    fs = obstruction_space(group.builder(aa.n // group.modulus))
+    return "yes" if fs.contains(aa.f.flatten()) else "unknown"
 
 
 def _typed_verdict(label, verdict):
@@ -644,11 +649,6 @@ def _tangent_u1_verdict(summary, split):
     return "no"
 
 
-def _semisimple(f):
-    mp = min_poly(f)
-    return poly_gcd(mp, mp.derivative()).degree == 0
-
-
 def _unitary_spectrum(f):
     """r with char(f) = (x - tr f) r(x^2) if f is similar to diag(A, a)
     with A skew-Hermitian, else None: f semisimple, its trace an
@@ -663,21 +663,16 @@ def _unitary_spectrum(f):
         return None
     r = Poly(rest.coeffs[::2])
     # all roots of r must be real and <= 0 (they are -theta^2)
-    if count_real_roots(r) != _count_distinct_roots(r):
+    if count_real_roots(r) != squarefree_part(r).degree:
         return None
     if count_real_roots(r, 0, _root_bound(r)) > 0:
         return None
-    if not _semisimple(f):
-        return None
-    return r
+    mp = min_poly(f)
+    return r if poly_gcd(mp, mp.derivative()).degree == 0 else None  # f semisimple
 
 
-def _unitary_verdict(aa):
+def _unitary_verdict(group, aa):
     return "no" if _unitary_spectrum(aa.f) is None else "yes"
-
-
-def _count_distinct_roots(r):
-    return squarefree_part(r).degree
 
 
 def _root_bound(r):
@@ -690,7 +685,7 @@ def _root_bound(r):
     return bound
 
 
-def _special_unitary_verdict(aa):
+def _special_unitary_verdict(group, aa):
     f = aa.f
     r = _unitary_spectrum(f)
     if r is None or f.trace() != 0:
@@ -703,44 +698,29 @@ def _special_unitary_verdict(aa):
             work = work.exact_div(Poly([-root, 1]))
     if work.degree > 0:
         return "unknown"
-    # thetas are sqrt(-root); the imaginary parts cancel only within a
-    # rational-square class (theta = c*sqrt(d), d squarefree)
     for sizes in _theta_classes(roots).values():
         if not _signed_cancellation_possible(sizes):
             return "no"
     return "yes"
 
 
-def _sqrt_decompose(x: Fraction):
-    """x = c^2 * d with d squarefree positive; returns (c, d) or (None, None)."""
-    num, den = x.numerator, x.denominator
-    if num <= 0:
-        return None, None
-    val = num * den  # x = (num*den)/den^2
-    d = 1
-    c2 = 1
-    t = val
-    i = 2
-    while i * i <= t:
-        while t % (i * i) == 0:
-            t //= i * i
-            c2 *= i
-        if t % i == 0:
-            t //= i
-            d *= i
-        i += 1
-    d *= t
-    return Fraction(c2, den), d
-
-
 def _theta_classes(roots):
+    """The thetas sqrt(-root), grouped by rational-square class and given
+    as rational multiples of the first theta of their class; imaginary
+    parts cancel only within a class."""
     classes = {}
     for root, mult in roots.items():
         if root == 0:
             continue
-        c, d = _sqrt_decompose(-root)
-        classes.setdefault(d, []).extend([c] * mult)
+        base = next((b for b in classes if _rational_sqrt(-root / b) is not None), -root)
+        classes.setdefault(base, []).extend([_rational_sqrt(-root / base)] * mult)
     return classes
+
+
+def _rational_sqrt(x: Fraction):
+    """The rational square root of x >= 0, or None when it is irrational."""
+    num, den = isqrt(x.numerator), isqrt(x.denominator)
+    return Fraction(num, den) if num * num == x.numerator and den * den == x.denominator else None
 
 
 def _signed_cancellation_possible(coeffs):
@@ -751,13 +731,13 @@ def _signed_cancellation_possible(coeffs):
     return Fraction(0) in sums
 
 
-def _complex_verdict(aa):
+def _complex_verdict(group, aa):
     """f similar to [[A, v], [0, a]] with A complex-linear: remove one
     dimension at a real eigenvalue, all real-eigenvalue block counts even."""
     return _removal_verdict(aa.f, 2, lambda counts: [[s] for s in counts])
 
 
-def _quaternionic_verdict(aa):
+def _quaternionic_verdict(group, aa):
     def variants(counts):
         out = []
         if counts.get(1, 0) >= 3:
@@ -783,10 +763,39 @@ def _removal_verdict(f, modulus, variants):
     return "no"
 
 
-def _direct_membership_verdict(group, aa):
-    n = aa.n
-    h = build_sl_C(n // 2) if group == "sl_C" else build_sp_C(n // 4)
-    fs = obstruction_space(h)
-    if fs.contains(aa.f.flatten()):
-        return "yes"
-    return "unknown"
+# -- the existence groups -----------------------------------------------------
+
+_U1 = OrbitType("[U1]", _coordinate_frame)
+
+GROUPS = {
+    group.name: group
+    for group in (
+        Group("product", 1, True, (
+            OrbitType("[U1]", _coordinate_frame, lambda i, j, n1, p: not (i < p and j >= p)),
+            OrbitType("[U2]", _skip_frame, lambda i, j, n1, p: not (i >= p - 1 and j < p - 1)),
+            OrbitType(
+                "[U3]",
+                _tilted_frame,
+                lambda i, j, n1, p: j == n1 - 1
+                or (i < p - 1 and j < p - 1)
+                or (p - 1 <= i < n1 - 1 and p - 1 <= j < n1 - 1),
+            ),
+        ), _product_verdicts),
+        Group("tangent", 2, False, (
+            OrbitType(
+                "[U1]",
+                _coordinate_frame,
+                lambda i, j, n1, m: j == m - 1 or (i >= m and j < m - 1),
+                lambda n1, m: [((i, j), (m + i, m + j)) for i in range(m - 1) for j in range(m - 1)],
+            ),
+            OrbitType("[U2]", _skip_frame, lambda i, j, n1, m: not (i < m - 1 and m - 1 <= j < n1 - 1)),
+        ), _tangent_verdicts, least_pattern_n=4),
+        Group("hpc", 2, False, (), _hpc_verdicts),
+        Group("gl_C", 2, False, (_U1,), _one_orbit(_complex_verdict)),
+        Group("sl_C", 2, False, (_U1,), _one_orbit(_membership_verdict), builder=build_sl_C),
+        Group("sp_C", 4, False, (_U1,), _one_orbit(_membership_verdict), builder=build_sp_C),
+        Group("u", 2, False, (_U1,), _one_orbit(_unitary_verdict)),
+        Group("su", 2, False, (_U1,), _one_orbit(_special_unitary_verdict)),
+        Group("gl_H", 4, False, (_U1,), _one_orbit(_quaternionic_verdict)),
+    )
+}

@@ -28,6 +28,24 @@ def vec(entries):
     return tuple(fr(x) for x in entries)
 
 
+def unit(n, i) -> tuple:
+    """The standard basis vector e_i of Q^n.  The unit matrix E_ij of
+    gl(m), flattened, is unit(m * m, i * m + j)."""
+    out = [Fraction(0)] * n
+    out[i] = Fraction(1)
+    return tuple(out)
+
+
+def entry_span(m, allowed=lambda i, j: False, tied=(), extra=()):
+    """The span in gl(m), flattened, of E_ij wherever allowed(i, j), of
+    E_ij + E_kl for each tied pair ((i, j), (k, l)), and of extra."""
+    size = m * m
+    vecs = list(extra) + [unit(size, i * m + j) for i in range(m) for j in range(m) if allowed(i, j)]
+    for (i, j), (k, l) in tied:
+        vecs.append(tuple(a + b for a, b in zip(unit(size, i * m + j), unit(size, k * m + l))))
+    return Subspace.span(size, vecs)
+
+
 class ShapeError(ValueError):
     """Raised on dimension mismatches between exact-core operands."""
 
@@ -65,6 +83,14 @@ class Mat:
     @classmethod
     def identity(cls, n):
         return cls([[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def from_entries(cls, n, entries):
+        """The n x n matrix with the {(i, j): value} entries, zero elsewhere."""
+        out = [[Fraction(0)] * n for _ in range(n)]
+        for (i, j), value in entries.items():
+            out[i][j] = value
+        return cls(out)
 
     @classmethod
     def unflatten(cls, rows, cols, flat):

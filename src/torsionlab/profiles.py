@@ -26,7 +26,7 @@ from .algebras import (
 )
 from .builders import standard_omega
 from .engine import characteristic_subalgebra, first_prolongation, obstruction_space, tableau
-from .linalg import LinMap, Mat, Subspace, image_on_kernel, kernel, solve_affine
+from .linalg import LinMap, Mat, Subspace, image_on_kernel, kernel, solve_affine, unit
 
 
 class NoRuleApplies(ValueError):
@@ -52,11 +52,7 @@ def _preimage(mats, vectors, target: Subspace) -> Subspace:
 
 
 def _hyperplane(n) -> Subspace:
-    return Subspace.span(n, _basis_vectors(n)[: n - 1])
-
-
-def _basis_vectors(n):
-    return [tuple(Fraction(1 if i == j else 0) for i in range(n)) for j in range(n)]
+    return Subspace.span(n, [unit(n, j) for j in range(n - 1)])
 
 
 def _mats_of(span: Subspace, n):
@@ -91,7 +87,7 @@ class StructuralProfile:
 def profile(h: LinearSubalgebra) -> StructuralProfile:
     """Assemble the structural subspaces of h."""
     n = h.n
-    ee = _basis_vectors(n)
+    ee = [unit(n, j) for j in range(n)]
     hyper = ee[: n - 1]
     hyperplane = _hyperplane(n)
 
@@ -165,7 +161,6 @@ def _detect_line_prolongation(h):
 def _nu_map(h, u_cal, v0):
     """nu on U, pinned by F = alpha x v - beta x nu(alpha) for F in h_v."""
     n = h.n
-    ee = _basis_vectors(n)
     cols = []
     for alpha in u_cal.basis:
         rows, rhs = [], []
@@ -179,7 +174,7 @@ def _nu_map(h, u_cal, v0):
         f = h.element(sol)
         # e_n = u0 + v0 / v0[n-1] with u0 in the hyperplane
         c = Fraction(1) / v0[n - 1]
-        u0 = tuple(ee[n - 1][i] - c * v0[i] for i in range(n))
+        u0 = tuple(e - c * x for e, x in zip(unit(n, n - 1), v0))
         alpha_u0 = sum(alpha[i] * u0[i] for i in range(n - 1))
         fen = f.col(n - 1)
         nu_vec = tuple(v0[n - 1] * (alpha_u0 * v0[k] - fen[k]) for k in range(n - 1))
@@ -213,7 +208,7 @@ def _totally_real_type(h, j, prof):
     else:
         tag = "IV"
     witnesses = {"h2_chain_dims": (d2j, d2r, d2)}
-    v_in_hyper = next(x for x in _basis_vectors(n)[: n - 1] if not prof.RJ.contains(x))
+    v_in_hyper = next(unit(n, j) for j in range(n - 1) if not prof.RJ.contains(unit(n, j)))
     if tag == "III":
         f = _pick_outside(prof.h2, prof.h2_inv, n)
         fv = f.matvec(v_in_hyper)
@@ -386,7 +381,7 @@ def _rule_nondeg_metric(h, prof):
     if is_degenerate(ctx, hyperplane):
         return None
     v0 = orthogonal_complement(ctx, hyperplane).basis[0]
-    hv = _preimage(h.basis, _basis_vectors(n)[: n - 1], Subspace.span(n, [v0]))
+    hv = _preimage(h.basis, [unit(n, j) for j in range(n - 1)], Subspace.span(n, [v0]))
     u = Subspace.span(n - 1, [f.matvec(v0)[: n - 1] for f in _mats_of(hv, n)])
     return _k_tilde_plus_s2u_flat(h, g, u.basis), None
 
@@ -400,7 +395,7 @@ def _rule_unitary(h, prof):
     hyper = _hyperplane(n)
     vecs = list(characteristic_subalgebra(h).basis)
     if not is_degenerate(ctx, hyper):
-        rj = hyper.intersect(Subspace.span(n, [j.matvec(x) for x in _basis_vectors(n)[: n - 1]]))
+        rj = hyper.intersect(Subspace.span(n, [j.matvec(x) for x in hyper.basis]))
         rows = [list(g.matvec(b)) for b in rj.basis]
         perp_in_hyper = kernel(Mat(rows, len(rows), n)).intersect(hyper)
         v0 = next(b for b in perp_in_hyper.basis if not rj.contains(b))
@@ -446,12 +441,13 @@ RULES = [
 ]
 
 
-def _fired(h):
+def _fired(h, known=None):
     """(label, F, tag) for each rule that fires, in RULES order.
 
+    known, when given, is profile(h) built by the caller; otherwise
     profile(h) is built at most once, by the first rule that reads it.
     """
-    prof = cache(lambda: profile(h))
+    prof = cache(lambda: profile(h)) if known is None else (lambda: known)
     for label, rule in RULES:
         out = rule(h, prof)
         if out is not None:
@@ -471,9 +467,13 @@ def closed_form_F(h: LinearSubalgebra):
 
 def crosscheck(h: LinearSubalgebra):
     """Evaluate every applicable closed form against the generic engine."""
+    return _crosscheck(h)
+
+
+def _crosscheck(h, known=None):
     engine = obstruction_space(h)
     rules = []
-    for label, sub in applicable_rules(h):
+    for label, sub, _ in _fired(h, known):
         rules.append(
             {
                 "rule": label,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
 from .algebras import LinearSubalgebra, MetricContext, bracket, conjugate, is_degenerate
 from .builders import (
@@ -52,89 +53,49 @@ from .existence import (
     product_obstruction,
     tangent_obstruction,
 )
-from .linalg import Mat, Subspace, kernel
-from .profiles import applicable_rules, crosscheck, profile
+from .linalg import Mat, Subspace, entry_span, kernel, unit
+from .profiles import _crosscheck, _fired, applicable_rules, profile
 
 
-def _e(n, i, j):
-    out = [[Fraction(0)] * n for _ in range(n)]
-    out[i][j] = Fraction(1)
-    return Mat(out)
-
-
-def _embed_topleft(small, n):
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(small.rows):
-        for j in range(small.cols):
-            out[i][j] = small.data[i][j]
-    return Mat(out)
+def _padded(a):
+    """a in gl(n1 - 1) as the top-left block of gl(n1), flattened."""
+    return Mat.block([[a, None], [None, Mat.zeros(1, 1)]]).flatten()
 
 
 def _sp_block_pattern(m):
     """[[A, 0], [w^t, a]] with A in sp(2m-2, R), inside End(R^{2m-1})."""
     n1 = 2 * m - 1
-    vecs = []
-    if m >= 2:
-        for a in build_sp(m - 1).basis:
-            vecs.append(_embed_topleft(a, n1).flatten())
-    for j in range(n1 - 1):
-        vecs.append(_e(n1, n1 - 1, j).flatten())
-    vecs.append(_e(n1, n1 - 1, n1 - 1).flatten())
-    return Subspace.span(n1 * n1, vecs)
+    return entry_span(n1, lambda i, j: i == n1 - 1, extra=[_padded(a) for a in build_sp(m - 1).basis])
 
 
 def _glC_block_pattern(m):
     """[[A, v], [0, a]] with A in gl(m-1, C), inside End(R^{2m-1})."""
     n1 = 2 * m - 1
-    vecs = []
-    for a in build_gl_C(m - 1).basis:
-        vecs.append(_embed_topleft(a, n1).flatten())
-    for i in range(n1 - 1):
-        vecs.append(_e(n1, i, n1 - 1).flatten())
-    vecs.append(_e(n1, n1 - 1, n1 - 1).flatten())
-    return Subspace.span(n1 * n1, vecs)
+    return entry_span(n1, lambda i, j: j == n1 - 1, extra=[_padded(a) for a in build_gl_C(m - 1).basis])
 
 
 def _u_pattern(m):
     """k~_{u(m)} + the line through e^{2m-1} x e_{2m-1}."""
     n1 = 2 * m - 1
-    vecs = []
-    for a in build_u(m - 1).basis:
-        vecs.append(_embed_topleft(a, n1).flatten())
-    vecs.append(_e(n1, n1 - 1, n1 - 1).flatten())
-    return Subspace.span(n1 * n1, vecs)
+    return entry_span(n1, lambda i, j: i == j == n1 - 1, extra=[_padded(a) for a in build_u(m - 1).basis])
 
 
 def _u11_diag_pattern():
     """diag(A, a) with A spanning u(1,0) = u(0,1), for u(1,1)."""
     rot = Mat([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
-    return Subspace.span(9, [rot.flatten(), _e(3, 2, 2).flatten()])
+    return entry_span(3, lambda i, j: i == j == 2, extra=[rot.flatten()])
 
 
 def _delta_gl_pattern(m):
     """[[A, 0, w1], [0, A, w2], [0, 0, a]] in the coordinates
     (e_1..e_{m-1}, e_{m+1}..e_{2m-1}, e_m) of the standard hyperplane."""
-    n1 = 2 * m - 1
-    x = list(range(m - 1))
-    y = [m + i for i in range(m - 1)]
-    v = m - 1
-    vecs = []
-    for i in range(m - 1):
-        for j in range(m - 1):
-            vecs.append((_e(n1, x[i], x[j]) + _e(n1, y[i], y[j])).flatten())
-    for i in range(m - 1):
-        vecs.append(_e(n1, x[i], v).flatten())
-        vecs.append(_e(n1, y[i], v).flatten())
-    vecs.append(_e(n1, v, v).flatten())
-    return Subspace.span(n1 * n1, vecs)
+    tied = [((i, j), (m + i, m + j)) for i in range(m - 1) for j in range(m - 1)]
+    return entry_span(2 * m - 1, lambda i, j: j == m - 1, tied)
 
 
 def _end_L_pattern():
     """End_L for the Lagrangian example at m = 2: image in L, L in kernel."""
-    lag_rows = (0, 2)
-    free_cols = (1, 3)
-    vecs = [_e(4, i, j).flatten() for i in lag_rows for j in free_cols]
-    return Subspace.span(16, vecs)
+    return entry_span(4, lambda i, j: i in (0, 2) and j in (1, 3))
 
 
 def _check(name, ok, detail=""):
@@ -174,9 +135,7 @@ def check_unitary():
         fs = obstruction_space(h)
         rules = dict(applicable_rules(h))
         ok = fs == _u_pattern(m) and rules.get("unitary") == fs
-        out.append(
-            _check(f"unitary u({m}): F = k~ + <e x e> via engine and unitary rule", ok, f"dim {fs.dim}")
-        )
+        out.append(_check(f"unitary u({m}): F = k~ + <e x e> via engine and unitary rule", ok, f"dim {fs.dim}"))
     h = build_u(1, 1)
     fs = obstruction_space(h)
     rules = dict(applicable_rules(h))
@@ -218,22 +177,12 @@ def check_hypercomplex():
         fs = obstruction_space(h)
         kc = characteristic_subalgebra(h)
         ok = rank_report["status"] == "certified" and k1.dim == 0 and fs == kc
-        out.append(
-            _check(
-                f"hypercomplex {h.name}: certified super-elliptic, K^(1) = 0, F = k~",
-                ok,
-                f"method {rank_report['method']}",
-            )
-        )
+        name = f"hypercomplex {h.name}: certified super-elliptic, K^(1) = 0, F = k~"
+        out.append(_check(name, ok, f"method {rank_report['method']}"))
     bare = LinearSubalgebra(4, build_sp_H(1).basis, name="sp(1)-bare", validate=False)
     res = classify_low_rank(bare, 2)
-    out.append(
-        _check(
-            "hypercomplex sp(1): exhaustive minor solve certifies no rank <= 2",
-            res["status"] == "certified" and res["method"] == "minor-variety-empty",
-            res["method"],
-        )
-    )
+    ok = res["status"] == "certified" and res["method"] == "minor-variety-empty"
+    out.append(_check("hypercomplex sp(1): exhaustive minor solve certifies no rank <= 2", ok, res["method"]))
     return out
 
 
@@ -323,12 +272,11 @@ def check_lagrangian():
 
 
 def _transversals(n):
-    vs = [
-        tuple(Fraction(1 if i == n - 1 else 0) for i in range(n)),
-        tuple(Fraction(1 if i in (0, n - 1) else 0) for i in range(n)),
+    return [
+        unit(n, n - 1),
+        tuple(a + b for a, b in zip(unit(n, 0), unit(n, n - 1))),
         tuple(Fraction([2, -1][i % 2] if i != n - 1 else 3) for i in range(n)),
     ]
-    return vs
 
 
 def _on_hyperplane(gamma, n):
@@ -341,9 +289,17 @@ def _failures_check(name, failures):
     return _check(name, not failures, "; ".join(failures[:3]))
 
 
+def _catalog_pairs():
+    """One structural profile per catalog algebra.  Pairs are handed on,
+    never looked up by h: equal spans can carry different structures."""
+    return [(h, profile(h)) for h in catalog()]
+
+
 def check_invariant_suite():
-    # one profile per catalog algebra, shared with the structural checks
-    pairs = [(h, profile(h)) for h in catalog()]
+    return _invariant_suite(_catalog_pairs())
+
+
+def _invariant_suite(pairs):
     contain, vindep, module, w_cov, d_in_k1, certs = ([] for _ in range(6))
     for h, prof in pairs:
         n = h.n
@@ -396,63 +352,60 @@ def check_invariant_suite():
 
 
 def _nijenhuis_checks():
-    ok_zero = True
+    vanishing, nonzero = [], []
     for h in (build_gl_C(2), build_gl_C(3), build_sl_C(2)):
         j = h.structures["J"]
-        kc = characteristic_subalgebra(h)
-        for flat in kc.basis:
+        for flat in characteristic_subalgebra(h).basis:
             f_mat = Mat.unflatten(h.n - 1, h.n - 1, flat)
             if any(x != 0 for x in nijenhuis(j, AlmostAbelian(f_mat))):
-                ok_zero = False
-    ok_nonzero = True
+                vanishing.append(f"Nijenhuis nonzero on a k~ element of {h.name}")
+                break
     for n in (4, 6):
-        f = _e(n - 1, 0, 1)
+        f = Mat.unflatten(n - 1, n - 1, unit((n - 1) ** 2, 1))  # E_12
         if all(x == 0 for x in nijenhuis(standard_J(n), AlmostAbelian(f))):
-            ok_nonzero = False
+            nonzero.append(f"Nijenhuis zero for J0 and f = E_12 at n = {n}")
     return [
-        _check("invariants: Nijenhuis vanishes for complex-structure certificates", ok_zero),
-        _check("invariants: Nijenhuis nonzero on one seeded counterexample per size", ok_nonzero),
+        _failures_check("invariants: Nijenhuis vanishes for complex-structure certificates", vanishing),
+        _failures_check("invariants: Nijenhuis nonzero on one seeded counterexample per size", nonzero),
     ]
 
 
 def _structural_invariants(pairs):
     """Structural checks over (algebra, profile) pairs of the catalog."""
-    out = []
-    # super-elliptic metric algebras have vanishing first prolongation
-    ok = True
-    for h, _ in pairs:
-        if "g" not in h.structures:
-            continue
-        res = classify_low_rank(h, 2)
-        if res["status"] == "certified" and first_prolongation(h).dim != 0:
-            ok = False
-    out.append(_check("invariants: super-elliptic metric catalog algebras have K^(1) = 0", ok))
-    # totally real: K^(1) inside S^2 (R_J)^0 x R^n
-    ok = True
+    elliptic, totally_real, sandwich, nu, s2uv = ([] for _ in range(5))
     for h, prof in pairs:
-        j = h.structures.get("J")
-        if j is None:
-            continue
         n = h.n
-        jh = Subspace.span(n * n, [(j * b).flatten() for b in h.basis])
-        if h.span.intersect(jh).dim != 0:
-            continue
-        ann = _annihilator_of(prof.RJ, n - 1)
-        target_vecs = []
-        m = n - 1
-        for k in range(n):
-            flat = [Fraction(0)] * (m * m * n)
-            for i in range(m):
-                for jj in range(m):
-                    flat[i * m * n + jj * n + k] = ann[i] * ann[jj]
-            target_vecs.append(flat)
-        target = Subspace.span(m * m * n, target_vecs)
-        if not target.contains_space(first_prolongation(h)):
-            ok = False
-    out.append(_check("invariants: totally real K^(1) inside S^2 ann(R_J) x R^n", ok))
+        g, j = h.structures.get("g"), h.structures.get("J")
+        # super-elliptic metric algebras have vanishing first prolongation
+        if g is not None and classify_low_rank(h, 2)["status"] == "certified" and first_prolongation(h).dim != 0:
+            elliptic.append(f"K^(1) != 0 for the certified super-elliptic {h.name}")
+        # totally real: K^(1) inside S^2 (R_J)^0 x R^n
+        if j is not None and h.span.intersect(Subspace.span(n * n, [(j * b).flatten() for b in h.basis])).dim == 0:
+            ann = _annihilator_of(prof.RJ, n - 1)
+            m = n - 1
+            target_vecs = []
+            for k in range(n):
+                flat = [Fraction(0)] * (m * m * n)
+                for i in range(m):
+                    for jj in range(m):
+                        flat[i * m * n + jj * n + k] = ann[i] * ann[jj]
+                target_vecs.append(flat)
+            if not Subspace.span(m * m * n, target_vecs).contains_space(first_prolongation(h)):
+                totally_real.append(f"K^(1) escapes S^2 ann(R_J) x R^n for {h.name}")
+        # nu is injective or zero whenever defined
+        if prof.nu is not None and prof.U_cal is not None and prof.nu.matrix.rank() not in (0, prof.U_cal.dim):
+            nu.append(f"nu neither injective nor zero for {h.name}")
+        # non-degenerate metric algebras with nonzero prolongation have
+        # K^(1) = S^2 U x normal; the S2Uv guard recomputes both sides
+        if (
+            g is not None
+            and not is_degenerate(MetricContext(g), Subspace.span(n, [unit(n, i) for i in range(n - 1)]))
+            and first_prolongation(h).dim != 0
+            and "S2Uv" not in {label for label, *_ in _fired(h, prof)}
+        ):
+            s2uv.append(f"S2Uv rule does not fire for {h.name}")
     # commuting-endomorphism sandwich: the tangent commutant (A h inside h,
     # so the sandwich collapses) and Dgl(2,R) with its K tensor (strict)
-    ok = True
     for h, a_tensor in (
         (build_tangent_gl(2), build_tangent_gl(2).structures["tangent"]),
         (build_delta_gl(2), build_delta_gl(2).structures["hpc"][2]),
@@ -464,35 +417,15 @@ def _structural_invariants(pairs):
         big_alg = LinearSubalgebra(n, [Mat.unflatten(n, n, v) for v in sum_span.basis], validate=False)
         kc = characteristic_subalgebra(h)
         fs = obstruction_space(h)
-        kc_big = characteristic_subalgebra(big_alg)
-        if not (fs.contains_space(kc) and kc_big.contains_space(fs)):
-            ok = False
-    out.append(_check("invariants: commuting-endomorphism sandwich k~ <= F <= k~_{h+Ah}", ok))
-    # nu is injective or zero whenever defined
-    ok = True
-    for _, prof in pairs:
-        if prof.nu is not None and prof.U_cal is not None:
-            rank = prof.nu.matrix.rank()
-            if rank not in (0, prof.U_cal.dim):
-                ok = False
-    out.append(_check("invariants: nu injective or zero", ok))
-    # non-degenerate metric algebras with nonzero prolongation have
-    # K^(1) = S^2 U x normal; the S2Uv guard recomputes both sides
-    ok = True
-    for h, _ in pairs:
-        g = h.structures.get("g")
-        if g is None:
-            continue
-        hyper = Subspace.span(h.n, [tuple(Fraction(1 if i == j else 0) for i in range(h.n)) for j in range(h.n - 1)])
-        if is_degenerate(MetricContext(g), hyper):
-            continue
-        if first_prolongation(h).dim == 0:
-            continue
-        fired = {label for label, _ in applicable_rules(h)}
-        if "S2Uv" not in fired:
-            ok = False
-    out.append(_check("invariants: non-degenerate metric K^(1) has the S^2 U x normal shape", ok))
-    return out
+        if not (fs.contains_space(kc) and characteristic_subalgebra(big_alg).contains_space(fs)):
+            sandwich.append(f"k~ <= F <= k~_(h+Ah) fails for {h.name}")
+    return [
+        _failures_check("invariants: super-elliptic metric catalog algebras have K^(1) = 0", elliptic),
+        _failures_check("invariants: totally real K^(1) inside S^2 ann(R_J) x R^n", totally_real),
+        _failures_check("invariants: commuting-endomorphism sandwich k~ <= F <= k~_{h+Ah}", sandwich),
+        _failures_check("invariants: nu injective or zero", nu),
+        _failures_check("invariants: non-degenerate metric K^(1) has the S^2 U x normal shape", s2uv),
+    ]
 
 
 def _annihilator_of(rj: Subspace, m):
@@ -503,11 +436,14 @@ def _annihilator_of(rj: Subspace, m):
 
 
 def check_master_crosscheck():
-    out = []
+    return _master_crosscheck(_catalog_pairs())
+
+
+def _master_crosscheck(pairs):
     mismatches = []
     fired = 0
-    for h in catalog():
-        rep = crosscheck(h)
+    for h, prof in pairs:
+        rep = _crosscheck(h, prof)
         fired += len(rep["rules"])
         if not rep["all_equal"]:
             mismatches.append(h.name)
@@ -539,12 +475,16 @@ def verify_paper(targets=None, seed=None):
         unknown = [t for t in targets if t not in known]
         if unknown:
             raise KeyError(f"unknown verification target(s): {', '.join(unknown)}")
+    # one profile per catalog algebra, built on first use and shared by
+    # the invariant suite and the master crosscheck
+    pairs = cache(_catalog_pairs)
+    runs = {
+        check_product_tangent: lambda: check_product_tangent() if seed is None else check_product_tangent(seed=seed),
+        check_invariant_suite: lambda: _invariant_suite(pairs()),
+        check_master_crosscheck: lambda: _master_crosscheck(pairs()),
+    }
     results = []
     for name, fn in CHECKS:
-        if targets and name not in targets:
-            continue
-        if fn is check_product_tangent and seed is not None:
-            results.extend(fn(seed=seed))
-        else:
-            results.extend(fn())
+        if not targets or name in targets:
+            results.extend(runs.get(fn, fn)())
     return results

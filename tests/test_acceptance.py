@@ -61,6 +61,16 @@ def test_invariant_suite_builds_one_profile_per_algebra(monkeypatch):
     results = verify.check_invariant_suite()
     assert all(r["ok"] and r["detail"] == "" for r in results)
     assert len(built) == 2
+    # one verify-paper run hands the same profiles to the master
+    # crosscheck and to the non-degenerate-metric check
+    from torsionlab import profiles
+    from torsionlab.builders import build_so
+
+    monkeypatch.setattr(verify, "catalog", lambda: [build_gl(3), build_u(2), build_so(2, 1)])
+    monkeypatch.setattr(profiles, "profile", verify.profile)
+    built.clear()
+    verify.verify_paper(targets=["invariants", "master"])
+    assert built == ["gl(3)", "u(2)", "so(2,1)"]
 
 
 def test_invariant_check_names_the_failing_algebra(monkeypatch):
@@ -102,3 +112,36 @@ def test_product_sweep_rejects_an_uncertified_basis(monkeypatch, conjugated):
     assert not broken["ok"]
     assert "[U1] basis not certified" in broken["detail"]
     assert all(r["ok"] and r["detail"] == "" for r in results.values() if r is not broken)
+
+
+@pytest.mark.parametrize(
+    "patch,check,named",
+    [
+        (
+            "first_prolongation",
+            "invariants: super-elliptic metric catalog algebras have K^(1) = 0",
+            "su(2)",
+        ),
+        (
+            "nijenhuis",
+            "invariants: Nijenhuis nonzero on one seeded counterexample per size",
+            "n = 4",
+        ),
+    ],
+    ids=["structural", "nijenhuis"],
+)
+def test_structural_check_names_what_failed(monkeypatch, patch, check, named):
+    from torsionlab import verify
+    from torsionlab.builders import build_su
+    from torsionlab.linalg import Subspace
+
+    monkeypatch.setattr(verify, "catalog", lambda: [build_su(2)])
+    if patch == "first_prolongation":
+        # a nonzero K^(1) for an algebra certified super-elliptic
+        monkeypatch.setattr(verify, "first_prolongation", lambda h: Subspace.full((h.n - 1) ** 2 * h.n))
+    else:
+        # a Nijenhuis tensor that vanishes everywhere
+        monkeypatch.setattr(verify, "nijenhuis", lambda j, aa: (0,))
+    results = {r["name"]: r for r in verify.check_invariant_suite()}
+    assert not results[check]["ok"]
+    assert named in results[check]["detail"]

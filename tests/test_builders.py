@@ -347,3 +347,42 @@ def test_stabilizer_equals_elementary_matrix_route(build_new, build_ref):
     h = build_new()
     basis, name, structures = build_ref()
     assert (list(h.basis), h.name, h.structures) == (basis, name, structures)
+
+
+@pytest.mark.parametrize(
+    "params,named",
+    [
+        ({"builder": "so", "params": {"p": 0}}, "p=0"),
+        ({"builder": "so", "params": {"p": 3, "q": -1}}, "parameter q"),
+        ({"builder": "so", "params": {"p": 4, "x": 3}}, "parameter 'x'"),
+        ({"builder": "so", "params": {}}, "missing parameter 'p'"),
+        ({"builder": "sp", "params": {"m": "2.5"}}, "parameter m"),
+        ({"builder": "u", "params": {"p": 1, "gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}, "gram"),
+        ({"builder": "so_g", "params": {"gram": "I"}}, "gram"),
+        ({"builder": "lagrangian_symplectic", "params": {"m": 0}}, "m=0"),
+    ],
+)
+def test_builder_parameters_are_checked(params, named):
+    from torsionlab.builders import ambient_dim
+
+    with pytest.raises(ValueError, match=named):
+        build(params)
+    if named != "gram":  # the shape of gram is checked by the builder itself
+        with pytest.raises(ValueError, match=named):
+            ambient_dim(params)
+
+
+@pytest.mark.parametrize(
+    "spec,n",
+    [
+        ({"builder": "gl", "params": {"n": "40"}}, 40),
+        ({"builder": "so", "params": {"p": 3, "q": "2"}}, 5),
+        ({"builder": "sp_C", "params": {"k": 3}}, 12),
+        ({"builder": "lagrangian_symplectic", "params": {"m": 2}}, 5),
+        ({"basis": [[[0, 1], [0, 0]]]}, 2),
+    ],
+)
+def test_ambient_dim_reads_the_parameters(spec, n):
+    from torsionlab.builders import ambient_dim
+
+    assert ambient_dim(spec) == n

@@ -198,14 +198,25 @@ def test_unread_flags_rejected(args):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args,named",
     [
-        ("space", "--algebra", "gl:n=4", "--v", "1,0,0,0"),
-        ("space", "--algebra", "gl:n=4", "--v", "1/0,0,0,1"),
-        ("check", "--algebra", "gl:n=3", "--f", '[["x",0],[0,0]]'),
-        ("check", "--algebra", "gl:n=3", "--f", '{"f":3}'),
-        ("exists", "product", "--f", F3, "--p", "9"),
-        ("exists", "family", "--group", "product", "--f", "[[1]]"),
+        (("space", "--algebra", "gl:n=4", "--v", "1,0,0,0"), None),
+        (("space", "--algebra", "gl:n=4", "--v", "1/0,0,0,1"), None),
+        (("check", "--algebra", "gl:n=3", "--f", '[["x",0],[0,0]]'), None),
+        (("check", "--algebra", "gl:n=3", "--f", '{"f":3}'), None),
+        (("exists", "product", "--f", F3, "--p", "9"), None),
+        (("exists", "family", "--group", "product", "--f", "[[1]]"), None),
+        (("space", "--algebra", "so:p=0"), "p=0"),
+        (("space", "--algebra", "sp:m=-1"), "parameter m"),
+        (("space", "--algebra", "gl_H:k=0"), "k=0"),
+        (("space", "--algebra", "sp_C:k=0"), "k=0"),
+        (("space", "--algebra", "lagrangian_symplectic:m=0"), "m=0"),
+        (("space", "--algebra", "u:p=2,q=-1"), "parameter q"),
+        (("space", "--algebra", "so:p=3,q=-1"), "parameter q"),
+        (("space", "--algebra", "so:p=4,x=3"), "parameter 'x'"),
+        (("space", "--algebra", "gl:n=40"), "TORSIONLAB_MAX_N"),
+        (("space", "--algebra", "so:p=40"), "TORSIONLAB_MAX_N"),
+        (("space", "--algebra", "."), "cannot read"),
     ],
     ids=[
         "v-in-hyperplane",
@@ -214,10 +225,77 @@ def test_unread_flags_rejected(args):
         "f-not-a-matrix",
         "p-out-of-range",
         "family-product-without-p",
+        "so-p0",
+        "sp-m-negative",
+        "glH-k0",
+        "spC-k0",
+        "lagrangian-m0",
+        "u-q-negative",
+        "so-q-negative",
+        "so-unknown-key",
+        "gl40-capped-before-building",
+        "so40-capped-before-building",
+        "algebra-is-a-directory",
     ],
 )
-def test_bad_input_is_an_input_error(args):
+def test_bad_input_is_an_input_error(args, named):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+    if named is not None:
+        error = next(line for line in proc.stderr.splitlines() if line.startswith("error:"))
+        assert named in error
+        # nothing is built: the command's own runtime line reads well under a second
+        runtime = float(proc.stderr.split("runtime: ")[1].split("s")[0])
+        assert runtime < 0.5
+
+
+I3 = json.dumps([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+
+
+@pytest.mark.parametrize(
+    "mode,extra,f",
+    [("product", ("--p", "2"), F3), ("tangent", (), I3)],
+    ids=["product", "tangent"],
+)
+def test_family_mode_is_the_group_mode(mode, extra, f):
+    direct = run_cli("exists", mode, "--f", f, *extra)
+    family = run_cli("exists", "family", "--group", mode, "--f", f, *extra)
+    assert direct.returncode == family.returncode == 0
+    assert json.loads(direct.stdout)["detail"]["basis"] is not None
+    assert family.stdout == direct.stdout
+
+
+@pytest.mark.parametrize("group,n", [("gl_C", "5"), ("gl_H", "6")])
+def test_orbits_follow_the_group_dimension_rule(group, n):
+    proc = run_cli("orbits", "--group", group, "--n", n)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("exists", "family", "--group", "u", "--p", "2", "--f", I3),
+        ("orbits", "--group", "u", "--n", "4", "--p", "3"),
+        ("exists", "tangent", "--group", "u", "--f", I3),
+        ("exists", "hpc", "--group", "u", "--p", "5", "--f", I3),
+        ("exists", "tangent", "--p", "1", "--f", I3),
+    ],
+    ids=["p-on-u", "orbits-p-on-u", "group-outside-family", "group-and-p-on-hpc", "p-on-tangent"],
+)
+def test_flags_outside_their_group_are_input_errors(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and proc.stdout == ""
+
+
+def test_group_help_lists_every_group():
+    from torsionlab.existence import GROUPS
+
+    proc = run_cli("exists", "--help")
+    text = " ".join(proc.stdout.split())
+    for name in GROUPS:
+        assert f"{name} (" in text
+    assert "product (n >= 2, --p, --type 1..3)" in text and "gl_H (n >= 4 divisible by 4, --type 1..1)" in text

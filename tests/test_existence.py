@@ -444,3 +444,80 @@ def test_spectral_verdict_sweep_is_pinned():
     rows = [sweep_verdicts(AlmostAbelian(sweep_matrix(rng, n - 1))) for n in range(4, 9) for _ in range(4)]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("group", ["product", "tangent", "gl_C", "sl_C", "sp_C", "u", "su", "gl_H"])
+def test_orbits_and_verdicts_share_the_dimension_rule(group):
+    # orbit_catalog accepts exactly the n that admits_torsion_free accepts
+    for n in range(2, 9):
+        p = 1 if group == "product" else None
+        try:
+            admits_torsion_free(group, AlmostAbelian(Mat.zeros(n - 1, n - 1)), p=p)
+            admitted = True
+        except ValueError:
+            admitted = False
+        try:
+            orbit_catalog(group, n, p=p)
+            listed = True
+        except ValueError:
+            listed = False
+        assert admitted == listed, (group, n)
+
+
+def test_every_group_is_one_table_entry():
+    from torsionlab.existence import GROUPS
+
+    for name, group in GROUPS.items():
+        assert group.name == name
+        labels = [o.label for o in group.orbits]
+        assert labels == [f"[U{k}]" for k in range(1, len(labels) + 1)]
+        p = 1 if group.signature else None
+        res = admits_torsion_free(name, AlmostAbelian(Mat.zeros(3, 3)), p=p)  # n = 4 fits every group
+        assert [t["type"] for t in res.get("types", [])] == labels
+        with pytest.raises(ValueError):
+            group.check(5 if group.modulus > 1 else 1, p)
+
+
+def test_deciders_use_the_table_patterns():
+    # every basis a decider returns puts f into the listed pattern of its type
+    from torsionlab.existence import GROUPS
+
+    rng = random.Random(5)
+    for _ in range(20):
+        f = Mat([[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
+        for name, res, k in (
+            ("product", decide_product(AlmostAbelian(f), 2), 2),
+            ("tangent", decide_tangent(AlmostAbelian(f)), 2),
+        ):
+            if res["basis"] is None:
+                continue
+            orbit = next(o for o in GROUPS[name].orbits if o.label == res["type"])
+            assert orbit.pattern(4, k).contains(res["conjugated"].flatten())
+
+
+def test_hpc_family_is_the_hpc_classifier():
+    f = diag(1, 1, 2)
+    res = admits_torsion_free("hpc", AlmostAbelian(f))
+    assert res["overall"] == "yes_caseA"
+    assert res["detail"] == classify_hyperparacomplex(AlmostAbelian(f))
+    assert "types" not in res
+    with pytest.raises(KeyError):
+        orbit_catalog("hpc", 4)
+
+
+@pytest.mark.parametrize(
+    "squares,verdict",
+    [
+        ((1, 1, 4), "yes"),  # thetas 1 + 1 - 2 = 0 share one rational-square class
+        ((1, 4), "no"),
+        ((2, 2, 8), "yes"),  # sqrt2 + sqrt2 - 2 sqrt2 = 0
+        ((2, 8), "no"),
+        ((Fraction(1, 4), Fraction(1, 4), 1), "yes"),
+        ((2, 3, 5), "no"),  # three classes, one theta each
+    ],
+)
+def test_su_cancellation_within_a_rational_square_class(squares, verdict):
+    # f = diag(J_1, ..., J_k, 0) with J_i of characteristic polynomial x^2 + theta_i^2
+    blocks = [Mat([[0, -1], [t, 0]]) for t in squares] + [Mat([[0]])]
+    f = Mat.block([[b if i == j else None for j in range(len(blocks))] for i, b in enumerate(blocks)])
+    assert admits_torsion_free("su", AlmostAbelian(f))["overall"] == verdict

@@ -182,3 +182,15 @@ def test_block_and_flatten():
     b = Mat.block([[a, None], [None, Mat.identity(1)]])
     assert b == Mat([[1, 2, 0], [3, 4, 0], [0, 0, 1]])
     assert Mat.unflatten(2, 2, a.flatten()) == a
+
+
+def test_unit_and_entry_span():
+    from torsionlab.linalg import entry_span, unit
+
+    assert unit(3, 1) == (0, 1, 0)
+    # E_12 of gl(2), flattened row-major
+    assert unit(4, 0 * 2 + 1) == Mat([[0, 1], [0, 0]]).flatten()
+    upper = entry_span(2, lambda i, j: i <= j)
+    assert upper.dim == 3 and not upper.contains(unit(4, 2))
+    tied = entry_span(2, tied=[((0, 0), (1, 1))], extra=[unit(4, 1)])
+    assert tied == Subspace.span(4, [(1, 0, 0, 1), (0, 1, 0, 0)])
