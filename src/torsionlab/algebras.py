@@ -145,7 +145,7 @@ class StructureError(ValueError):
     """An attached structure fails its defining identity."""
 
 
-def _check_identity(key, value, n):
+def check_identity(key, value, n):
     """The defining identity of one attached tensor (input validation)."""
     kind = STRUCTURE_KINDS[key]
     if kind == HYPERPLANE:
@@ -205,7 +205,7 @@ class LinearSubalgebra:
             if not is_subalgebra(basis):
                 raise ValueError("basis is not bracket-closed")
             for key, value in structures.items():
-                _check_identity(key, value, n)
+                check_identity(key, value, n)
                 if not self.preserves(key):
                     raise StructureError(f"basis element does not preserve {key}")
 
@@ -280,7 +280,7 @@ class MetricContext:
     __slots__ = ("g", "hyperplane")
 
     def __init__(self, g: Mat, hyperplane: Subspace | None = None):
-        _check_identity("g", g, g.rows)
+        check_identity("g", g, g.rows)
         if hyperplane is None:
             n = g.rows
             hyperplane = Subspace.span(n, [Mat.identity(n).data[i] for i in range(n - 1)])

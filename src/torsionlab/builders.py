@@ -30,6 +30,7 @@ from .algebras import (
     STRUCTURE_KINDS,
     TRIPLE,
     LinearSubalgebra,
+    check_identity,
     form_rows,
     stabilizer,
     trace_row,
@@ -268,16 +269,21 @@ def builder_names():
     return sorted(_BUILDERS)
 
 
+def _spec_matrix(what, value) -> Mat:
+    """A square matrix of rationals read from a spec, or a ValueError naming what."""
+    try:
+        m = Mat(value) if isinstance(value, list) else None
+    except (TypeError, ValueError, ZeroDivisionError):
+        m = None
+    if m is None or not m.is_square():
+        raise ValueError(f"{what} must be a square matrix of rationals")
+    return m
+
+
 def _param(name, key, value):
     """A builder parameter: a square matrix for gram, else an integer >= 0."""
     if key == "gram":
-        try:
-            gram = Mat(value) if isinstance(value, list) else None
-        except (TypeError, ValueError):
-            gram = None
-        if gram is None or not gram.is_square():
-            raise ValueError(f"{name}: parameter {key} must be a square matrix of rationals")
-        return gram
+        return _spec_matrix(f"{name}: parameter {key}", value)
     if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
         value = int(value)
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
@@ -289,7 +295,7 @@ def _builder_call(spec):
     """(builder, its keyword arguments, ambient dimension) of a builder
     spec, every parameter checked and nothing built."""
     name = spec["builder"]
-    if name not in _BUILDERS:
+    if not isinstance(name, str) or name not in _BUILDERS:
         raise KeyError(f"unknown builder {name!r}; known: {', '.join(builder_names())}")
     fn, ambient = _BUILDERS[name]
     params = spec.get("params", {})
@@ -318,7 +324,7 @@ def ambient_dim(spec) -> int:
     if "builder" in spec:
         return _builder_call(spec)[2]
     if "basis" in spec and isinstance(spec["basis"], list) and spec["basis"]:
-        return Mat(spec["basis"][0]).rows
+        return _spec_matrix("basis[0]", spec["basis"][0]).rows
     raise ValueError("spec must contain 'builder' or a non-empty 'basis'")
 
 
@@ -327,20 +333,32 @@ def build(spec) -> LinearSubalgebra:
 
     Accepts {"builder": name, "params": {...}} or an explicit
     {"basis": [[[...]]], "J"/"g"/...: [[...]], "name": ..., "validate": bool}.
-    Builder parameters are checked before anything is built.
+    Builder parameters are checked before anything is built.  Attached
+    structures always meet their defining identities, which the rules
+    rely on; "validate": false skips only the checks of the basis.
     """
     if "builder" in spec:
         fn, kwargs, _ = _builder_call(spec)
         return fn(**kwargs)
     if "basis" in spec:
-        mats = [Mat(b) for b in spec["basis"]]
-        if not mats:
-            raise ValueError("explicit basis must be non-empty")
+        if not isinstance(spec["basis"], list) or not spec["basis"]:
+            raise ValueError("explicit basis must be a non-empty list of matrices")
+        mats = [_spec_matrix(f"basis[{i}]", b) for i, b in enumerate(spec["basis"])]
         n = mats[0].rows
+        if n < 2:
+            raise ValueError(f"explicit basis gives ambient dimension {n}; it must be at least 2")
         structures = {}
         for key, kind in STRUCTURE_KINDS.items():
-            if key in spec and kind != HYPERPLANE:
-                structures[key] = tuple(Mat(x) for x in spec[key]) if kind == TRIPLE else Mat(spec[key])
+            if key not in spec or kind == HYPERPLANE:
+                continue
+            value = spec[key]
+            if kind != TRIPLE:
+                structures[key] = _spec_matrix(key, value)
+            elif isinstance(value, list) and len(value) == 3:
+                structures[key] = tuple(_spec_matrix(f"{key}[{i}]", x) for i, x in enumerate(value))
+            else:
+                raise ValueError(f"{key} must be a list of three square matrices")
+            check_identity(key, structures[key], n)
         return LinearSubalgebra(
             n,
             mats,

@@ -128,22 +128,22 @@ def _emit(report, fmt):
         _emit_text(report)
 
 
+def _line(value):
+    """A scalar, or a list of scalars such as a matrix row, on one line."""
+    return "[" + ", ".join(str(x) for x in value) + "]" if isinstance(value, list) else str(value)
+
+
 def _emit_text(report, indent=0):
     pad = "  " * indent
-    if isinstance(report, dict):
-        for key in sorted(report):
-            value = report[key]
-            if isinstance(value, (dict, list)):
-                print(f"{pad}{key}:")
-                _emit_text(value, indent + 1)
-            else:
-                print(f"{pad}{key}: {value}")
-    elif isinstance(report, list):
-        for value in report:
-            if isinstance(value, (dict, list)):
-                _emit_text(value, indent + 1)
-            else:
-                print(f"{pad}- {value}")
+    labelled = isinstance(report, dict)
+    items = [(f"{key}:", report[key]) for key in sorted(report)] if labelled else [("-", v) for v in report]
+    for label, value in items:
+        if isinstance(value, dict) or (isinstance(value, list) and any(isinstance(x, (dict, list)) for x in value)):
+            if labelled:
+                print(f"{pad}{label}")
+            _emit_text(value, indent + 1)
+        else:
+            print(f"{pad}{label} {_line(value)}")
 
 
 def cmd_space(args):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebras import LinearSubalgebra, conjugate
-from .linalg import LinMap, Mat, ShapeError, Subspace, fr, image_on_kernel, kernel, solve_affine, vec
+from .linalg import Mat, ShapeError, Subspace, fr, image_on_kernel, kernel, solve_affine, vec
 
 
 class AlmostAbelian:
@@ -140,65 +140,51 @@ def tableau(h: LinearSubalgebra) -> Subspace:
     )
 
 
-def _symmetric_on_hyperplane(n, dirs, width, values) -> Subspace:
-    """Tensors X with X_i in span(values) for each direction i < dirs and
-    X_a(e_b) = X_b(e_a) for all hyperplane pairs a, b < n - 1.
-
-    Each value is a flat row-major n x width matrix (entry [k][j] at
-    k*width + j), and X_i(e_j)_k sits at i*width*n + j*n + k.  The values
-    embed sparsely, so the kernel of the symmetry conditions on the
-    coefficients is taken first and combined afterwards.
-    """
-    ambient = dirs * width * n
-    if not values:
-        return Subspace.zero(ambient)
-    dom = [(i, t) for i in range(dirs) for t in range(len(values))]
-    rows = []
-    for a in range(n - 1):
-        for b in range(a + 1, n - 1):
-            for k in range(n):
-                row = []
-                for (i, t) in dom:
-                    coeff = Fraction(0)
-                    if i == a:
-                        coeff += values[t][k * width + b]
-                    if i == b:
-                        coeff -= values[t][k * width + a]
-                    row.append(coeff)
-                rows.append(row)
-    if rows:
-        coeff_kernel = kernel(Mat(rows, len(rows), len(dom))).basis
-    else:
-        coeff_kernel = Subspace.full(len(dom)).basis
-    vecs = []
-    for cv in coeff_kernel:
-        flat = [Fraction(0)] * ambient
-        for (i, t), c in zip(dom, cv):
-            if c == 0:
-                continue
-            value = values[t]
-            for k in range(n):
-                for j in range(width):
-                    flat[i * width * n + j * n + k] += c * value[k * width + j]
-        vecs.append(flat)
-    return Subspace.span(ambient, vecs)
-
-
 @lru_cache(maxsize=None)
 def first_prolongation(h: LinearSubalgebra) -> Subspace:
-    """K^(1) = ((R^{n-1})* x K) meet (S^2(R^{n-1})* x R^n).
+    """K^(1) = ((R^{n-1})* x K) meet (S^2(R^{n-1})* x R^n), which is D
+    restricted to hyperplane directions and arguments: D's symmetry
+    conditions read only those entries, each restricted slice ranges over
+    K, and each Y in K^(1) lifts to D (lift each Y_a to h, set X_{e_n} = 0).
 
     The value space is all of R^n: restricting it to R^{n-1} would kill
     the prolongations of metric and totally real subalgebras, whose
     symmetric parts point along the transversal.
     """
-    return _symmetric_on_hyperplane(h.n, h.n - 1, h.n - 1, tableau(h).basis)
+    n, m = h.n, h.n - 1
+    keep = [a * n * n + b * n + k for a in range(m) for b in range(m) for k in range(n)]
+    return Subspace.span(m * m * n, [[gamma[c] for c in keep] for gamma in connection_space(h).basis])
 
 
 @lru_cache(maxsize=None)
 def connection_space(h: LinearSubalgebra) -> Subspace:
-    """D_h: (R^n)* x h, symmetric on hyperplane pairs, inside R^{n^3}."""
-    return _symmetric_on_hyperplane(h.n, h.n, h.n, [f.flatten() for f in h.basis])
+    """D_h: (R^n)* x h, symmetric on hyperplane pairs, inside R^{n^3}.
+
+    X_i(e_j)_k sits at i*n^2 + j*n + k.  The basis B_t of h embeds
+    sparsely, so the kernel of the symmetry conditions on the coefficients
+    of X_i = sum_t c_it B_t is taken first and combined afterwards.
+    """
+    n = h.n
+    values = [b.flatten() for b in h.basis]
+    dom = [(i, t) for i in range(n) for t in range(len(values))]
+    rows = [
+        [(values[t][k * n + b] if i == a else 0) - (values[t][k * n + a] if i == b else 0) for i, t in dom]
+        for a in range(n - 1)
+        for b in range(a + 1, n - 1)
+        for k in range(n)
+    ]
+    vecs = []
+    for cv in kernel(Mat(rows, len(rows), len(dom))).basis:
+        flat = [Fraction(0)] * n**3
+        for (i, t), c in zip(dom, cv):
+            if c == 0:
+                continue
+            value = values[t]
+            for k in range(n):
+                for j in range(n):
+                    flat[i * n * n + j * n + k] += c * value[k * n + j]
+        vecs.append(flat)
+    return Subspace.span(n**3, vecs)
 
 
 def _check_transversal(n, v):
@@ -238,7 +224,8 @@ def split_torsion(tmat: Mat, v):
 
 
 def torsion_maps(h: LinearSubalgebra, v=None):
-    """(T1, T2) as linear maps on D_h coordinates (D given by its canonical basis)."""
+    """(T1, T2) as matrices acting on D_h coordinates (D given by its
+    canonical basis): (n-1)^2 x dim D and (n-1) x dim D."""
     return _torsion_maps(h, _check_transversal(h.n, v))
 
 
@@ -252,13 +239,9 @@ def _torsion_maps(h: LinearSubalgebra, v):
         t1, t2 = split_torsion(tm, v)
         t1_cols.append(t1.flatten())
         t2_cols.append(t2)
-    if d.dim == 0:
-        t1_mat = Mat.zeros((n - 1) * (n - 1), 0)
-        t2_mat = Mat.zeros(n - 1, 0)
-    else:
-        t1_mat = Mat([[col[r] for col in t1_cols] for r in range((n - 1) * (n - 1))])
-        t2_mat = Mat([[col[r] for col in t2_cols] for r in range(n - 1)])
-    return LinMap(t1_mat, d.dim, (n - 1) * (n - 1)), LinMap(t2_mat, d.dim, n - 1)
+    t1_mat = Mat([[col[r] for col in t1_cols] for r in range((n - 1) ** 2)], (n - 1) ** 2, d.dim)
+    t2_mat = Mat([[col[r] for col in t2_cols] for r in range(n - 1)], n - 1, d.dim)
+    return t1_mat, t2_mat
 
 
 def obstruction_space(h: LinearSubalgebra, v=None) -> Subspace:
@@ -269,8 +252,8 @@ def obstruction_space(h: LinearSubalgebra, v=None) -> Subspace:
 @lru_cache(maxsize=None)
 def _obstruction_space(h: LinearSubalgebra, v) -> Subspace:
     t1, t2 = _torsion_maps(h, v)
-    cols = zip(t2.matrix.transpose().data, t1.matrix.transpose().data)
-    return image_on_kernel(t2.codomain_dim, t1.codomain_dim, cols)
+    cols = zip(t2.transpose().data, t1.transpose().data)
+    return image_on_kernel(t2.rows, t1.rows, cols)
 
 
 def torsion_tensor(nabla: ConnectionTensor, aa: AlmostAbelian):
@@ -358,7 +341,7 @@ def check_torsion_free(h: LinearSubalgebra, aa: AlmostAbelian, hyperplane_map: M
     v = _check_transversal(n, v)
     t1, t2 = torsion_maps(h, v)
     d = connection_space(h)
-    rows = [list(r) for r in t2.matrix.data] + [list(r) for r in t1.matrix.data]
+    rows = [list(r) for r in t2.data] + [list(r) for r in t1.data]
     f_flat = aa.f.flatten()
     # ad(v) restricted to the hyperplane is v_n * f, so the torsion-free
     # system for a non-normalized transversal carries that scale

@@ -27,8 +27,6 @@ from .polynomials import (
     Poly,
     char_poly,
     count_real_roots,
-    min_poly,
-    poly_gcd,
     rational_roots,
     squarefree_part,
 )
@@ -667,8 +665,9 @@ def _unitary_spectrum(f):
         return None
     if count_real_roots(r, 0, _root_bound(r)) > 0:
         return None
-    mp = min_poly(f)
-    return r if poly_gcd(mp, mp.derivative()).degree == 0 else None  # f semisimple
+    # f is semisimple iff the squarefree part of its characteristic
+    # polynomial annihilates it
+    return r if squarefree_part(chi).eval_mat(f).is_zero() else None
 
 
 def _unitary_verdict(group, aa):

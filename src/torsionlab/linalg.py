@@ -400,30 +400,8 @@ def image_on_kernel(cond_dim, value_dim, generators) -> Subspace:
     )
 
 
-class LinMap:
-    """Linear map R^domain -> R^codomain as a codomain x domain Mat."""
-
-    __slots__ = ("domain_dim", "codomain_dim", "matrix")
-
-    def __init__(self, matrix: Mat, domain_dim=None, codomain_dim=None):
-        domain_dim = matrix.cols if domain_dim is None else domain_dim
-        codomain_dim = matrix.rows if codomain_dim is None else codomain_dim
-        if matrix.cols != domain_dim or matrix.rows != codomain_dim:
-            raise ShapeError("LinMap shape inconsistent")
-        object.__setattr__(self, "domain_dim", domain_dim)
-        object.__setattr__(self, "codomain_dim", codomain_dim)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LinMap is immutable")
-
-    def __call__(self, v):
-        return self.matrix.matvec(v)
-
-
-def kernel(f) -> Subspace:
-    """Kernel {v : f(v) = 0} in canonical form."""
-    m = f.matrix if isinstance(f, LinMap) else f
+def kernel(m: Mat) -> Subspace:
+    """Kernel {v : m v = 0} in canonical form."""
     red, pivots, rank = _rref_rows([list(r) for r in m.data])
     n = m.cols
     free = [c for c in range(n) if c not in pivots]
@@ -437,7 +415,6 @@ def kernel(f) -> Subspace:
     return Subspace.span(n, basis)
 
 
-def image(f) -> Subspace:
+def image(m: Mat) -> Subspace:
     """Column space in canonical form."""
-    m = f.matrix if isinstance(f, LinMap) else f
     return Subspace.span(m.rows, [m.col(j) for j in range(m.cols)])

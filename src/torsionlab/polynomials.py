@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Mat, fr, solve_affine
+from .linalg import Mat, fr
 
 
 class Poly:
@@ -285,28 +285,6 @@ def char_poly(m: Mat) -> Poly:
         coeffs[n - k] = ck
         mk = mk + Mat.identity(n).scale(ck)
     return Poly(coeffs)
-
-
-def min_poly(m: Mat) -> Poly:
-    """Monic minimal polynomial, found as the first linear dependence of powers."""
-    if not m.is_square():
-        raise ValueError("minimal polynomial of non-square matrix")
-    n = m.rows
-    powers = [Mat.identity(n)]
-    rows = [powers[0].flatten()]
-    for k in range(1, n + 1):
-        powers.append(powers[-1] * m)
-        rows.append(powers[-1].flatten())
-        sol = _solve_columns(rows[:-1], rows[-1])
-        if sol is not None:
-            return Poly([-c for c in sol] + [1])
-    raise AssertionError("minimal polynomial must divide char poly")
-
-
-def _solve_columns(basis_rows, target):
-    """Express target as a combination of basis_rows, or None."""
-    cols = list(zip(*basis_rows))
-    return solve_affine([list(c) for c in cols], list(target))
 
 
 # -- bivariate layer: Q[y][z], used for resultant eliminations ---------------

@@ -26,7 +26,7 @@ from .algebras import (
 )
 from .builders import standard_omega
 from .engine import characteristic_subalgebra, first_prolongation, obstruction_space, tableau
-from .linalg import LinMap, Mat, Subspace, image_on_kernel, kernel, solve_affine, unit
+from .linalg import Mat, Subspace, image_on_kernel, kernel, solve_affine, unit
 
 
 class NoRuleApplies(ValueError):
@@ -159,7 +159,8 @@ def _detect_line_prolongation(h):
 
 
 def _nu_map(h, u_cal, v0):
-    """nu on U, pinned by F = alpha x v - beta x nu(alpha) for F in h_v."""
+    """nu on U, pinned by F = alpha x v - beta x nu(alpha) for F in h_v,
+    as the (n-1) x dim U matrix of its values on U's canonical basis."""
     n = h.n
     cols = []
     for alpha in u_cal.basis:
@@ -179,9 +180,7 @@ def _nu_map(h, u_cal, v0):
         fen = f.col(n - 1)
         nu_vec = tuple(v0[n - 1] * (alpha_u0 * v0[k] - fen[k]) for k in range(n - 1))
         cols.append(nu_vec)
-    if not cols:
-        return LinMap(Mat.zeros(n - 1, 0), 0, n - 1)
-    return LinMap(Mat([[col[r] for col in cols] for r in range(n - 1)]), len(cols), n - 1)
+    return Mat([[col[r] for col in cols] for r in range(n - 1)], n - 1, len(cols))
 
 
 def totally_real_type(h: LinearSubalgebra, j: Mat | None = None):
@@ -317,7 +316,7 @@ def _rule_s2uv(h, prof):
         return None
     if not _k1_matches_s2uv(h, p.U_cal, p.v_line.basis[0]):
         return None
-    nu_cols = [p.nu.matrix.col(t) for t in range(p.nu.domain_dim)]
+    nu_cols = [p.nu.col(t) for t in range(p.nu.cols)]
     ub = list(p.U_cal.basis)
     vecs = list(characteristic_subalgebra(h).basis)
     for a in range(len(ub)):

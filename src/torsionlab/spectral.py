@@ -172,10 +172,14 @@ def _invariant_parts(f: Mat, summary: SpectralSummary, split):
     Inside a linear-factor component any dimension is reachable, inside
     a quadratic component any even one, inside an unsplit piece only
     whole kernel flags; the source is the FactorData or the flags by
-    dimension.
+    dimension.  A multiplicity-1 piece q has the flags 0 and deg q, and
+    its source is q: invariant_subspace builds ker q(f) if it picks it.
     """
     parts = [(range(0, fd.dim + 1, fd.deg), fd) for fd in split]
     for q, mult, _ in summary.unsplit:
+        if mult == 1:
+            parts.append(([0, q.degree], q))
+            continue
         flags = {0: Subspace.zero(f.rows)}
         flags.update((k.dim, k) for k in _kernel_ladder(f, q, mult))
         parts.append((list(flags), flags))
@@ -219,6 +223,9 @@ def invariant_subspace(f: Mat, summary: SpectralSummary, split, d_target: int):
     vectors = []
     for (_, source), want in zip(parts, choice):
         if want == 0:
+            continue
+        if isinstance(source, Poly):
+            vectors.extend(_kernel_ladder(f, source, 1)[0].basis)
             continue
         if not isinstance(source, FactorData):
             vectors.extend(source[want].basis)

@@ -42,6 +42,7 @@ from .engine import (
     flat_certificate,
     nijenhuis,
     obstruction_space,
+    tableau,
     torsion_tensor,
 )
 from .existence import (
@@ -279,10 +280,15 @@ def _transversals(n):
     ]
 
 
-def _on_hyperplane(gamma, n):
-    """The components Gamma_ij^k of a connection with i, j < n - 1."""
+def _restricts_into_k1(gamma, n, kt):
+    """Whether a connection's restriction to the hyperplane lies in K^(1),
+    read off the definition: gamma is symmetric on hyperplane pairs and
+    each slice e_b -> X_a(e_b), a, b < n - 1, lies in the tableau kt."""
     m = n - 1
-    return [gamma[i * n * n + j * n + k] for i in range(m) for j in range(m) for k in range(n)]
+    x = [[gamma[a * n * n + b * n : a * n * n + (b + 1) * n] for b in range(m)] for a in range(m)]
+    if any(x[a][b] != x[b][a] for a in range(m) for b in range(a + 1, m)):
+        return False
+    return all(kt.contains([x[a][b][k] for k in range(n) for b in range(m)]) for a in range(m))
 
 
 def _failures_check(name, failures):
@@ -320,8 +326,8 @@ def _invariant_suite(pairs):
         )
         if any(not fs.contains(mat.flatten()) for mat in covectors_x_w):
             w_cov.append(f"covector x W escapes F for {h.name}")
-        k1 = first_prolongation(h)
-        if any(not k1.contains(_on_hyperplane(gamma, n)) for gamma in connection_space(h).basis):
+        kt = tableau(h)
+        if not all(_restricts_into_k1(gamma, n, kt) for gamma in connection_space(h).basis):
             d_in_k1.append(f"D restriction escapes K^(1) for {h.name}")
         # certificates: flat from a k~ element, torsion-free from an F element
         if kc.dim:
@@ -393,7 +399,7 @@ def _structural_invariants(pairs):
             if not Subspace.span(m * m * n, target_vecs).contains_space(first_prolongation(h)):
                 totally_real.append(f"K^(1) escapes S^2 ann(R_J) x R^n for {h.name}")
         # nu is injective or zero whenever defined
-        if prof.nu is not None and prof.U_cal is not None and prof.nu.matrix.rank() not in (0, prof.U_cal.dim):
+        if prof.nu is not None and prof.U_cal is not None and prof.nu.rank() not in (0, prof.U_cal.dim):
             nu.append(f"nu neither injective nor zero for {h.name}")
         # non-degenerate metric algebras with nonzero prolongation have
         # K^(1) = S^2 U x normal; the S2Uv guard recomputes both sides

@@ -94,6 +94,26 @@ def test_invariant_check_names_the_failing_algebra(monkeypatch):
     assert all(r["ok"] and r["detail"] == "" for r in results.values() if r is not broken)
 
 
+@pytest.mark.parametrize("builder", ["gl", "so"], ids=["not-symmetric", "slice-outside-the-tableau"])
+def test_d_restriction_check_can_fail(monkeypatch, builder):
+    from torsionlab import verify
+    from torsionlab.builders import build_gl, build_so
+    from torsionlab.linalg import Subspace, unit
+
+    h = build_gl(3) if builder == "gl" else build_so(3)
+    n = h.n
+    monkeypatch.setattr(verify, "catalog", lambda: [h])
+    # X_0(e_1) = e_0 with X_1(e_0) = 0 breaks the symmetry; X_0(e_0) = e_0
+    # is symmetric, but no element of so(3) restricts to that slice
+    bad = unit(n**3, 1 * n) if builder == "gl" else unit(n**3, 0)
+    monkeypatch.setattr(verify, "connection_space", lambda alg: Subspace.span(n**3, [bad]))
+    results = {r["name"]: r for r in verify.check_invariant_suite()}
+    broken = results["invariants: D restricted to the hyperplane inside K^(1)"]
+    assert not broken["ok"]
+    assert broken["detail"] == f"D restriction escapes K^(1) for {h.name}"
+    assert all(r["ok"] and r["detail"] == "" for r in results.values() if r is not broken)
+
+
 @pytest.mark.parametrize("conjugated", ["f itself", "zero"])
 def test_product_sweep_rejects_an_uncertified_basis(monkeypatch, conjugated):
     from torsionlab import verify

@@ -148,6 +148,18 @@ def test_text_format():
     assert "F: 6" in proc.stdout
 
 
+def test_text_format_keeps_matrix_rows():
+    identity = json.dumps([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    proc = run_cli("exists", "tangent", "--f", identity, "--format", "text")
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    at = lines.index("  conjugated:")
+    assert lines[at + 1 : at + 4] == ["    - [1, 0, 0]", "    - [0, 1, 0]", "    - [0, 0, 1]"]
+    at = lines.index("  basis:")
+    assert all(line.startswith("    - [") and line.count(",") == 2 for line in lines[at + 1 : at + 4])
+    assert lines[at + 4] == "  conjugated:"
+
+
 def test_exists_type_filter():
     proc = run_cli(
         "exists", "product", "--p", "2", "--type", "2",
@@ -217,6 +229,12 @@ def test_unread_flags_rejected(args):
         (("space", "--algebra", "gl:n=40"), "TORSIONLAB_MAX_N"),
         (("space", "--algebra", "so:p=40"), "TORSIONLAB_MAX_N"),
         (("space", "--algebra", "."), "cannot read"),
+        (("space", "--algebra", '{"basis": [[["1/0", 0], [0, 0]]]}'), "basis[0]"),
+        (("space", "--algebra", '{"builder": "so_g", "params": {"gram": [["1/0"]]}}'), "parameter gram"),
+        (("space", "--algebra", '{"basis": [[[1]]]}'), "ambient dimension 1"),
+        (("space", "--algebra", '{"basis": [[[1, 0], [0, 0]]], "hpc": null}'), "hpc must be a list of three"),
+        (("space", "--algebra", '{"builder": {"n": 3}}'), "unknown builder"),
+        (("space", "--algebra", '{"basis": [[[1, 0], [0, 0]]], "g": [[0, 0], [0, 0]], "validate": false}'), "g must be"),
     ],
     ids=[
         "v-in-hyperplane",
@@ -236,6 +254,12 @@ def test_unread_flags_rejected(args):
         "gl40-capped-before-building",
         "so40-capped-before-building",
         "algebra-is-a-directory",
+        "basis-zero-denominator",
+        "gram-zero-denominator",
+        "basis-1x1",
+        "hpc-not-a-triple",
+        "builder-not-a-name",
+        "unchecked-singular-metric",
     ],
 )
 def test_bad_input_is_an_input_error(args, named):

@@ -25,14 +25,17 @@ FUZZ = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
 
+# the two-command tests run fewer examples each; the file stays under about 5 s
+FUZZ_FEWER = settings(FUZZ, max_examples=80)
+
 
 def flag(name, strategy):
     return strategy.map(lambda v: [] if v is None else [name, str(v)])
 
 
-def matrices(sizes=st.integers(1, 5)):
+def matrices(sizes=st.integers(1, 5), entries=ENTRIES):
     return sizes.flatmap(
-        lambda k: st.lists(st.lists(st.sampled_from(ENTRIES), min_size=k, max_size=k), min_size=k, max_size=k)
+        lambda k: st.lists(st.lists(st.sampled_from(entries), min_size=k, max_size=k), min_size=k, max_size=k)
     ).map(json.dumps)
 
 
@@ -84,6 +87,75 @@ space_argv = st.builds(
 )
 
 
+# builder shorthand with the ambient dimension it gives
+SHORTHAND = [("gl:n=3", 3), ("sp:m=2", 4), ("so:p=4", 4), ("so:p=2,q=1", 3), ("gl_C:m=2", 4), ("u:p=1,q=1", 4),
+             ("su:m=2", 4), ("delta_gl:m=2", 4), ("product_gl:n=4,p=2", 4), ("tangent_gl:m=2", 4),
+             ("lagrangian_symplectic:m=1", 3), ("gl_H:k=1", 4), ("gl:n=7", 7), ("nope:n=3", 3)]
+SPEC_KEYS = ["basis", "builder", "params", "J", "g", "hpc", "omega", "lagrangian", "name", "validate"]
+SPEC_ENTRIES = ENTRIES + ["1/0"]
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.sampled_from(SPEC_ENTRIES + ["gl", "x"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(SPEC_KEYS), inner, max_size=3)),
+    max_leaves=12,
+)
+
+
+@st.composite
+def explicit_specs(draw):
+    """An inline JSON algebra with an explicit basis (diagonal ones are
+    closed under the bracket), perhaps a structure or unchecked, perhaps
+    malformed; returns (spec text, ambient dimension)."""
+    n = draw(st.integers(1, 4))
+    square = matrices(st.just(n), SPEC_ENTRIES).map(json.loads)
+    diagonal = st.lists(st.sampled_from(ENTRIES), min_size=n, max_size=n).map(
+        lambda d: [[x if i == j else "0" for j in range(n)] for i, x in enumerate(d)]
+    )
+    spec = {"basis": draw(st.lists(st.one_of(diagonal, square), min_size=0, max_size=3))}
+    for key in draw(st.lists(st.sampled_from(["J", "g", "omega", "hpc", "lagrangian"]), max_size=1)):
+        spec[key] = draw(st.one_of(square, st.lists(square, min_size=3, max_size=3), json_values))
+    if draw(st.booleans()):
+        spec["validate"] = draw(st.one_of(st.just(False), json_values))
+    if not draw(st.integers(0, 4)):
+        spec = {**draw(st.dictionaries(st.sampled_from(SPEC_KEYS), json_values, max_size=2)), **spec}
+    return json.dumps(spec), n
+
+
+junk_specs = json_values.map(lambda v: (json.dumps(v) if isinstance(v, dict) else "{" + json.dumps(v), 3))
+# two in five algebras are shorthand, two explicit, one junk
+algebras = st.integers(0, 4).flatmap(lambda i: junk_specs if i == 0 else st.sampled_from(SHORTHAND) if i % 2 else explicit_specs())
+
+
+def vectors(n):
+    return st.lists(st.sampled_from(ENTRIES + ["x"]), min_size=max(n - 1, 1), max_size=n + 1).map(",".join)
+
+
+@st.composite
+def check_and_flat(draw):
+    """check or flat on an algebra, f mostly of the size it needs, and
+    for check a transversal and a hyperplane map of any size."""
+    spec, n = draw(algebras)
+    f = draw(matrices(st.one_of(st.just(max(n - 1, 1)), st.integers(1, 4))))
+    argv = [draw(st.sampled_from(["check", "flat"])), "--algebra", spec, "--f", f]
+    if argv[0] == "check":
+        argv += draw(flag("--v", st.one_of(st.none(), vectors(n))))
+        argv += draw(flag("--hyperplane-map", st.one_of(st.none(), matrices(st.one_of(st.just(n), st.integers(1, 4))))))
+    argv += draw(st.sampled_from([[], ["--with-bases"]])) + draw(st.sampled_from([[], ["--format", "text"]]))
+    return argv
+
+
+space_with_v = st.builds(
+    lambda alg, v: ["space", "--algebra", alg[0], *v],
+    algebras,
+    flag("--v", st.one_of(st.none(), vectors(4))),
+)
+
+classify_hpc_argv = st.builds(
+    lambda f, extra: ["classify-hpc", "--f", f, *extra],
+    matrices(st.integers(1, 5)),
+    st.sampled_from([[], ["--with-bases"], ["--format", "text"]]),
+)
+
+
 def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -95,7 +167,7 @@ def run_main(argv):
 def assert_three_ways(argv):
     code, stdout = run_main(argv)
     assert code in (0, 1, 2), argv
-    if code == 1:
+    if code == 1 and "--format" not in argv:
         report = json.loads(stdout)
         assert "overall" in report or "verdict" in report, argv
 
@@ -115,4 +187,16 @@ def test_fuzz_exists(argv):
 @FUZZ
 @given(st.one_of(orbits_argv, space_argv))
 def test_fuzz_orbits_and_space(argv):
+    assert_three_ways(argv)
+
+
+@FUZZ_FEWER
+@given(check_and_flat())
+def test_fuzz_check_and_flat(argv):
+    assert_three_ways(argv)
+
+
+@FUZZ_FEWER
+@given(st.one_of(classify_hpc_argv, space_with_v))
+def test_fuzz_classify_hpc_and_space_with_transversal(argv):
     assert_three_ways(argv)

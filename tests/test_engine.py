@@ -156,7 +156,7 @@ def test_connection_space_independent_route():
 def reference_obstruction_space(h):
     """F by the kernel-then-T1 route: a kernel basis of T2, then T1 on each vector."""
     t1, t2 = torsion_maps(h)
-    return Subspace.span((h.n - 1) ** 2, [t1.matrix.matvec(c) for c in kernel(t2).basis])
+    return Subspace.span((h.n - 1) ** 2, [t1.matvec(c) for c in kernel(t2).basis])
 
 
 def reference_characteristic_subalgebra(h):
@@ -176,6 +176,53 @@ def test_zassenhaus_matches_reference_routes():
     for h in catalog() + [build_gl(n) for n in (4, 5, 6)]:
         assert obstruction_space(h) == reference_obstruction_space(h), h.name
         assert characteristic_subalgebra(h) == reference_characteristic_subalgebra(h), h.name
+
+
+def reference_first_prolongation(h):
+    """K^(1) by its own symmetric kernel: X_a = sum_t c_at K_t over the
+    tableau basis K_t for each hyperplane direction a, with the
+    coefficients c cut down by X_a(e_b) = X_b(e_a) for a < b < n - 1."""
+    n, m = h.n, h.n - 1
+    ambient = m * m * n
+    values = tableau(h).basis
+    dom = [(a, t) for a in range(m) for t in range(len(values))]
+    rows = [
+        [(values[t][k * m + b] if i == a else 0) - (values[t][k * m + a] if i == b else 0) for i, t in dom]
+        for a in range(m)
+        for b in range(a + 1, m)
+        for k in range(n)
+    ]
+    coeffs = kernel(Mat(rows, len(rows), len(dom))).basis
+    nonzero = [[(k, b, x) for k in range(n) for b in range(m) if (x := value[k * m + b])] for value in values]
+    vecs = []
+    for cv in coeffs:
+        flat = [Fraction(0)] * ambient
+        for (a, t), c in zip(dom, cv):
+            for k, b, x in nonzero[t] if c else ():
+                flat[a * m * n + b * n + k] += c * x
+        vecs.append(flat)
+    return Subspace.span(ambient, vecs)
+
+
+def criterion_07_conjugates():
+    """Every product/tangent orbit conjugate the criterion-07 sweep builds."""
+    from torsionlab.algebras import conjugate
+    from torsionlab.builders import build_product_gl, build_tangent_gl
+    from torsionlab.existence import orbit_catalog
+
+    out = []
+    for n, p in ((4, 2), (5, 2), (5, 3), (6, 3)):
+        out += [conjugate(build_product_gl(n, p), rep["T"]) for rep in orbit_catalog("product", n, p=p).reps]
+    for n in (4, 6):
+        out += [conjugate(build_tangent_gl(n // 2), rep["T"]) for rep in orbit_catalog("tangent", n).reps]
+    return out
+
+
+def test_prolongation_is_the_restricted_connection_space():
+    algebras = catalog() + [build_gl(n) for n in (4, 5, 6)] + criterion_07_conjugates()
+    assert len(algebras) == 26 + 3 + 4 * 3 + 2 * 2
+    for h in algebras:
+        assert first_prolongation(h) == reference_first_prolongation(h), h.name
 
 
 def test_zero_algebra_spaces():

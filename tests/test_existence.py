@@ -288,6 +288,16 @@ def test_admits_unitary_family():
     assert admits_torsion_free("u", AlmostAbelian(shear))["overall"] == "no"
 
 
+@pytest.mark.parametrize("group", ["u", "su"])
+def test_unitary_needs_a_semisimple_f(group):
+    # both have the spectrum {i, i, -i, -i, 0}; only the second is semisimple
+    r, i2 = Mat([[0, -1], [1, 0]]), Mat.identity(2)
+    jordan = Mat.block([[r, i2, None], [None, r, None], [None, None, Mat.zeros(1, 1)]])
+    rotations = Mat.block([[r, None, None], [None, r, None], [None, None, Mat.zeros(1, 1)]])
+    assert admits_torsion_free(group, AlmostAbelian(jordan))["overall"] == "no"
+    assert admits_torsion_free(group, AlmostAbelian(rotations))["overall"] == "yes"
+
+
 def test_admits_su_family():
     # su(2)-block spectrum {2i, -2i} realized by two real rotation blocks
     rot2 = Mat([[0, -2], [2, 0]])

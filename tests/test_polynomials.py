@@ -6,7 +6,6 @@ from torsionlab.polynomials import (
     Poly,
     char_poly,
     count_real_roots,
-    min_poly,
     poly_gcd,
     rational_roots,
     squarefree_decomposition,
@@ -61,12 +60,9 @@ def test_rational_roots():
     assert len(rr) == 2
 
 
-def test_char_poly_and_min_poly():
+def test_char_poly():
     m = Mat([[2, 1], [0, 2]])
     assert char_poly(m) == Poly([4, -4, 1])
-    assert min_poly(m) == Poly([4, -4, 1])
-    d = Mat([[2, 0], [0, 2]])
-    assert min_poly(d) == Poly([-2, 1])
     rot = Mat([[0, -1], [1, 0]])
     assert char_poly(rot) == Poly([1, 0, 1])
 
@@ -78,5 +74,4 @@ def test_char_poly_random_cayley_hamilton():
         m = Mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         p = char_poly(m)
         assert p.eval_mat(m).is_zero()
-        assert min_poly(m).eval_mat(m).is_zero()
 

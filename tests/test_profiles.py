@@ -62,7 +62,7 @@ def test_profile_lagrangian_symplectic():
     assert prof.U_cal == Subspace.span(4, flats)
     # nu is pinned by F = alpha x v - beta x nu(alpha); here nu(alpha) = -alpha^sharp
     for t, alpha in enumerate(prof.U_cal.basis):
-        nu_a = prof.nu.matrix.col(t)
+        nu_a = prof.nu.col(t)
         sharp = None
         rows = [[om.data[i][j] for j in range(4)] for i in range(4)]
         from torsionlab.linalg import solve_affine
@@ -72,7 +72,7 @@ def test_profile_lagrangian_symplectic():
         assert sharp is not None
         assert tuple(-x for x in nu_a) == tuple(sharp)
     # injective-or-zero
-    assert prof.nu.matrix.rank() in (0, prof.U_cal.dim)
+    assert prof.nu.rank() in (0, prof.U_cal.dim)
 
 
 def test_totally_real_types():

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from torsionlab.linalg import Mat, Subspace
+from torsionlab.linalg import Mat, Subspace, kernel
 from torsionlab.polynomials import Poly
 from torsionlab.spectral import (
     achievable_invariant_dims,
@@ -118,6 +118,38 @@ def test_invariant_subspace_unsplit_flags():
     assert achievable_invariant_dims(f, summary, split) == {0, 4}
     sub = invariant_subspace(f, summary, split, 4)
     assert sub == Subspace.full(4)
+
+
+def test_multiplicity_one_unsplit_piece_builds_its_kernel_only_when_picked(monkeypatch):
+    from torsionlab import spectral
+
+    # a generic f whose characteristic polynomial is an irreducible quintic
+    f = Mat([[2, -1, 0, 3, 1], [1, 0, -2, 1, 4], [-3, 2, 1, 0, -1], [0, 5, -1, 2, 2], [1, 1, 3, -2, 0]])
+    summary, split = primary_components(f)
+    assert split == [] and [(q.degree, mult) for q, mult, _ in summary.unsplit] == [(5, 1)]
+    ladders = []
+    real_ladder = spectral._kernel_ladder
+    monkeypatch.setattr(spectral, "_kernel_ladder", lambda *a: ladders.append(a) or real_ladder(*a))
+    assert achievable_invariant_dims(f, summary, split) == {0, 5}
+    assert invariant_subspace(f, summary, split, 0) == Subspace.zero(5)
+    assert ladders == []
+    assert invariant_subspace(f, summary, split, 5) == Subspace.full(5)
+    assert len(ladders) == 1
+
+
+def test_unsplit_flag_ties_keep_the_first_choice():
+    # chi = (x^3 - 2)(x^3 - 3)^2 with one Jordan block for x^3 - 3: both
+    # unsplit pieces reach dimension 3, and the flags 0, 3 of the first
+    # (multiplicity-1) piece are listed in that order, so the pick is
+    # ker q(f) from the second piece
+    p, q = Poly([-2, 0, 0, 1]), Poly([-3, 0, 0, 1])
+    q2 = (q * q).coeffs
+    companion = Mat([[1 if i == j + 1 else 0 for j in range(5)] + [-q2[i]] for i in range(6)])
+    f = Mat.block([[Mat([[0, 0, 2], [1, 0, 0], [0, 1, 0]]), None], [None, companion]])
+    summary, split = primary_components(f)
+    assert [(u, mult) for u, mult, _ in summary.unsplit] == [(p, 1), (q, 2)]
+    assert achievable_invariant_dims(f, summary, split) == {0, 3, 6, 9}
+    assert invariant_subspace(f, summary, split, 3) == kernel(q.eval_mat(f))
 
 
 def test_random_conjugation_chains():
