@@ -33,7 +33,7 @@ from .existence import (
 )
 from .linalg import Mat, Subspace, image, kernel, rref
 from .profiles import StructuralProfile, closed_form_F, crosscheck, profile, totally_real_type
-from .ellipticity import classify_low_rank, generic_rank, low_rank_witness
+from .ellipticity import classify_low_rank, low_rank_witness
 from .verify import verify_paper
 
 __version__ = "0.1.0"

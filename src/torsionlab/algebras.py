@@ -15,7 +15,7 @@ validation is skipped.
 
 from __future__ import annotations
 
-from .linalg import Mat, ShapeError, Subspace, kernel, vec
+from .linalg import Mat, ShapeError, Subspace, kernel
 
 
 def bracket(a: Mat, b: Mat) -> Mat:
@@ -275,30 +275,16 @@ def commutant(a: Mat) -> LinearSubalgebra:
 
 
 class MetricContext:
-    """A metric g on R^n together with a distinguished hyperplane."""
+    """A metric g on R^n."""
 
-    __slots__ = ("g", "hyperplane")
+    __slots__ = ("g",)
 
-    def __init__(self, g: Mat, hyperplane: Subspace | None = None):
+    def __init__(self, g: Mat):
         check_identity("g", g, g.rows)
-        if hyperplane is None:
-            n = g.rows
-            hyperplane = Subspace.span(n, [Mat.identity(n).data[i] for i in range(n - 1)])
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "hyperplane", hyperplane)
 
     def __setattr__(self, *a):
         raise AttributeError("MetricContext is immutable")
-
-
-def musical_flat(ctx: MetricContext, u):
-    """u^b = g(u, .) as a covector."""
-    return ctx.g.matvec(vec(u))
-
-
-def musical_sharp(ctx: MetricContext, alpha):
-    """The vector with (alpha^#)^b = alpha."""
-    return ctx.g.inverse().matvec(vec(alpha))
 
 
 def orthogonal_complement(ctx: MetricContext, s: Subspace) -> Subspace:

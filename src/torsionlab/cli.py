@@ -104,23 +104,6 @@ def parse_f(text, h) -> Mat:
     return f
 
 
-def parse_vector(text):
-    try:
-        return tuple(reporting.rational_from_str(x) for x in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a vector of rationals: {text!r}") from exc
-
-
-def parse_transversal(text, n):
-    """--v as a vector of R^n outside the hyperplane R^{n-1}; None when absent."""
-    if not text:
-        return None
-    v = parse_vector(text)
-    if len(v) != n or v[n - 1] == 0:
-        raise InputError(f"--v must have {n} entries with a nonzero last entry (a transversal to R^{n - 1})")
-    return v
-
-
 def _emit(report, fmt):
     if fmt == "json":
         print(reporting.dumps(report))
@@ -139,8 +122,7 @@ def _emit_text(report, indent=0):
     items = [(f"{key}:", report[key]) for key in sorted(report)] if labelled else [("-", v) for v in report]
     for label, value in items:
         if isinstance(value, dict) or (isinstance(value, list) and any(isinstance(x, (dict, list)) for x in value)):
-            if labelled:
-                print(f"{pad}{label}")
+            print(f"{pad}{label}")
             _emit_text(value, indent + 1)
         else:
             print(f"{pad}{label} {_line(value)}")
@@ -148,13 +130,12 @@ def _emit_text(report, indent=0):
 
 def cmd_space(args):
     h = parse_algebra(args.algebra)
-    v = parse_transversal(args.v, h.n)
     spaces = {
         "k_tilde": characteristic_subalgebra(h),
         "tableau": tableau(h),
         "K1": first_prolongation(h),
         "D": connection_space(h),
-        "F": obstruction_space(h, v),
+        "F": obstruction_space(h),
     }
     report = {
         "algebra": h.name,
@@ -192,7 +173,7 @@ def cmd_check(args):
     h = parse_algebra(args.algebra)
     f = parse_f(args.f, h)
     t = parse_matrix(args.hyperplane_map) if args.hyperplane_map else None
-    result = check_torsion_free(h, AlmostAbelian(f), hyperplane_map=t, v=parse_transversal(args.v, h.n))
+    result = check_torsion_free(h, AlmostAbelian(f), hyperplane_map=t)
     return _report_certificate(h, result, "torsion-free", args)
 
 
@@ -325,14 +306,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, algebra=False, f=False, v=False, with_bases=False):
+    def common(p, algebra=False, f=False, with_bases=False):
         """Add the shared flags, each only where the subcommand reads it."""
         if algebra:
             p.add_argument("--algebra", required=True, help="builder shorthand, JSON file, or inline JSON")
         if f:
             p.add_argument("--f", required=True, help="matrix of f as JSON (file or inline)")
-        if v:
-            p.add_argument("--v", help="transversal vector, comma-separated rationals")
         if with_bases:
             p.add_argument("--with-bases", action="store_true")
         p.add_argument("--format", choices=("json", "text"), default="json")
@@ -350,11 +329,11 @@ def build_parser():
         p.add_argument("--type", type=int, help="restrict to the orbit type [Uk]")
 
     p = sub.add_parser("space", help="dims/bases of k~, K, K^(1), D, F")
-    common(p, algebra=True, v=True, with_bases=True)
+    common(p, algebra=True, with_bases=True)
     p.set_defaults(fn=cmd_space)
 
     p = sub.add_parser("check", help="torsion-free certificate or refusal for f")
-    common(p, algebra=True, f=True, v=True, with_bases=True)
+    common(p, algebra=True, f=True, with_bases=True)
     p.add_argument("--hyperplane-map", help="invertible matrix T straightening the hyperplane type")
     p.set_defaults(fn=cmd_check)
 

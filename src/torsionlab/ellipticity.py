@@ -15,7 +15,6 @@ fibers downgrade the verdict to unknown instead of guessing.
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 
 from .algebras import LinearSubalgebra
@@ -111,26 +110,18 @@ def _decide_bivariate(polys):
 # -- public operations -------------------------------------------------------
 
 
-def generic_rank(h: LinearSubalgebra, seed=0, samples=3):
-    """Rank of random rational combinations: a lower bound for the max rank."""
-    if h.dim == 0:
-        return 0
-    rng = random.Random(seed)
-    best = 0
-    for _ in range(samples):
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(h.dim)]
-        best = max(best, h.element(coeffs).rank())
-    return best
+GRID_RANGE = 2
+GRID_BUDGET = 20000
 
 
-def low_rank_witness(h: LinearSubalgebra, r, budget=20000, coeff_range=2):
-    """Grid search for a nonzero element of rank <= r; None within budget.
+def low_rank_witness(h: LinearSubalgebra, r):
+    """Grid search for a nonzero element of rank <= r; None within GRID_BUDGET.
 
     A returned witness is exact: (coeffs, matrix) with rank verified.
     Absence is not a proof; see classify_low_rank for certificates.
     """
-    for tried, coeffs in enumerate(_sign_normalized_grid(h.dim, coeff_range), start=1):
-        if tried > budget:
+    for tried, coeffs in enumerate(_sign_normalized_grid(h.dim, GRID_RANGE), start=1):
+        if tried > GRID_BUDGET:
             return None
         m = h.element([Fraction(c) for c in coeffs])
         if 0 < m.rank() <= r:
@@ -170,14 +161,14 @@ def _pencil(h, active, n):
     return entries
 
 
-def classify_low_rank(h: LinearSubalgebra, r, budget=20000, seed=0):
+def classify_low_rank(h: LinearSubalgebra, r):
     """Decide 'h contains a nonzero element of rank <= r'.
 
     Returns {"status": "refuted"|"certified"|"unknown", ...}.  refuted
     carries an exact witness; certified carries the method (structural
     quaternionic argument, or the exhaustive minor solve for dim <= 3).
     """
-    found = low_rank_witness(h, r, budget=budget)
+    found = low_rank_witness(h, r)
     if found is not None:
         coeffs, mat = found
         return {"status": "refuted", "witness_coeffs": coeffs, "witness": mat, "method": "grid"}

@@ -2,11 +2,13 @@
 
 Given a linear subalgebra h of gl(n), computes the characteristic
 subalgebra, the tableau and its first prolongation, the candidate
-connection space D, the torsion maps T = (T1, T2) relative to a
-transversal v, and the obstruction space F = T1(ker T2).  Membership
-f in F is decided by an exact affine solve and every returned
-certificate is re-validated by evaluating the torsion (and curvature)
-tensors on the g_f bracket.
+connection space D, the torsion maps T = (T1, T2) and the obstruction
+space F = T1(ker T2).  T is read at the transversal e_n: on D the
+torsion at any transversal v is v_n times the torsion at e_n, so F and
+every certificate are the same for all v, and each is computed once per
+algebra.  Membership f in F is decided by an exact affine solve and
+every returned certificate is re-validated by evaluating the torsion
+(and curvature) tensors on the g_f bracket.
 
 Index conventions: gamma[i][j][k] is the k-th component of the
 covariant derivative of e_j in the direction e_i; tensors are flattened
@@ -77,10 +79,6 @@ class ConnectionTensor:
 
     def __setattr__(self, *a):
         raise AttributeError("ConnectionTensor is immutable")
-
-    def at(self, i, j, k):
-        n = self.n
-        return self.gamma[i * n * n + j * n + k]
 
     def is_zero(self):
         return all(x == 0 for x in self.gamma)
@@ -187,71 +185,46 @@ def connection_space(h: LinearSubalgebra) -> Subspace:
     return Subspace.span(n**3, vecs)
 
 
-def _check_transversal(n, v):
-    v = vec(v) if v is not None else tuple(Fraction(1 if i == n - 1 else 0) for i in range(n))
-    if len(v) != n:
-        raise ShapeError("transversal has wrong length")
-    if v[n - 1] == 0:
-        raise ValueError("transversal v must lie outside R^{n-1}")
-    return v
-
-
-def apply_torsion(gamma, n, v):
-    """T(nabla) = (nabla_v - nabla v) on R^{n-1}, as an n x (n-1) matrix."""
-    out = []
-    for k in range(n):
-        row = []
-        for a in range(n - 1):
-            s = Fraction(0)
-            for i in range(n):
-                if v[i] != 0:
-                    s += v[i] * (gamma[i * n * n + a * n + k] - gamma[a * n * n + i * n + k])
-            row.append(s)
-        out.append(row)
-    return Mat(out, n, n - 1)
-
-
-def split_torsion(tmat: Mat, v):
-    """Split T(nabla) along R^n = R^{n-1} + span(v) into (T1, T2)."""
-    n = tmat.rows
-    beta = [tmat.data[n - 1][a] / v[n - 1] for a in range(n - 1)]
-    t1 = Mat(
-        [[tmat.data[k][a] - beta[a] * v[k] for a in range(n - 1)] for k in range(n - 1)],
-        n - 1,
-        n - 1,
-    )
-    return t1, tuple(beta)
-
-
 def torsion_maps(h: LinearSubalgebra, v=None):
     """(T1, T2) as matrices acting on D_h coordinates (D given by its
-    canonical basis): (n-1)^2 x dim D and (n-1) x dim D."""
-    return _torsion_maps(h, _check_transversal(h.n, v))
+    canonical basis): (n-1)^2 x dim D and (n-1) x dim D.
+
+    Every X in D is symmetric on hyperplane pairs, so the torsion at
+    v = v_n e_n + v' is v_n times the torsion at e_n.  Split along
+    R^{n-1} + span(v) it gives T2 unchanged and T1 = v_n T1 - v' x T2,
+    where T1, T2 are the maps at e_n (the default).
+    """
+    t1, t2 = _torsion_maps(h)
+    if v is None:
+        return t1, t2
+    n, m = h.n, h.n - 1
+    v = vec(v)
+    if len(v) != n:
+        raise ShapeError("transversal has wrong length")
+    if v[m] == 0:
+        raise ValueError("transversal v must lie outside R^{n-1}")
+    rows = [[v[m] * x - v[k] * y for x, y in zip(t1.data[k * m + a], t2.data[a])] for k in range(m) for a in range(m)]
+    return Mat(rows, m * m, t1.cols), t2
 
 
 @lru_cache(maxsize=None)
-def _torsion_maps(h: LinearSubalgebra, v):
-    n = h.n
+def _torsion_maps(h: LinearSubalgebra):
+    """T(X)(e_a) = X_{e_n} e_a - X_{e_a} e_n read by index from each D
+    basis vector: T2 is its e_n component, T1 the hyperplane ones."""
+    n, m = h.n, h.n - 1
     d = connection_space(h)
-    t1_cols, t2_cols = [], []
-    for gamma in d.basis:
-        tm = apply_torsion(gamma, n, v)
-        t1, t2 = split_torsion(tm, v)
-        t1_cols.append(t1.flatten())
-        t2_cols.append(t2)
-    t1_mat = Mat([[col[r] for col in t1_cols] for r in range((n - 1) ** 2)], (n - 1) ** 2, d.dim)
-    t2_mat = Mat([[col[r] for col in t2_cols] for r in range(n - 1)], n - 1, d.dim)
-    return t1_mat, t2_mat
-
-
-def obstruction_space(h: LinearSubalgebra, v=None) -> Subspace:
-    """F_h = T1(ker T2); independent of the choice of transversal v."""
-    return _obstruction_space(h, _check_transversal(h.n, v))
+    rows = [
+        [g[m * n * n + a * n + k] - g[a * n * n + m * n + k] for g in d.basis]
+        for k in range(n)
+        for a in range(m)
+    ]
+    return Mat(rows[: m * m], m * m, d.dim), Mat(rows[m * m :], m, d.dim)
 
 
 @lru_cache(maxsize=None)
-def _obstruction_space(h: LinearSubalgebra, v) -> Subspace:
-    t1, t2 = _torsion_maps(h, v)
+def obstruction_space(h: LinearSubalgebra) -> Subspace:
+    """F_h = T1(ker T2); the same for every transversal (see torsion_maps)."""
+    t1, t2 = _torsion_maps(h)
     cols = zip(t2.transpose().data, t1.transpose().data)
     return image_on_kernel(t2.rows, t1.rows, cols)
 
@@ -327,7 +300,7 @@ def max_abs(entries):
     return m
 
 
-def check_torsion_free(h: LinearSubalgebra, aa: AlmostAbelian, hyperplane_map: Mat | None = None, v=None):
+def check_torsion_free(h: LinearSubalgebra, aa: AlmostAbelian, hyperplane_map: Mat | None = None):
     """Certificate of a torsion-free connection with T(nabla) = f, or a refusal.
 
     A non-special hyperplane type is handled by conjugating h by the
@@ -338,17 +311,13 @@ def check_torsion_free(h: LinearSubalgebra, aa: AlmostAbelian, hyperplane_map: M
     if hyperplane_map is not None:
         h = conjugate(h, hyperplane_map)
     n = h.n
-    v = _check_transversal(n, v)
-    t1, t2 = torsion_maps(h, v)
+    t1, t2 = _torsion_maps(h)
     d = connection_space(h)
     rows = [list(r) for r in t2.data] + [list(r) for r in t1.data]
     f_flat = aa.f.flatten()
-    # ad(v) restricted to the hyperplane is v_n * f, so the torsion-free
-    # system for a non-normalized transversal carries that scale
-    rhs = [Fraction(0)] * (n - 1) + [v[n - 1] * x for x in f_flat]
-    sol = solve_affine(rows, rhs)
+    sol = solve_affine(rows, [Fraction(0)] * (n - 1) + list(f_flat))
     if sol is None:
-        residual = obstruction_space(h, v).reduce(f_flat)
+        residual = obstruction_space(h).reduce(f_flat)
         return Refusal("f is not in the obstruction space of h", residual)
     gamma = [Fraction(0)] * n**3
     for c, basis_vec in zip(sol, d.basis):

@@ -350,7 +350,7 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise ShapeError("vector length != ambient_dim")
         for row in self.basis:
-            piv = next(i for i, x in enumerate(row) if x == 1 and all(row[j] == 0 for j in range(i)))
+            piv = next(i for i, x in enumerate(row) if x)
             if v[piv] != 0:
                 f = v[piv]
                 v = [a - f * b for a, b in zip(v, row)]
@@ -372,9 +372,6 @@ class Subspace:
         zero = (Fraction(0),) * self.ambient_dim
         pairs = [(r, r) for r in self.basis] + [(r, zero) for r in other.basis]
         return image_on_kernel(self.ambient_dim, self.ambient_dim, pairs)
-
-    def is_direct_sum(self, other):
-        return self.intersect(other).dim == 0
 
     def _check(self, other):
         if self.ambient_dim != other.ambient_dim:

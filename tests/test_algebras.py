@@ -11,8 +11,6 @@ from torsionlab.algebras import (
     conjugate,
     is_degenerate,
     is_subalgebra,
-    musical_flat,
-    musical_sharp,
     orthogonal_complement,
 )
 from torsionlab.builders import (
@@ -138,12 +136,6 @@ def test_conjugate_output_revalidates(build):
     assert again == hc and again.structures == hc.structures and again.structures != h.structures
 
 
-def test_musical_maps_euclidean():
-    ctx = MetricContext(Mat.identity(3))
-    assert musical_flat(ctx, (1, 0, 0)) == (1, 0, 0)
-    assert musical_sharp(ctx, musical_flat(ctx, (2, 3, 4))) == (2, 3, 4)
-
-
 def test_orthogonal_complement_lorentz():
     g = Mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
     ctx = MetricContext(g)
@@ -157,5 +149,3 @@ def test_degenerate_hyperplane():
     ctx = MetricContext(Mat([[1, 0], [0, -1]]))
     s = Subspace.span(2, [(1, 1)])
     assert is_degenerate(ctx, s)
-    # sharp inverts flat also for indefinite g
-    assert musical_sharp(ctx, musical_flat(ctx, (5, 7))) == (5, 7)

@@ -160,6 +160,18 @@ def test_text_format_keeps_matrix_rows():
     assert lines[at + 4] == "  conjugated:"
 
 
+def test_text_format_marks_each_object_of_a_list():
+    proc = run_cli("orbits", "--group", "product", "--n", "4", "--p", "2", "--format", "text")
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    at = lines.index("reps:")
+    starts = [i for i, line in enumerate(lines) if line == "  -"]
+    assert len(starts) == 3 and starts[0] == at + 1
+    # each object follows its own marker, one level deeper
+    assert all(lines[i + 1] == "    T:" for i in starts)
+    assert [line for line in lines if line.startswith("    label:")] == [f"    label: [U{k}]" for k in (1, 2, 3)]
+
+
 def test_exists_type_filter():
     proc = run_cli(
         "exists", "product", "--p", "2", "--type", "2",
@@ -200,8 +212,10 @@ F3 = json.dumps([["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]])
         ("check", "--algebra", "sp:m=2", "--f", F3, "--seed", "1"),
         ("exists", "product", "--p", "2", "--f", F3, "--with-bases"),
         ("classify-hpc", "--f", F3, "--v", "1,0,0,1"),
+        ("space", "--algebra", "sp:m=2", "--v=-1,0,0,1"),
+        ("check", "--algebra", "sp:m=2", "--f", F3, "--v", "1,0,0,2"),
     ],
-    ids=["flat-v", "space-seed", "check-seed", "exists-with-bases", "classify-hpc-v"],
+    ids=["flat-v", "space-seed", "check-seed", "exists-with-bases", "classify-hpc-v", "space-v", "check-v"],
 )
 def test_unread_flags_rejected(args):
     proc = run_cli(*args)
@@ -212,6 +226,8 @@ def test_unread_flags_rejected(args):
 @pytest.mark.parametrize(
     "args,named",
     [
+        # F and certificates do not depend on a transversal, so --v is an
+        # unread flag: these two end in argparse, before the value is read
         (("space", "--algebra", "gl:n=4", "--v", "1,0,0,0"), None),
         (("space", "--algebra", "gl:n=4", "--v", "1/0,0,0,1"), None),
         (("check", "--algebra", "gl:n=3", "--f", '[["x",0],[0,0]]'), None),

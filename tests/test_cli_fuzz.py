@@ -125,28 +125,23 @@ junk_specs = json_values.map(lambda v: (json.dumps(v) if isinstance(v, dict) els
 algebras = st.integers(0, 4).flatmap(lambda i: junk_specs if i == 0 else st.sampled_from(SHORTHAND) if i % 2 else explicit_specs())
 
 
-def vectors(n):
-    return st.lists(st.sampled_from(ENTRIES + ["x"]), min_size=max(n - 1, 1), max_size=n + 1).map(",".join)
-
-
 @st.composite
 def check_and_flat(draw):
     """check or flat on an algebra, f mostly of the size it needs, and
-    for check a transversal and a hyperplane map of any size."""
+    for check a hyperplane map of any size."""
     spec, n = draw(algebras)
     f = draw(matrices(st.one_of(st.just(max(n - 1, 1)), st.integers(1, 4))))
     argv = [draw(st.sampled_from(["check", "flat"])), "--algebra", spec, "--f", f]
     if argv[0] == "check":
-        argv += draw(flag("--v", st.one_of(st.none(), vectors(n))))
         argv += draw(flag("--hyperplane-map", st.one_of(st.none(), matrices(st.one_of(st.just(n), st.integers(1, 4))))))
     argv += draw(st.sampled_from([[], ["--with-bases"]])) + draw(st.sampled_from([[], ["--format", "text"]]))
     return argv
 
 
-space_with_v = st.builds(
-    lambda alg, v: ["space", "--algebra", alg[0], *v],
+space_with_bases = st.builds(
+    lambda alg, extra: ["space", "--algebra", alg[0], *extra],
     algebras,
-    flag("--v", st.one_of(st.none(), vectors(4))),
+    st.sampled_from([[], ["--with-bases"], ["--format", "text"]]),
 )
 
 classify_hpc_argv = st.builds(
@@ -197,6 +192,6 @@ def test_fuzz_check_and_flat(argv):
 
 
 @FUZZ_FEWER
-@given(st.one_of(classify_hpc_argv, space_with_v))
-def test_fuzz_classify_hpc_and_space_with_transversal(argv):
+@given(st.one_of(classify_hpc_argv, space_with_bases))
+def test_fuzz_classify_hpc_and_space_with_bases(argv):
     assert_three_ways(argv)

@@ -7,16 +7,11 @@ from torsionlab.ellipticity import (
     _decide_bivariate,
     _sign_normalized_grid,
     classify_low_rank,
-    generic_rank,
     low_rank_witness,
 )
 from torsionlab.polynomials import Bivar, zp_gcd, zp_resultant
 from torsionlab.linalg import Mat
 from torsionlab.polynomials import Poly
-
-
-def test_generic_rank_glH():
-    assert generic_rank(build_gl_H(1), seed=7) == 4
 
 
 def test_witness_rank_one():
@@ -40,7 +35,6 @@ def test_sp1_certified_exhaustive():
     res = classify_low_rank(bare, 2)
     assert res["status"] == "certified"
     assert res["method"] == "minor-variety-empty"
-    assert generic_rank(bare, seed=3) == 4
 
 
 def test_su2_no_rank_two_witness():

@@ -18,7 +18,6 @@ from torsionlab.engine import (
     Certificate,
     ConnectionTensor,
     Refusal,
-    apply_torsion,
     characteristic_subalgebra,
     check_torsion_free,
     connection_space,
@@ -27,13 +26,12 @@ from torsionlab.engine import (
     flat_certificate,
     nijenhuis,
     obstruction_space,
-    split_torsion,
     tableau,
     torsion_maps,
     torsion_tensor,
 )
 from torsionlab.algebras import LinearSubalgebra
-from torsionlab.linalg import Mat, Subspace, kernel
+from torsionlab.linalg import Mat, ShapeError, Subspace, image_on_kernel, kernel, solve_affine
 
 
 def E(n, i, j):
@@ -235,14 +233,104 @@ def test_zero_algebra_spaces():
 def test_transversal_normalized_before_cache():
     h = build_sp(2)
     e_n = tuple(Fraction(x) for x in (0, 0, 0, 1))
-    # a list is accepted and equals the tuple; None and e_n share one entry
-    assert obstruction_space(h, [0, 0, 0, 1]) == obstruction_space(h, e_n)
-    assert obstruction_space(h) is obstruction_space(h, e_n)
-    assert obstruction_space(h, [0, 0, 0, 1]) is obstruction_space(h)
-    assert torsion_maps(h) is torsion_maps(h, [0, 0, 0, 1])
-    assert obstruction_space(h, [1, 0, 0, 2]) == obstruction_space(h)
+    # the maps and F are cached per algebra; e_n given as a list or a
+    # tuple gives the default maps
+    t1, t2 = torsion_maps(h)
+    assert torsion_maps(h)[0] is t1 and torsion_maps(h)[1] is t2
+    assert obstruction_space(h) is obstruction_space(h)
+    assert torsion_maps(h, [0, 0, 0, 1]) == torsion_maps(h, e_n) == (t1, t2)
     with pytest.raises(ValueError):
-        obstruction_space(h, [1, 0, 0, 0])
+        torsion_maps(h, [1, 0, 0, 0])
+    with pytest.raises(ShapeError):
+        torsion_maps(h, [0, 0, 1])
+
+
+def apply_torsion(gamma, n, v):
+    """Reference: T(nabla) = (nabla_v - nabla v) on R^{n-1}, as an n x (n-1)
+    matrix, evaluated from the definition at any transversal v."""
+    out = []
+    for k in range(n):
+        row = []
+        for a in range(n - 1):
+            s = Fraction(0)
+            for i in range(n):
+                if v[i] != 0:
+                    s += v[i] * (gamma[i * n * n + a * n + k] - gamma[a * n * n + i * n + k])
+            row.append(s)
+        out.append(row)
+    return Mat(out, n, n - 1)
+
+
+def split_torsion(tmat: Mat, v):
+    """Reference: split T(nabla) along R^n = R^{n-1} + span(v) into (T1, T2)."""
+    n = tmat.rows
+    beta = [tmat.data[n - 1][a] / v[n - 1] for a in range(n - 1)]
+    t1 = Mat(
+        [[tmat.data[k][a] - beta[a] * v[k] for a in range(n - 1)] for k in range(n - 1)],
+        n - 1,
+        n - 1,
+    )
+    return t1, tuple(beta)
+
+
+def reference_torsion_maps(h, v):
+    """(T1, T2) at the transversal v, one definition-level evaluation per D basis vector."""
+    m = h.n - 1
+    cols = [split_torsion(apply_torsion(gamma, h.n, v), v) for gamma in connection_space(h).basis]
+    t1_cols = [t1.flatten() for t1, _ in cols]
+    t1 = Mat([[col[r] for col in t1_cols] for r in range(m * m)], m * m, len(cols))
+    t2 = Mat([[t2[r] for _, t2 in cols] for r in range(m)], m, len(cols))
+    return t1, t2
+
+
+def reference_certificate(h, maps, f, v):
+    """gamma solving the torsion-free system with the maps (T1, T2) at v,
+    [T2; T1] x = [0; v_n f] (ad(v) on the hyperplane is v_n f), or None
+    when f is not in F."""
+    n = h.n
+    t1, t2 = maps
+    rhs = [Fraction(0)] * (n - 1) + [v[n - 1] * x for x in f.flatten()]
+    sol = solve_affine([list(r) for r in t2.data] + [list(r) for r in t1.data], rhs)
+    if sol is None:
+        return None
+    gamma = [Fraction(0)] * n**3
+    for c, basis_vec in zip(sol, connection_space(h).basis):
+        if c != 0:
+            gamma = [x + c * y for x, y in zip(gamma, basis_vec)]
+    return tuple(gamma)
+
+
+def reference_transversals(n):
+    """A hyperplane part with v_n = 1, v_n != 1 alone, and both."""
+    return [
+        tuple(Fraction({0: 1, n - 1: 1}.get(i, 0)) for i in range(n)),
+        tuple(Fraction({n - 1: Fraction(-1, 2)}.get(i, 0)) for i in range(n)),
+        tuple(Fraction({0: 2, 1: Fraction(-1, 3), n - 1: 3}.get(i, 0)) for i in range(n)),
+    ]
+
+
+def test_torsion_read_at_e_n_matches_the_definition_at_any_transversal():
+    """The engine reads T once at e_n; the reference evaluates the
+    definition at each v and solves with right-hand side v_n f.  Maps at
+    v, F and every certificate or refusal must agree exactly."""
+    rng = random.Random(11)
+    algebras = catalog() + [build_gl(n) for n in (4, 5, 6)] + criterion_07_conjugates()
+    for h in algebras:
+        m = h.n - 1
+        fs = obstruction_space(h)
+        generic = Mat([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)])
+        combo = [sum((i + 1) * b[c] for i, b in enumerate(fs.basis)) for c in range(m * m)]
+        queries = [(f, check_torsion_free(h, AlmostAbelian(f))) for f in (Mat.unflatten(m, m, combo), generic)]
+        for v in reference_transversals(h.n):
+            t1, t2 = maps = reference_torsion_maps(h, v)
+            assert torsion_maps(h, v) == maps, (h.name, v)
+            assert fs == image_on_kernel(m, m * m, zip(t2.transpose().data, t1.transpose().data)), (h.name, v)
+            for f, res in queries:
+                gamma = reference_certificate(h, maps, f, v)
+                if gamma is None:
+                    assert isinstance(res, Refusal) and res.residual == fs.reduce(f.flatten()), (h.name, v)
+                else:
+                    assert isinstance(res, Certificate) and res.nabla.gamma == gamma, (h.name, v)
 
 
 def test_torsion_of_zero_connection():
@@ -295,12 +383,16 @@ def test_obstruction_space_u2():
 
 
 def test_v_independence():
+    # T2 and F = T1(ker T2) read through any transversal are those at e_n
     h = build_sp(2)
     base = obstruction_space(h)
+    t2 = torsion_maps(h)[1]
     for v in [(0, 0, 0, 1), (1, 0, 0, 1), (2, -1, 3, 5), (0, 0, 0, -2)]:
-        assert obstruction_space(h, tuple(Fraction(x) for x in v)) == base
+        t1_v, t2_v = torsion_maps(h, v)
+        assert t2_v == t2
+        assert image_on_kernel(3, 9, zip(t2_v.transpose().data, t1_v.transpose().data)) == base
     with pytest.raises(ValueError):
-        obstruction_space(h, (1, 0, 0, 0))
+        torsion_maps(h, (1, 0, 0, 0))
 
 
 def test_check_torsion_free_glC_certificate():
@@ -440,12 +532,16 @@ def test_check_torsion_free_nonspecial_type():
 
 
 def test_certificate_with_custom_transversal():
+    # the certificate, read at another transversal v, has T1 = v_n f, T2 = 0
     h = build_u(2)
     f = Mat([[0, -1, 0], [1, 0, 0], [0, 0, 2]])
     v = tuple(Fraction(x) for x in (1, 0, -1, 2))
-    res = check_torsion_free(h, AlmostAbelian(f), v=v)
+    res = check_torsion_free(h, AlmostAbelian(f))
     assert isinstance(res, Certificate)
     assert all(x == 0 for x in torsion_tensor(res.nabla, AlmostAbelian(f)))
+    t1, t2 = split_torsion(apply_torsion(res.nabla.gamma, 4, v), v)
+    assert t1 == f.scale(v[3])
+    assert all(x == 0 for x in t2)
 
 
 def test_n2_boundary_so2():

@@ -73,8 +73,7 @@ def test_subspace_sum_intersect():
     diag = Subspace.span(2, [(1, 1)])
     assert x_axis + y_axis == Subspace.full(2)
     assert Subspace.full(2).intersect(diag) == diag
-    assert x_axis.is_direct_sum(diag)
-    assert not (x_axis + y_axis).is_direct_sum(diag)
+    assert x_axis.intersect(diag) == Subspace.zero(2)
 
 
 def test_image_on_kernel_edge_cases():
