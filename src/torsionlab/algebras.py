@@ -15,7 +15,7 @@ validation is skipped.
 
 from __future__ import annotations
 
-from .linalg import Mat, ShapeError, Subspace, kernel
+from .linalg import Mat, ShapeError, Subspace, dense, kernel, kernel_rows, sparse, sparse_sum
 
 
 def bracket(a: Mat, b: Mat) -> Mat:
@@ -72,17 +72,13 @@ def endomorphisms(key, value):
     return tuple(value) if kind == TRIPLE else ()
 
 
-# Conditions on F in gl(n) are sparse rows, lists of (index, coefficient)
+# Conditions on F in gl(n) are sparse rows, {index: coefficient} dicts
 # over the row-major entries of F; the condition is row . F = 0.
 
 
 def _sparse(n, terms):
     """One row from (row, col, coefficient) terms of F, duplicates summed."""
-    row = {}
-    for r, c, x in terms:
-        if x:
-            row[r * n + c] = row.get(r * n + c, 0) + x
-    return [(i, x) for i, x in row.items() if x]
+    return sparse_sum((r * n + c, x) for r, c, x in terms)
 
 
 def _commutator_rows(a: Mat):
@@ -119,26 +115,21 @@ def _structure_rows(key, value):
     return [row for a in endomorphisms(key, value) for row in _commutator_rows(a)]
 
 
-def _kills(rows, basis):
-    flats = [f.flatten() for f in basis]
-    return all(sum(x * flat[i] for i, x in row) == 0 for flat in flats for row in rows)
+def _kills(rows, flats):
+    """Whether row . F = 0 for every row and every F among the sparse flats."""
+    return all(sum(x * flat[i] for i, x in row.items() if i in flat) == 0 for flat in flats for row in rows)
 
 
 def commutes(basis, a: Mat) -> bool:
     """Whether every matrix in basis commutes with a."""
-    return _kills(_commutator_rows(a), basis)
+    return _kills(_commutator_rows(a), [sparse(f.flatten()) for f in basis])
 
 
 def stabilizer(n, structures, rows=()):
     """Canonical basis of {F in gl(n) : F preserves every structure and
     row . F = 0 for every extra row}."""
-    dense = []
-    for row in [r for key, value in structures.items() for r in _structure_rows(key, value)] + list(rows):
-        line = [0] * (n * n)
-        for i, x in row:
-            line[i] = x
-        dense.append(line)
-    return [Mat.unflatten(n, n, v) for v in kernel(Mat(dense, len(dense), n * n)).basis]
+    conditions = [r for key, value in structures.items() for r in _structure_rows(key, value)] + list(rows)
+    return [Mat.unflatten(n, n, dense(v, n * n)) for v in kernel_rows(conditions, n * n)]
 
 
 class StructureError(ValueError):
@@ -225,12 +216,13 @@ class LinearSubalgebra:
 
     def preserves(self, key) -> bool:
         """Whether h carries the structure key and every element preserves it."""
-        return key in self.structures and _kills(_structure_rows(key, self.structures[key]), self.basis)
+        return key in self.structures and _kills(_structure_rows(key, self.structures[key]), self._span.rows)
 
     def element(self, coeffs) -> Mat:
         acc = Mat.zeros(self.n, self.n)
         for c, b in zip(coeffs, self.basis):
-            acc = acc + b.scale(c)
+            if c:
+                acc = acc + b.scale(c)
         return acc
 
     def __eq__(self, other):

@@ -35,7 +35,7 @@ from .algebras import (
     stabilizer,
     trace_row,
 )
-from .linalg import Mat, Subspace, kernel
+from .linalg import Mat, Subspace, kernel_rows
 
 
 def _pairs(n, sign):
@@ -220,10 +220,10 @@ def build_lagrangian_symplectic(m):
     nu = 2 * m
     omega = standard_omega(nu)
     lag = lagrangian_subspace(m)
-    ann = kernel(Mat([list(b) for b in lag.basis], lag.dim, nu)).basis
+    ann = kernel_rows(lag.rows, nu)
     # F is omega-self-adjoint, kills L (F b = 0) and maps into L (a F = 0)
-    kills_l = [[(i * nu + k, b[k]) for k in range(nu) if b[k]] for b in lag.basis for i in range(nu)]
-    into_l = [[(k * nu + j, a[k]) for k in range(nu) if a[k]] for a in ann for j in range(nu)]
+    kills_l = [{i * nu + k: x for k, x in b.items()} for b in lag.rows for i in range(nu)]
+    into_l = [{k * nu + j: x for k, x in a.items()} for a in ann for j in range(nu)]
     sym_l_basis = stabilizer(nu, {}, form_rows(omega, -1) + kills_l + into_l)
     basis = []
     zero_col = Mat.zeros(nu, 1)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebras import LinearSubalgebra, conjugate
-from .linalg import Mat, ShapeError, Subspace, fr, image_on_kernel, kernel, solve_affine, vec
+from .linalg import Mat, ShapeError, Subspace, dense, fr, image_on_kernel, kernel_rows, solve_affine, sparse_sum, vec
 
 
 class AlmostAbelian:
@@ -150,38 +150,41 @@ def first_prolongation(h: LinearSubalgebra) -> Subspace:
     symmetric parts point along the transversal.
     """
     n, m = h.n, h.n - 1
-    keep = [a * n * n + b * n + k for a in range(m) for b in range(m) for k in range(n)]
-    return Subspace.span(m * m * n, [[gamma[c] for c in keep] for gamma in connection_space(h).basis])
+    # X_a(e_b)_k at a*n^2 + b*n + k moves to a*m*n + b*n + k
+    keep = {a * n * n + b * n + k: a * m * n + b * n + k for a in range(m) for b in range(m) for k in range(n)}
+    return Subspace.span(m * m * n, [{keep[c]: x for c, x in row.items() if c in keep} for row in connection_space(h).rows])
 
 
 @lru_cache(maxsize=None)
 def connection_space(h: LinearSubalgebra) -> Subspace:
     """D_h: (R^n)* x h, symmetric on hyperplane pairs, inside R^{n^3}.
 
-    X_i(e_j)_k sits at i*n^2 + j*n + k.  The basis B_t of h embeds
-    sparsely, so the kernel of the symmetry conditions on the coefficients
-    of X_i = sum_t c_it B_t is taken first and combined afterwards.
+    X_i(e_j)_k sits at i*n^2 + j*n + k.  With X_i = sum_t c_it B_t over
+    the canonical basis B_t of h, the symmetry conditions
+    X_a(e_b) = X_b(e_a), a < b < n - 1, are sparse rows in the c_it,
+    emitted from the nonzero entries of each B_t.  Their kernel is
+    embedded into R^{n^3} sparsely and spanned once.
     """
     n = h.n
-    values = [b.flatten() for b in h.basis]
-    dom = [(i, t) for i in range(n) for t in range(len(values))]
-    rows = [
-        [(values[t][k * n + b] if i == a else 0) - (values[t][k * n + a] if i == b else 0) for i, t in dom]
-        for a in range(n - 1)
-        for b in range(a + 1, n - 1)
-        for k in range(n)
-    ]
+    mats = h.span.rows
+    dim = len(mats)
+    # (j, k, B_t[k][j]) for the nonzero entries of B_t, flattened at k*n + j
+    entries = [[(idx % n, idx // n, x) for idx, x in b.items()] for b in mats]
+    rows = {}  # (a, b, k) -> the condition X_a(e_b)_k - X_b(e_a)_k = 0
+    for t, nonzero in enumerate(entries):
+        for j, k, x in nonzero:
+            if j < n - 1:
+                for a in range(j):
+                    rows.setdefault((a, j, k), {})[a * dim + t] = x
+                for b in range(j + 1, n - 1):
+                    rows.setdefault((j, b, k), {})[b * dim + t] = -x
     vecs = []
-    for cv in kernel(Mat(rows, len(rows), len(dom))).basis:
-        flat = [Fraction(0)] * n**3
-        for (i, t), c in zip(dom, cv):
-            if c == 0:
-                continue
-            value = values[t]
-            for k in range(n):
-                for j in range(n):
-                    flat[i * n * n + j * n + k] += c * value[k * n + j]
-        vecs.append(flat)
+    for coeffs in kernel_rows(rows.values(), n * dim):
+        terms = []
+        for col, c in coeffs.items():
+            i, t = divmod(col, dim)
+            terms += [(i * n * n + j * n + k, c * x) for j, k, x in entries[t]]
+        vecs.append(sparse_sum(terms))
     return Subspace.span(n**3, vecs)
 
 
@@ -194,7 +197,7 @@ def torsion_maps(h: LinearSubalgebra, v=None):
     R^{n-1} + span(v) it gives T2 unchanged and T1 = v_n T1 - v' x T2,
     where T1, T2 are the maps at e_n (the default).
     """
-    t1, t2 = _torsion_maps(h)
+    t1, t2, _ = _torsion_maps(h)
     if v is None:
         return t1, t2
     n, m = h.n, h.n - 1
@@ -207,26 +210,37 @@ def torsion_maps(h: LinearSubalgebra, v=None):
     return Mat(rows, m * m, t1.cols), t2
 
 
+def _from_columns(n_rows, columns):
+    """The n_rows x len(columns) matrix with the given sparse columns."""
+    grid = [[Fraction(0)] * len(columns) for _ in range(n_rows)]
+    for c, col in enumerate(columns):
+        for r, x in col.items():
+            grid[r][c] = x
+    return Mat(grid, n_rows, len(columns))
+
+
 @lru_cache(maxsize=None)
 def _torsion_maps(h: LinearSubalgebra):
-    """T(X)(e_a) = X_{e_n} e_a - X_{e_a} e_n read by index from each D
-    basis vector: T2 is its e_n component, T1 the hyperplane ones."""
+    """T(X)(e_a)_k = X_{e_n}(e_a)_k - X_{e_a}(e_n)_k read from the nonzero
+    entries of each D basis vector X, at row k*m + a of [T1; T2] (T2 is
+    the e_n component).  Returns T1 and T2 as matrices and, per X, its
+    sparse columns (T2 X, T1 X)."""
     n, m = h.n, h.n - 1
-    d = connection_space(h)
-    rows = [
-        [g[m * n * n + a * n + k] - g[a * n * n + m * n + k] for g in d.basis]
-        for k in range(n)
-        for a in range(m)
-    ]
-    return Mat(rows[: m * m], m * m, d.dim), Mat(rows[m * m :], m, d.dim)
+    reads = {}  # entry of X -> (row of [T1; T2], sign)
+    for a in range(m):
+        for k in range(n):
+            reads[m * n * n + a * n + k] = (k * m + a, 1)
+            reads[a * n * n + m * n + k] = (k * m + a, -1)
+    cols = [sparse_sum((reads[c][0], reads[c][1] * x) for c, x in row.items() if c in reads) for row in connection_space(h).rows]
+    t1 = [{r: x for r, x in col.items() if r < m * m} for col in cols]
+    t2 = [{r - m * m: x for r, x in col.items() if r >= m * m} for col in cols]
+    return _from_columns(m * m, t1), _from_columns(m, t2), list(zip(t2, t1))
 
 
 @lru_cache(maxsize=None)
 def obstruction_space(h: LinearSubalgebra) -> Subspace:
     """F_h = T1(ker T2); the same for every transversal (see torsion_maps)."""
-    t1, t2 = _torsion_maps(h)
-    cols = zip(t2.transpose().data, t1.transpose().data)
-    return image_on_kernel(t2.rows, t1.rows, cols)
+    return image_on_kernel(h.n - 1, (h.n - 1) ** 2, _torsion_maps(h)[2])
 
 
 def torsion_tensor(nabla: ConnectionTensor, aa: AlmostAbelian):
@@ -311,19 +325,15 @@ def check_torsion_free(h: LinearSubalgebra, aa: AlmostAbelian, hyperplane_map: M
     if hyperplane_map is not None:
         h = conjugate(h, hyperplane_map)
     n = h.n
-    t1, t2 = _torsion_maps(h)
-    d = connection_space(h)
-    rows = [list(r) for r in t2.data] + [list(r) for r in t1.data]
+    t1, t2, _ = _torsion_maps(h)
     f_flat = aa.f.flatten()
-    sol = solve_affine(rows, [Fraction(0)] * (n - 1) + list(f_flat))
+    sol = solve_affine(t2.data + t1.data, [Fraction(0)] * (n - 1) + list(f_flat))
     if sol is None:
         residual = obstruction_space(h).reduce(f_flat)
         return Refusal("f is not in the obstruction space of h", residual)
-    gamma = [Fraction(0)] * n**3
-    for c, basis_vec in zip(sol, d.basis):
-        if c != 0:
-            gamma = [x + c * y for x, y in zip(gamma, basis_vec)]
-    nabla = ConnectionTensor(n, gamma)
+    rows = connection_space(h).rows
+    gamma = sparse_sum((idx, c * y) for c, row in zip(sol, rows) if c for idx, y in row.items())
+    nabla = ConnectionTensor(n, dense(gamma, n**3))
     tors = torsion_tensor(nabla, aa)
     if any(x != 0 for x in tors):
         raise AssertionError("engine invariant violated: certificate has torsion")

@@ -1,9 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Everything in the package funnels through two value types: ``Mat``, an
-immutable dense matrix of ``fractions.Fraction`` entries, and
-``Subspace``, a linear subspace of Q^d stored by its reduced
-row-echelon basis, so subspace equality is entry-wise tuple equality.
+Callers see two dense value types: ``Mat``, an immutable matrix of
+``fractions.Fraction`` entries, and ``Subspace``, a linear subspace of
+Q^d in reduced row-echelon form, whose dense ``basis`` makes subspace
+equality entry-wise tuple equality.  Inside, every elimination works
+on sparse rows: a row is a dict {column: value} that holds only its
+nonzero Fractions, and ``_rref_rows`` is the one elimination routine.
+A Subspace keeps its canonical rows sparse and builds the dense basis
+from them on first use.
 
 Flattening convention, fixed package-wide: a linear map R^a -> R^b is
 stored as a b x a matrix and flattened row-major, entry (r, c) sits at
@@ -28,6 +32,37 @@ def vec(entries):
     return tuple(fr(x) for x in entries)
 
 
+def sparse(entries) -> dict:
+    """The sparse row {i: x} of the nonzero entries of a dense vector."""
+    return {i: y for i, x in enumerate(entries) if (y := fr(x))}
+
+
+def sparse_sum(terms) -> dict:
+    """The sparse row of (col, value) terms, duplicates summed."""
+    row = {}
+    for c, x in terms:
+        if x:
+            row[c] = row.get(c, 0) + x
+    return {c: x for c, x in row.items() if x}
+
+
+def dense(row, width) -> tuple:
+    """The dense vector of length width with the entries of a sparse row."""
+    out = [Fraction(0)] * width
+    for c, x in row.items():
+        out[c] = x
+    return tuple(out)
+
+
+def _row(v, width) -> dict:
+    """A sparse row passes through; a dense vector must have length width."""
+    if isinstance(v, dict):
+        return v
+    if len(v) != width:
+        raise ShapeError(f"vector of length {len(v)} where {width} is needed")
+    return sparse(v)
+
+
 def unit(n, i) -> tuple:
     """The standard basis vector e_i of Q^n.  The unit matrix E_ij of
     gl(m), flattened, is unit(m * m, i * m + j)."""
@@ -39,11 +74,10 @@ def unit(n, i) -> tuple:
 def entry_span(m, allowed=lambda i, j: False, tied=(), extra=()):
     """The span in gl(m), flattened, of E_ij wherever allowed(i, j), of
     E_ij + E_kl for each tied pair ((i, j), (k, l)), and of extra."""
-    size = m * m
-    vecs = list(extra) + [unit(size, i * m + j) for i in range(m) for j in range(m) if allowed(i, j)]
-    for (i, j), (k, l) in tied:
-        vecs.append(tuple(a + b for a, b in zip(unit(size, i * m + j), unit(size, k * m + l))))
-    return Subspace.span(size, vecs)
+    one = Fraction(1)
+    vecs = list(extra) + [{i * m + j: one} for i in range(m) for j in range(m) if allowed(i, j)]
+    vecs += [sparse_sum([(i * m + j, one), (k * m + l, one)]) for (i, j), (k, l) in tied]
+    return Subspace.span(m * m, vecs)
 
 
 class ShapeError(ValueError):
@@ -210,11 +244,10 @@ class Mat:
         if self.rows != self.cols:
             raise ShapeError("inverse of non-square matrix")
         n = self.rows
-        aug = [list(self.data[i]) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        red, piv, rank = _rref_rows(aug)
-        if sum(1 for p in piv if p < n) < n:
+        red, pivots, _ = _rref_rows([{**sparse(row), n + i: Fraction(1)} for i, row in enumerate(self.data)])
+        if any(p >= n for p in pivots):
             raise ShapeError("matrix is singular")
-        return Mat([row[n:] for row in red], n, n)
+        return Mat([dense({c - n: x for c, x in row.items() if c >= n}, n) for row in red], n, n)
 
     def det(self):
         if self.rows != self.cols:
@@ -239,7 +272,7 @@ class Mat:
         return det
 
     def rank(self):
-        return _rref_rows([list(r) for r in self.data])[2]
+        return _rref_rows([sparse(r) for r in self.data])[2]
 
     def _same_shape(self, other):
         if not isinstance(other, Mat) or self.rows != other.rows or self.cols != other.cols:
@@ -247,33 +280,49 @@ class Mat:
 
 
 def _rref_rows(rows):
-    """In-place reduced row echelon form; returns (rows, pivot_cols, rank)."""
-    if not rows:
-        return rows, [], 0
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        p = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if p is None:
+    """Reduced row-echelon form of sparse rows, which are left unmodified:
+    (its nonzero rows in pivot order with ascending keys, pivots, rank).
+
+    The RREF is unique, so the shortest rows go first, to keep fill-in
+    low.  Each row is reduced by the pivot rows so far, pivots on its
+    first column, is scaled only when that pivot is not 1 and is then
+    eliminated from the earlier pivot rows.
+    """
+    done = {}  # pivot column -> its row, 1 at the pivot
+    for row in sorted(rows, key=len):
+        row = dict(row)
+        for c in [c for c in row if c in done]:
+            _axpy(row, -row.pop(c), done[c], c)
+        if not row:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return rows, pivots, len(pivots)
+        p = min(row)
+        if row[p] != 1:
+            inv = Fraction(1) / row[p]
+            row = {k: x * inv for k, x in row.items()}
+        for other in done.values():
+            g = other.pop(p, None)
+            if g is not None:
+                _axpy(other, -g, row, p)
+        done[p] = row
+    pivots = sorted(done)
+    return [dict(sorted(done[p].items())) for p in pivots], pivots, len(pivots)
+
+
+def _axpy(row, f, other, skip):
+    """row += f * other in place, except at column skip; zeros are dropped."""
+    for k, y in other.items():
+        if k != skip:
+            x = row.get(k, 0) + f * y
+            if x:
+                row[k] = x
+            else:
+                del row[k]
 
 
 def rref(m: Mat):
     """Unique reduced row-echelon form of m, with pivot columns and rank."""
-    rows, pivots, rank = _rref_rows([list(r) for r in m.data])
+    red, pivots, rank = _rref_rows([sparse(r) for r in m.data])
+    rows = [dense(r, m.cols) for r in red] + [[0] * m.cols] * (m.rows - rank)
     return Mat(rows, m.rows, m.cols), pivots, rank
 
 
@@ -285,39 +334,52 @@ def solve_affine(rows, rhs):
     """
     if not rows:
         return ()
-    n_cols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots, rank = _rref_rows(aug)
-    if n_cols in pivots:
+    width = len(rows[0])
+    red, pivots, _ = _rref_rows([sparse([*r, b]) for r, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == width:
         return None
-    sol = [Fraction(0)] * n_cols
-    for r, c in enumerate(pivots):
-        sol[c] = red[r][n_cols]
+    sol = [Fraction(0)] * width
+    for row, c in zip(red, pivots):
+        sol[c] = row.get(width, sol[c])
     return tuple(sol)
 
 
+def kernel_rows(rows, width):
+    """Canonical sparse basis of {x in Q^width : row . x = 0 for every sparse row}."""
+    red, pivots, _ = _rref_rows(rows)
+    one = Fraction(1)
+    free = {c: {c: one} for c in range(width)}
+    for p in pivots:
+        del free[p]
+    for p, row in zip(pivots, red):
+        for c, x in row.items():
+            if c != p:
+                free[c][p] = -x
+    return _rref_rows(free.values())[0]
+
+
 class Subspace:
-    """A subspace of Q^d in canonical (reduced row-echelon) form."""
+    """A subspace of Q^d in canonical (reduced row-echelon) form.
 
-    __slots__ = ("ambient_dim", "basis")
+    rows holds the canonical basis as sparse rows in pivot order, each
+    with ascending keys; basis is the same basis as dense tuples.
+    """
 
-    def __init__(self, ambient_dim, canonical_basis):
+    __slots__ = ("ambient_dim", "rows", "_basis")
+
+    def __init__(self, ambient_dim, canonical_rows):
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", canonical_basis)
+        object.__setattr__(self, "rows", tuple(canonical_rows))
+        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def span(cls, ambient_dim, vectors):
-        rows = []
-        for v in vectors:
-            v = vec(v)
-            if len(v) != ambient_dim:
-                raise ShapeError("vector length != ambient_dim")
-            rows.append(list(v))
-        red, pivots, rank = _rref_rows(rows)
-        return cls(ambient_dim, tuple(tuple(r) for r in red[:rank]))
+        """The span of vectors, each a dense vector of length ambient_dim
+        or a sparse row."""
+        return cls(ambient_dim, _rref_rows([_row(v, ambient_dim) for v in vectors])[0])
 
     @classmethod
     def zero(cls, ambient_dim):
@@ -325,21 +387,28 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls.span(ambient_dim, Mat.identity(ambient_dim).data)
+        one = Fraction(1)
+        return cls(ambient_dim, ({i: one} for i in range(ambient_dim)))
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            object.__setattr__(self, "_basis", tuple(dense(r, self.ambient_dim) for r in self.rows))
+        return self._basis
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(tuple(r.items()) for r in self.rows)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -349,28 +418,27 @@ class Subspace:
         v = list(vec(v))
         if len(v) != self.ambient_dim:
             raise ShapeError("vector length != ambient_dim")
-        for row in self.basis:
-            piv = next(i for i, x in enumerate(row) if x)
-            if v[piv] != 0:
-                f = v[piv]
-                v = [a - f * b for a, b in zip(v, row)]
+        for row in self.rows:
+            f = v[next(iter(row))]
+            if f:
+                for c, x in row.items():
+                    v[c] -= f * x
         return tuple(v)
 
     def contains(self, v):
-        return all(x == 0 for x in self.reduce(v))
+        return not any(self.reduce(v))
 
     def contains_space(self, other):
         return all(self.contains(row) for row in other.basis)
 
     def __add__(self, other):
         self._check(other)
-        return Subspace.span(self.ambient_dim, list(self.basis) + list(other.basis))
+        return Subspace.span(self.ambient_dim, self.rows + other.rows)
 
     def intersect(self, other):
         """Zassenhaus: A(ker B) on the generators (a, a), a in self, and (b, 0), b in other."""
         self._check(other)
-        zero = (Fraction(0),) * self.ambient_dim
-        pairs = [(r, r) for r in self.basis] + [(r, zero) for r in other.basis]
+        pairs = [(r, r) for r in self.rows] + [(r, {}) for r in other.rows]
         return image_on_kernel(self.ambient_dim, self.ambient_dim, pairs)
 
     def _check(self, other):
@@ -381,35 +449,26 @@ class Subspace:
 def image_on_kernel(cond_dim, value_dim, generators) -> Subspace:
     """A(ker B) on the span of the generators, by one Zassenhaus elimination.
 
-    generators yields the pairs (B g, A g) for g spanning the domain.  In
-    the reduced row-echelon form of the rows [B g | A g], the rows whose
-    pivot lies in the A block are exactly those whose B block is zero,
-    and their A blocks are already the canonical basis of A(ker B).
+    generators yields the pairs (B g, A g) for g spanning the domain, each
+    a dense vector or a sparse row.  In the reduced row-echelon form of
+    the rows [B g | A g], the rows whose pivot lies in the A block are
+    exactly those whose B block is zero, and their A blocks are already
+    the canonical basis of A(ker B).
     """
     rows = []
     for cond, value in generators:
-        if len(cond) != cond_dim or len(value) != value_dim:
-            raise ShapeError("generator pair does not match (cond_dim, value_dim)")
-        rows.append(list(vec(cond)) + list(vec(value)))
-    red, pivots, rank = _rref_rows(rows)
+        row = dict(_row(cond, cond_dim))
+        row.update((cond_dim + j, y) for j, y in _row(value, value_dim).items())
+        rows.append(row)
+    red, pivots, _ = _rref_rows(rows)
     return Subspace(
-        value_dim, tuple(tuple(row[cond_dim:]) for row, c in zip(red, pivots) if c >= cond_dim)
+        value_dim, ({c - cond_dim: x for c, x in row.items()} for row, p in zip(red, pivots) if p >= cond_dim)
     )
 
 
 def kernel(m: Mat) -> Subspace:
     """Kernel {v : m v = 0} in canonical form."""
-    red, pivots, rank = _rref_rows([list(r) for r in m.data])
-    n = m.cols
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fcol in free:
-        v = [Fraction(0)] * n
-        v[fcol] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fcol]
-        basis.append(v)
-    return Subspace.span(n, basis)
+    return Subspace(m.cols, kernel_rows([sparse(r) for r in m.data], m.cols))
 
 
 def image(m: Mat) -> Subspace:

@@ -26,7 +26,7 @@ from .algebras import (
 )
 from .builders import standard_omega
 from .engine import characteristic_subalgebra, first_prolongation, obstruction_space, tableau
-from .linalg import Mat, Subspace, image_on_kernel, kernel, solve_affine, unit
+from .linalg import Mat, Subspace, image_on_kernel, kernel, kernel_rows, solve_affine, sparse, sparse_sum, unit
 
 
 class NoRuleApplies(ValueError):
@@ -36,19 +36,23 @@ class NoRuleApplies(ValueError):
 def _preimage(mats, vectors, target: Subspace) -> Subspace:
     """{F in span(mats) : F x in target for every x in vectors}, flattened.
 
-    F x is computed once per basis element and vector; pairing it with
-    the rows of target's annihilator gives the conditions that
+    mats are flattened n x n matrices as sparse rows.  F x is computed
+    from the nonzero entries of F once per element and vector; pairing
+    it with the rows of target's annihilator gives the conditions that
     image_on_kernel kills.
     """
     n = target.ambient_dim
-    ann = kernel(Mat([list(b) for b in target.basis], target.dim, n)).basis
+    ann = kernel_rows(target.rows, n)
+    xs = [sparse(x) for x in vectors]
 
     def conditions(f):
-        images = [f.matvec(x) for x in vectors]
-        return [sum(a * y for a, y in zip(row, fx) if a) for fx in images for row in ann]
+        terms = []
+        for s, x in enumerate(xs):
+            fx = sparse_sum((idx // n, y * x[idx % n]) for idx, y in f.items() if idx % n in x)
+            terms += [(s * len(ann) + t, a[r] * y) for t, a in enumerate(ann) for r, y in fx.items() if r in a]
+        return sparse_sum(terms)
 
-    pairs = ((conditions(f), f.flatten()) for f in mats)
-    return image_on_kernel(len(vectors) * len(ann), n * n, pairs)
+    return image_on_kernel(len(xs) * len(ann), n * n, ((conditions(f), f) for f in mats))
 
 
 def _hyperplane(n) -> Subspace:
@@ -60,8 +64,13 @@ def _mats_of(span: Subspace, n):
 
 
 def _left_span(a: Mat, h: LinearSubalgebra) -> Subspace:
-    """The span of a b for b in h, flattened."""
-    return Subspace.span(h.n * h.n, [(a * b).flatten() for b in h.basis])
+    """The span of a b for b in h, flattened: (a b)[i][j] sums a[i][k] b[k][j]
+    over the nonzero entries b[k][j] of each canonical basis row of h."""
+    n = h.n
+    cols = [[(i, a.data[i][k]) for i in range(n) if a.data[i][k]] for k in range(n)]
+    return Subspace.span(
+        n * n, [sparse_sum((i * n + idx % n, x * y) for idx, y in b.items() for i, x in cols[idx // n]) for b in h.span.rows]
+    )
 
 
 class StructuralProfile:
@@ -91,33 +100,31 @@ def profile(h: LinearSubalgebra) -> StructuralProfile:
     hyper = ee[: n - 1]
     hyperplane = _hyperplane(n)
 
-    h1 = _preimage(h.basis, hyper, Subspace.zero(n))
-    h1_inv = _preimage(_mats_of(h1, n), ee[n - 1 :], hyperplane)
+    h1 = _preimage(h.span.rows, hyper, Subspace.zero(n))
+    h1_inv = _preimage(h1.rows, ee[n - 1 :], hyperplane)
     w = Subspace.span(n - 1, [f.col(n - 1)[: n - 1] for f in _mats_of(h1_inv, n)])
     fields = {"h1": h1, "h1_inv": h1_inv, "W": w}
 
     j = h.structures.get("J")
     if j is not None:
         rj = hyperplane.intersect(Subspace.span(n, [j.matvec(x) for x in hyper]))
-        h2 = _preimage(h.basis, rj.basis, Subspace.zero(n))
-        h2_mats = _mats_of(h2, n)
+        h2 = _preimage(h.span.rows, rj.basis, Subspace.zero(n))
         fields.update(
             RJ=rj,
             h2=h2,
-            h2_inv=_preimage(h2_mats, hyper, hyperplane),
-            h2_J=_preimage(h2_mats, hyper, rj),
+            h2_inv=_preimage(h2.rows, hyper, hyperplane),
+            h2_J=_preimage(h2.rows, hyper, rj),
         )
 
     v0 = _detect_line_prolongation(h)
     if v0 is not None:
         v_line = Subspace.span(n, [v0])
-        hv = _preimage(h.basis, hyper, v_line)
-        hv_mats = _mats_of(hv, n)
-        u_cal = Subspace.span(n - 1, [tuple(y / v0[n - 1] for y in f.data[n - 1][: n - 1]) for f in hv_mats])
+        hv = _preimage(h.span.rows, hyper, v_line)
+        u_cal = Subspace.span(n - 1, [tuple(y / v0[n - 1] for y in f.data[n - 1][: n - 1]) for f in _mats_of(hv, n)])
         fields.update(
             v_line=v_line,
             hv=hv,
-            hv_inv=_preimage(hv_mats, [v0], hyperplane),
+            hv_inv=_preimage(hv.rows, [v0], hyperplane),
             U_cal=u_cal,
             nu=_nu_map(h, u_cal, v0),
         )
@@ -125,8 +132,8 @@ def profile(h: LinearSubalgebra) -> StructuralProfile:
     g = h.structures.get("g")
     if g is not None:
         perp = orthogonal_complement(MetricContext(g), hyperplane)
-        h_perp = _preimage(h.basis, hyper, perp)
-        h_perp_inv = _preimage(_mats_of(h_perp, n), ee, hyperplane)
+        h_perp = _preimage(h.span.rows, hyper, perp)
+        h_perp_inv = _preimage(h_perp.rows, ee, hyperplane)
         u_tilde = Subspace.span(
             n - 1, [f.col(jcol)[: n - 1] for f in _mats_of(h_perp_inv, n) for jcol in range(n)]
         )
@@ -141,15 +148,11 @@ def _detect_line_prolongation(h):
     k1 = first_prolongation(h)
     if k1.dim == 0:
         return None
-    m = n - 1
-    values = []
-    for flat in k1.basis:
-        for i in range(m):
-            for jj in range(m):
-                val = tuple(flat[i * m * n + jj * n + k] for k in range(n))
-                if any(x != 0 for x in val):
-                    values.append(val)
-    line = Subspace.span(n, values)
+    values = {}  # (basis row, slice i*(n-1) + j) -> the value Y(e_i, e_j) in R^n
+    for r, flat in enumerate(k1.rows):
+        for c, x in flat.items():
+            values.setdefault((r, c // n), {})[c % n] = x
+    line = Subspace.span(n, values.values())
     if line.dim != 1:
         return None
     v0 = line.basis[0]
@@ -283,7 +286,7 @@ def _rule_totally_real(h, prof):
 def _type_II_extra_condition(h, prof):
     """Every F in h with F(R_J) <= R^{n-1} must preserve R^{n-1}."""
     n = h.n
-    s = _preimage(h.basis, prof.RJ.basis, _hyperplane(n))
+    s = _preimage(h.span.rows, prof.RJ.basis, _hyperplane(n))
     return all(all(x == 0 for x in f.data[n - 1][: n - 1]) for f in _mats_of(s, n))
 
 
@@ -380,7 +383,7 @@ def _rule_nondeg_metric(h, prof):
     if is_degenerate(ctx, hyperplane):
         return None
     v0 = orthogonal_complement(ctx, hyperplane).basis[0]
-    hv = _preimage(h.basis, [unit(n, j) for j in range(n - 1)], Subspace.span(n, [v0]))
+    hv = _preimage(h.span.rows, [unit(n, j) for j in range(n - 1)], Subspace.span(n, [v0]))
     u = Subspace.span(n - 1, [f.matvec(v0)[: n - 1] for f in _mats_of(hv, n)])
     return _k_tilde_plus_s2u_flat(h, g, u.basis), None
 

@@ -38,7 +38,13 @@ def vector_to_json(v):
 
 
 def subspace_to_json(s: Subspace):
-    return {"ambient_dim": s.ambient_dim, "dim": s.dim, "basis": [vector_to_json(b) for b in s.basis]}
+    basis = []
+    for row in s.rows:
+        line = ["0"] * s.ambient_dim
+        for c, x in row.items():
+            line[c] = rational_to_str(x)
+        basis.append(line)
+    return {"ambient_dim": s.ambient_dim, "dim": s.dim, "basis": basis}
 
 
 def tensor3_to_json(gamma, n):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -43,6 +44,28 @@ def test_space_deterministic():
     a = run_cli("space", "--algebra", "u:p=2", "--with-bases").stdout
     b = run_cli("space", "--algebra", "u:p=2", "--with-bases").stdout
     assert a == b
+
+
+# The stdout of `space --with-bases` on the rungs small enough for tier-1,
+# hashed together: every basis the command prints is pinned byte for byte.
+SPACE_RUNGS = [
+    "gl:n=4", "gl:n=5", "gl:n=6", "sp:m=2", "sp:m=3", "gl_C:m=2", "gl_C:m=3",
+    "so:p=4", "so:p=5", "so:p=6", "so:p=2,q=2", "so:p=3,q=1",
+    "u:p=2", "u:p=3", "u:p=1,q=1", "su:m=3", "sp_H:k=1", "delta_gl:m=3", "product_gl:n=6,p=3",
+]
+SPACE_DIGEST = "ff74d902b5b701493f8c17f3a0b8b04cd81a3099c47343bfc4d743d3ed4f1a9b"
+
+
+def test_space_with_bases_output_is_pinned(capsys):
+    from torsionlab import cli
+
+    digest = hashlib.sha256()
+    for rung in SPACE_RUNGS:
+        with pytest.raises(SystemExit) as done:
+            cli.main(["space", "--algebra", rung, "--with-bases"])
+        assert done.value.code == 0, rung
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SPACE_DIGEST
 
 
 def test_check_certificate_and_refusal(tmp_path):

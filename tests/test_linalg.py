@@ -7,11 +7,14 @@ from torsionlab.linalg import (
     Mat,
     ShapeError,
     Subspace,
+    _rref_rows,
+    dense,
     image,
     image_on_kernel,
     kernel,
     rref,
     solve_affine,
+    sparse,
 )
 
 
@@ -190,3 +193,173 @@ def test_unit_and_entry_span():
     assert upper.dim == 3 and not upper.contains(unit(4, 2))
     tied = entry_span(2, tied=[((0, 0), (1, 1))], extra=[unit(4, 1)])
     assert tied == Subspace.span(4, [(1, 0, 0, 1), (0, 1, 0, 0)])
+
+
+# Reference: dense Gauss-Jordan elimination over Fraction lists, and the
+# span, solve, kernel, Zassenhaus, inverse and reduce routes built on it.
+# The sparse routines must agree with them exactly.
+
+
+def dense_rref_rows(rows):
+    """In-place reduced row echelon form of dense rows; returns (rows, pivot_cols, rank)."""
+    if not rows:
+        return rows, [], 0
+    n_rows, n_cols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        p = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return rows, pivots, len(pivots)
+
+
+def dense_span(d, vectors):
+    red, _, rank = dense_rref_rows([list(v) for v in vectors])
+    return tuple(tuple(r) for r in red[:rank])
+
+
+def dense_solve_affine(rows, rhs):
+    n_cols = len(rows[0])
+    red, pivots, _ = dense_rref_rows([list(r) + [b] for r, b in zip(rows, rhs)])
+    if n_cols in pivots:
+        return None
+    sol = [Fraction(0)] * n_cols
+    for r, c in enumerate(pivots):
+        sol[c] = red[r][n_cols]
+    return tuple(sol)
+
+
+def dense_kernel(rows, n):
+    red, pivots, _ = dense_rref_rows([list(r) for r in rows])
+    basis = []
+    for fcol in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fcol] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fcol]
+        basis.append(v)
+    return dense_span(n, basis)
+
+
+def dense_image_on_kernel(cond_dim, pairs):
+    red, pivots, _ = dense_rref_rows([list(c) + list(v) for c, v in pairs])
+    return tuple(tuple(row[cond_dim:]) for row, c in zip(red, pivots) if c >= cond_dim)
+
+
+def dense_inverse(m):
+    n = m.rows
+    aug = [list(m.data[i]) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    red, piv, _ = dense_rref_rows(aug)
+    if sum(1 for p in piv if p < n) < n:
+        return None
+    return Mat([row[n:] for row in red], n, n)
+
+
+def dense_reduce(basis, v):
+    v = list(v)
+    for row in basis:
+        piv = next(i for i, x in enumerate(row) if x)
+        if v[piv] != 0:
+            f = v[piv]
+            v = [a - f * b for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def random_rows(rng, n_rows, n_cols):
+    """Sparse rational rows with zero, duplicate and dependent rows mixed
+    in; entries include non-unit and negative values and large numerators."""
+
+    def entry():
+        roll = rng.random()
+        if roll < 0.55:
+            return Fraction(0)
+        if roll < 0.85:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**6))
+
+    out = []
+    for _ in range(n_rows):
+        roll = rng.random()
+        if out and roll < 0.15:
+            out.append(list(rng.choice(out)))
+        elif len(out) >= 2 and roll < 0.35:
+            a, b = rng.sample(out, 2)
+            ca, cb = entry() or Fraction(1), entry()
+            out.append([ca * x + cb * y for x, y in zip(a, b)])
+        elif roll < 0.45:
+            out.append([Fraction(0)] * n_cols)
+        else:
+            out.append([entry() for _ in range(n_cols)])
+    return out
+
+
+SHAPES = [(6, 3), (9, 4), (3, 7), (2, 9), (5, 5), (7, 7), (1, 4), (4, 1)]  # tall, wide, square
+
+
+def test_sparse_rref_equals_dense_reference():
+    rng = random.Random(20261018)
+    saw_scaled_pivot = False
+    for trial in range(120):
+        n_rows, n_cols = SHAPES[trial % len(SHAPES)]
+        rows = random_rows(rng, n_rows, n_cols)
+        sparse_rows = [sparse(r) for r in rows]
+        before = [dict(r) for r in sparse_rows]
+        red, pivots, rank = _rref_rows(sparse_rows)
+        ref, ref_pivots, ref_rank = dense_rref_rows([list(r) for r in rows])
+        assert (pivots, rank) == (ref_pivots, ref_rank)
+        assert [dense(r, n_cols) for r in red] == [tuple(r) for r in ref[:rank]]
+        assert all(x == 0 for r in ref[rank:] for x in r)
+        assert sparse_rows == before  # the input rows are left unmodified
+        saw_scaled_pivot |= any(r and r[min(r)] not in (0, 1) for r in sparse_rows)
+    assert saw_scaled_pivot
+
+
+def test_solvers_equal_dense_reference():
+    rng = random.Random(1018)
+    outcomes = set()
+    for trial in range(80):
+        n_rows, n_cols = SHAPES[trial % len(SHAPES)]
+        rows = random_rows(rng, n_rows, n_cols)
+        m = Mat(rows)
+        # consistent right-hand sides come from a solution, the others are random
+        if trial % 2:
+            x = [Fraction(rng.randint(-3, 3)) for _ in range(n_cols)]
+            rhs = list(m.matvec(x))
+        else:
+            rhs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n_rows)]
+        got = solve_affine(rows, rhs)
+        assert got == dense_solve_affine(rows, rhs)
+        outcomes.add(got is None)
+        assert kernel(m).basis == dense_kernel(rows, n_cols)
+        assert Subspace.span(n_cols, rows).basis == dense_span(n_cols, rows)
+        assert m.rank() == dense_rref_rows([list(r) for r in rows])[2]
+        cond = rng.randint(0, n_cols)
+        pairs = [(r[:cond], r[cond:]) for r in rows]
+        assert image_on_kernel(cond, n_cols - cond, pairs).basis == dense_image_on_kernel(cond, pairs)
+        span = Subspace.span(n_cols, rows)
+        v = random_rows(rng, 1, n_cols)[0]
+        assert span.reduce(v) == dense_reduce(span.basis, v)
+        if n_rows == n_cols:
+            full = Mat([[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n_cols)] for _ in range(n_rows)])
+            for square in (m, full):
+                expected = dense_inverse(square)
+                if expected is None:
+                    outcomes.add("singular")
+                    with pytest.raises(ShapeError):
+                        square.inverse()
+                else:
+                    outcomes.add("invertible")
+                    assert square.inverse() == expected
+    assert outcomes == {True, False, "singular", "invertible"}

@@ -265,18 +265,18 @@ def _table_cases(h):
 )
 def test_preimage_matches_functional_conditions(h):
     for row, vectors, target, conds in _table_cases(h):
-        assert _preimage(h.basis, vectors, target) == _ref_sub_with_conditions(h, conds), row
+        assert _preimage(h.span.rows, vectors, target) == _ref_sub_with_conditions(h, conds), row
 
 
 def test_preimage_edge_cases():
     h = build_gl(3)
     e3 = (Fraction(0), Fraction(0), Fraction(1))
     # no vectors: every element; full target: every element; no generators: zero
-    assert _preimage(h.basis, [], Subspace.zero(3)) == h.span
-    assert _preimage(h.basis, [e3], Subspace.full(3)) == h.span
+    assert _preimage(h.span.rows, [], Subspace.zero(3)) == h.span
+    assert _preimage(h.span.rows, [e3], Subspace.full(3)) == h.span
     assert _preimage([], [e3], Subspace.zero(3)).dim == 0
     # F e3 = 0 kills the third column: 6 of the 9 entries stay free
-    assert _preimage(h.basis, [e3], Subspace.zero(3)).dim == 6
+    assert _preimage(h.span.rows, [e3], Subspace.zero(3)).dim == 6
 
 
 @pytest.fixture
