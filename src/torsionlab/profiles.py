@@ -7,14 +7,16 @@ unitary) and, when it holds, returns its formula for F.  ``crosscheck``
 evaluates every rule that fires and compares the result with the
 generic engine; a mismatch is reported, never swallowed.
 
-Every subspace of the structural profile is a preimage
-{F in h : F x in T for every x in X}, computed by ``_preimage``.
+Every subspace of the structural profile but J h is a preimage
+{F in h : F x in T for every x in X}, computed by ``_preimage``.  The
+profile comes in groups (h_1, J h, the h_2 chain, the line
+prolongation, the metric family); a rule pass builds only the groups
+its rules read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
 from .algebras import (
     LinearSubalgebra,
@@ -73,73 +75,101 @@ def _left_span(a: Mat, h: LinearSubalgebra) -> Subspace:
     )
 
 
+def _base_group(h):
+    """h_1 (killing R^{n-1}), h_1^inv (also preserving it) and W."""
+    n = h.n
+    h1 = _preimage(h.span.rows, [unit(n, j) for j in range(n - 1)], Subspace.zero(n))
+    h1_inv = _preimage(h1.rows, [unit(n, n - 1)], _hyperplane(n))
+    w = Subspace.span(n - 1, [f.col(n - 1)[: n - 1] for f in _mats_of(h1_inv, n)])
+    return {"h1": h1, "h1_inv": h1_inv, "W": w}
+
+
+def _j_span(h):
+    """J h, when h preserves its complex structure J."""
+    return {"Jh": _left_span(h.structures["J"], h) if h.preserves("J") else None}
+
+
+def _j_chain(h):
+    """R_J = R^{n-1} meet J R^{n-1} and the chain h_2 >= h_2^inv >= h_2^J."""
+    j = h.structures.get("J")
+    if j is None:
+        return dict.fromkeys(("RJ", "h2", "h2_inv", "h2_J"))
+    n = h.n
+    hyper = [unit(n, i) for i in range(n - 1)]
+    hyperplane = _hyperplane(n)
+    rj = hyperplane.intersect(Subspace.span(n, [j.matvec(x) for x in hyper]))
+    h2 = _preimage(h.span.rows, rj.basis, Subspace.zero(n))
+    return {"RJ": rj, "h2": h2, "h2_inv": _preimage(h2.rows, hyper, hyperplane), "h2_J": _preimage(h2.rows, hyper, rj)}
+
+
+def _line_group(h):
+    """The line of K^(1)'s values, h_v, h_v^inv, U and nu."""
+    v0 = _detect_line_prolongation(h)
+    if v0 is None:
+        return dict.fromkeys(("v_line", "hv", "hv_inv", "U_cal", "nu"))
+    n = h.n
+    v_line = Subspace.span(n, [v0])
+    hv = _preimage(h.span.rows, [unit(n, j) for j in range(n - 1)], v_line)
+    u_cal = Subspace.span(n - 1, [tuple(y / v0[n - 1] for y in f.data[n - 1][: n - 1]) for f in _mats_of(hv, n)])
+    return {
+        "v_line": v_line,
+        "hv": hv,
+        "hv_inv": _preimage(hv.rows, [v0], _hyperplane(n)),
+        "U_cal": u_cal,
+        "nu": _nu_map(h, u_cal, v0),
+    }
+
+
+def _metric_group(h):
+    """h_perp (mapping R^{n-1} into its g-orthogonal), h_perp^inv and U~."""
+    g = h.structures.get("g")
+    if g is None:
+        return dict.fromkeys(("h_perp", "h_perp_inv", "U_tilde"))
+    n = h.n
+    hyperplane = _hyperplane(n)
+    perp = orthogonal_complement(MetricContext(g), hyperplane)
+    h_perp = _preimage(h.span.rows, [unit(n, j) for j in range(n - 1)], perp)
+    h_perp_inv = _preimage(h_perp.rows, [unit(n, j) for j in range(n)], hyperplane)
+    u_tilde = Subspace.span(n - 1, [f.col(jcol)[: n - 1] for f in _mats_of(h_perp_inv, n) for jcol in range(n)])
+    return {"h_perp": h_perp, "h_perp_inv": h_perp_inv, "U_tilde": u_tilde}
+
+
+# the group that builds each field
+_GROUP_OF = {
+    **dict.fromkeys(("h1", "h1_inv", "W"), _base_group),
+    "Jh": _j_span,
+    **dict.fromkeys(("RJ", "h2", "h2_inv", "h2_J"), _j_chain),
+    **dict.fromkeys(("v_line", "hv", "hv_inv", "U_cal", "nu"), _line_group),
+    **dict.fromkeys(("h_perp", "h_perp_inv", "U_tilde"), _metric_group),
+}
+
+
 class StructuralProfile:
-    """The subspaces h_1, W, the h_2 chain, h_v with U and nu, and the
+    """The subspaces h_1, W, J h, the h_2 chain, h_v with U and nu, and the
     degenerate-metric family, each in canonical form (None when the
-    needed structure is absent)."""
+    needed structure is absent).  A field not yet built is built with
+    the rest of its group, from h, when it is first read."""
 
-    __slots__ = (
-        "h1", "h1_inv", "W",
-        "RJ", "h2", "h2_inv", "h2_J",
-        "v_line", "hv", "hv_inv", "U_cal", "nu",
-        "h_perp", "h_perp_inv", "U_tilde",
-    )
+    __slots__ = ("h", "_fields")
 
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            object.__setattr__(self, name, kw.get(name))
+    def __init__(self, h: LinearSubalgebra):
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "_fields", {})
+
+    def __getattr__(self, name):
+        if name not in _GROUP_OF:
+            raise AttributeError(name)
+        if name not in self._fields:
+            self._fields.update(_GROUP_OF[name](self.h))
+        return self._fields[name]
 
     def __setattr__(self, *a):
         raise AttributeError("StructuralProfile is immutable")
 
 
 def profile(h: LinearSubalgebra) -> StructuralProfile:
-    """Assemble the structural subspaces of h."""
-    n = h.n
-    ee = [unit(n, j) for j in range(n)]
-    hyper = ee[: n - 1]
-    hyperplane = _hyperplane(n)
-
-    h1 = _preimage(h.span.rows, hyper, Subspace.zero(n))
-    h1_inv = _preimage(h1.rows, ee[n - 1 :], hyperplane)
-    w = Subspace.span(n - 1, [f.col(n - 1)[: n - 1] for f in _mats_of(h1_inv, n)])
-    fields = {"h1": h1, "h1_inv": h1_inv, "W": w}
-
-    j = h.structures.get("J")
-    if j is not None:
-        rj = hyperplane.intersect(Subspace.span(n, [j.matvec(x) for x in hyper]))
-        h2 = _preimage(h.span.rows, rj.basis, Subspace.zero(n))
-        fields.update(
-            RJ=rj,
-            h2=h2,
-            h2_inv=_preimage(h2.rows, hyper, hyperplane),
-            h2_J=_preimage(h2.rows, hyper, rj),
-        )
-
-    v0 = _detect_line_prolongation(h)
-    if v0 is not None:
-        v_line = Subspace.span(n, [v0])
-        hv = _preimage(h.span.rows, hyper, v_line)
-        u_cal = Subspace.span(n - 1, [tuple(y / v0[n - 1] for y in f.data[n - 1][: n - 1]) for f in _mats_of(hv, n)])
-        fields.update(
-            v_line=v_line,
-            hv=hv,
-            hv_inv=_preimage(hv.rows, [v0], hyperplane),
-            U_cal=u_cal,
-            nu=_nu_map(h, u_cal, v0),
-        )
-
-    g = h.structures.get("g")
-    if g is not None:
-        perp = orthogonal_complement(MetricContext(g), hyperplane)
-        h_perp = _preimage(h.span.rows, hyper, perp)
-        h_perp_inv = _preimage(h_perp.rows, ee, hyperplane)
-        u_tilde = Subspace.span(
-            n - 1, [f.col(jcol)[: n - 1] for f in _mats_of(h_perp_inv, n) for jcol in range(n)]
-        )
-        fields.update(h_perp=h_perp, h_perp_inv=h_perp_inv, U_tilde=u_tilde)
-
-    return StructuralProfile(**fields)
+    """The structural profile of h; each group is built when first read."""
+    return StructuralProfile(h)
 
 
 def _detect_line_prolongation(h):
@@ -239,11 +269,11 @@ def _pick_outside(big: Subspace, small: Subspace, n):
 
 # ---------------------------------------------------------------------------
 # closed-form rules: rule(h, prof) returns None when its hypothesis fails,
-# else (F, tag); prof() builds profile(h) on first use.
+# else (F, tag); prof is h's StructuralProfile.
 
 
 def _rule_complex(h, prof):
-    if not h.preserves("J") or _left_span(h.structures["J"], h) != h.span:
+    if prof.Jh is None or prof.Jh != h.span:
         return None
     return characteristic_subalgebra(h), None
 
@@ -263,15 +293,15 @@ def _rule_commuting_endo(h, prof):
 
 
 def _rule_totally_real(h, prof):
-    if not h.preserves("J") or h.span.intersect(_left_span(h.structures["J"], h)).dim != 0:
+    if prof.Jh is None or h.span.intersect(prof.Jh).dim != 0:
         return None
     j = h.structures["J"]
-    tag, wit = _totally_real_type(h, j, prof())
-    if tag == "II" and not _type_II_extra_condition(h, prof()):
+    tag, wit = _totally_real_type(h, j, prof)
+    if tag == "II" and not _type_II_extra_condition(h, prof):
         return None
     n = h.n
     hyper = range(n - 1)
-    extra = [(j * f).submatrix(hyper, hyper) for f in _mats_of(prof().h2_J, n)]
+    extra = [(j * f).submatrix(hyper, hyper) for f in _mats_of(prof.h2_J, n)]
     if tag == "III":
         f, lam = wit["F"], wit["lam"]
         extra.append((j * f - f.scale(lam)).submatrix(hyper, hyper))
@@ -294,19 +324,18 @@ def _rule_k1_zero(h, prof):
     if first_prolongation(h).dim != 0:
         return None
     n = h.n
-    p = prof()
     vecs = []
-    if p.h1 == p.h1_inv:
+    if prof.h1 == prof.h1_inv:
         vecs.extend(list(characteristic_subalgebra(h).basis))
     else:
-        f0 = _pick_outside(p.h1, p.h1_inv, n)
+        f0 = _pick_outside(prof.h1, prof.h1_inv, n)
         v0 = f0.col(n - 1)
         m = n - 1
         for flat in tableau(h).basis:
             out = [[flat[k * m + jj] - (flat[(n - 1) * m + jj] / v0[n - 1]) * v0[k] for jj in range(m)] for k in range(m)]
             vecs.append(Mat(out).flatten())
     for i in range(n - 1):
-        for w in p.W.basis:
+        for w in prof.W.basis:
             out = [[w[k] if jj == i else Fraction(0) for jj in range(n - 1)] for k in range(n - 1)]
             vecs.append(Mat(out).flatten())
     return Subspace.span((n - 1) * (n - 1), vecs), None
@@ -314,13 +343,12 @@ def _rule_k1_zero(h, prof):
 
 def _rule_s2uv(h, prof):
     n = h.n
-    p = prof()
-    if p.hv is None or p.U_cal.dim == 0 or p.hv != p.hv_inv:
+    if prof.hv is None or prof.U_cal.dim == 0 or prof.hv != prof.hv_inv:
         return None
-    if not _k1_matches_s2uv(h, p.U_cal, p.v_line.basis[0]):
+    if not _k1_matches_s2uv(h, prof.U_cal, prof.v_line.basis[0]):
         return None
-    nu_cols = [p.nu.col(t) for t in range(p.nu.cols)]
-    ub = list(p.U_cal.basis)
+    nu_cols = [prof.nu.col(t) for t in range(prof.nu.cols)]
+    ub = list(prof.U_cal.basis)
     vecs = list(characteristic_subalgebra(h).basis)
     for a in range(len(ub)):
         for b in range(a, len(ub)):
@@ -424,10 +452,9 @@ def _rule_deg_metric(h, prof):
     g = h.structures.get("g")
     if g is None or not is_degenerate(MetricContext(g), _hyperplane(h.n)):
         return None
-    p = prof()
-    if p.h_perp != p.h_perp_inv:
+    if prof.h_perp != prof.h_perp_inv:
         return None
-    return _k_tilde_plus_s2u_flat(h, g, p.U_tilde.basis), None
+    return _k_tilde_plus_s2u_flat(h, g, prof.U_tilde.basis), None
 
 
 RULES = [
@@ -446,10 +473,11 @@ RULES = [
 def _fired(h, known=None):
     """(label, F, tag) for each rule that fires, in RULES order.
 
-    known, when given, is profile(h) built by the caller; otherwise
-    profile(h) is built at most once, by the first rule that reads it.
+    known, when given, is a profile(h) the caller shares with other
+    passes; otherwise the pass makes its own.  Either way each group of
+    the profile is built at most once, when a rule first reads it.
     """
-    prof = cache(lambda: profile(h)) if known is None else (lambda: known)
+    prof = profile(h) if known is None else known
     for label, rule in RULES:
         out = rule(h, prof)
         if out is not None:

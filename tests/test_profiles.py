@@ -19,8 +19,10 @@ from torsionlab.builders import (
     standard_omega,
     witt_gram,
 )
+from test_cli import SPACE_RUNGS
 from torsionlab import profiles
 from torsionlab.algebras import LinearSubalgebra, MetricContext, orthogonal_complement
+from torsionlab.cli import parse_algebra
 from torsionlab.engine import obstruction_space
 from torsionlab.linalg import Mat, Subspace, image_on_kernel, kernel
 from torsionlab.profiles import (
@@ -159,7 +161,9 @@ def test_crosscheck_degenerate_metric():
 
 
 def test_crosscheck_entire_catalog():
-    for h in catalog():
+    # the catalog and the space --with-bases rungs: between them every
+    # group of the profile is read by some rule
+    for h in catalog() + [parse_algebra(rung) for rung in SPACE_RUNGS]:
         rep = crosscheck(h)
         assert rep["all_equal"], (h.name, [(r["rule"], r["dim"], r["equal"]) for r in rep["rules"]])
 
@@ -280,30 +284,36 @@ def test_preimage_edge_cases():
 
 
 @pytest.fixture
-def profile_builds(monkeypatch):
+def group_builds(monkeypatch):
+    """The name of each profile group builder, once per call."""
     calls = []
-    real = profiles.profile
 
-    def counting(h):
-        calls.append(h.name)
-        return real(h)
+    def counting(build):
+        def wrapped(h):
+            calls.append(build.__name__)
+            return build(h)
 
-    monkeypatch.setattr(profiles, "profile", counting)
+        return wrapped
+
+    monkeypatch.setattr(profiles, "_GROUP_OF", {name: counting(build) for name, build in profiles._GROUP_OF.items()})
     return calls
 
 
 @pytest.mark.parametrize(
-    "run, builder, builds",
+    "run, builder, groups",
     [
-        (applicable_rules, lambda: build_su(2), 1),
-        (closed_form_F, lambda: build_delta_gl(3), 1),
-        (closed_form_F, lambda: build_gl_C(2), 0),
+        (applicable_rules, lambda: build_su(2), ["_base_group", "_j_chain", "_j_span", "_line_group"]),
+        (closed_form_F, lambda: build_delta_gl(3), ["_j_chain", "_j_span"]),
+        (closed_form_F, lambda: build_gl_C(2), ["_j_span"]),
     ],
     ids=["applicable_rules-su2", "closed_form_F-delta_gl3", "closed_form_F-gl_C2"],
 )
-def test_one_profile_per_rule_pass(profile_builds, run, builder, builds):
+def test_one_profile_per_rule_pass(group_builds, run, builder, groups):
+    # each group of the profile is built at most once, and only when a
+    # rule reads one of its fields
     run(builder())
-    assert len(profile_builds) == builds
+    assert sorted(group_builds) == groups
+
 
 
 def test_profile_is_not_shared_between_equal_spans():

@@ -1,0 +1,75 @@
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from torsionlab import cli, reporting
+
+# strings that need every kind of escape: quotes, backslashes, control
+# characters, DEL, non-ASCII text, astral characters
+awkward = st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", " ", "\U0001f600", 'a"b\\c\td', "p/q", "-3/4", ""])
+strings = st.text(max_size=8) | awkward
+scalars = st.none() | st.booleans() | st.integers() | st.floats() | strings
+
+
+def containers(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(strings, children, max_size=4)
+    )
+
+
+# a list of strings (a basis line) takes the writer's one-join route
+values = st.recursive(scalars | st.lists(strings, max_size=6), containers, max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values)
+def test_writer_is_json_dumps_with_sorted_keys_and_indent(obj):
+    assert reporting.dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {}, [], (), "", {"a": {}, "b": [], "c": [[]], "d": [{}]}, [[], ["x"], [1, "x"]],
+        {2: "b", 10: "a"}, {None: 0}, {True: [], False: {}}, {1.5: "x", -0.0: "y"},
+    ],
+)
+def test_writer_on_empty_containers_and_non_string_keys(obj):
+    assert reporting.dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def grid(*rows):
+    return json.dumps([row.split() for row in rows])
+
+
+# one JSON report of every subcommand, on inputs small enough for tier-1
+REPORTS = {
+    "space": ["space", "--algebra", "so:p=3,q=1", "--with-bases"],
+    "check-certificate": ["check", "--algebra", "gl_C:m=2", "--with-bases", "--f", grid("0 -1 0", "1 0 0", "0 0 0")],
+    "check-refusal": ["check", "--algebra", "sp:m=2", "--f", grid("0 0 1", "0 0 0", "0 0 0")],
+    "flat": ["flat", "--algebra", "sp:m=2", "--with-bases", "--f", grid("0 1 0", "0 0 0", "0 0 0")],
+    "exists": ["exists", "product", "--p", "2", "--f", grid("1 0 0", "0 2 0", "0 0 3")],
+    "orbits": ["orbits", "--group", "product", "--n", "4", "--p", "2"],
+    "classify-hpc": ["classify-hpc", "--with-bases", "--f", grid("1 0 0", "0 1 0", "0 0 2")],
+    "verify-paper": ["verify-paper", "--target", "invariants", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("argv", REPORTS.values(), ids=REPORTS.keys())
+def test_writer_is_json_dumps_on_every_report(argv, monkeypatch, capsys):
+    written = []
+    real = reporting.dumps
+
+    def recording(obj):
+        written.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(reporting, "dumps", recording)
+    with pytest.raises(SystemExit):
+        cli.main(argv)
+    assert len(written) == 1
+    assert capsys.readouterr().out == json.dumps(written[0], sort_keys=True, indent=2) + "\n"
