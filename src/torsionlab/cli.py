@@ -2,14 +2,16 @@
 
 Commands: space, check, flat, exists, classify-hpc, orbits, catalog,
 verify-paper.  JSON in, JSON (or text) out; rationals travel as "p/q"
-strings.  Exit codes: 0 success or certificate, 1 honest negative or
-refusal, 2 input error, 3 internal invariant violation.
+strings.  Exit codes: 0 success or certificate, 1 honest negative,
+refusal, or a reader that closed stdout, 2 input error, 3 internal
+invariant violation.
 TORSIONLAB_MAX_N (default 12) caps the ambient dimension.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -299,6 +301,7 @@ def cmd_verify_paper(args):
     return 0 if failed == 0 else 1
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="torsionlab",
@@ -378,6 +381,12 @@ def main(argv=None):
     start = time.monotonic()
     try:
         code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so the flush at exit cannot fail again, and exit 1 as on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     except (InputError, ShapeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2

@@ -342,40 +342,35 @@ def _rule_k1_zero(h, prof):
 
 
 def _rule_s2uv(h, prof):
-    n = h.n
     if prof.hv is None or prof.U_cal.dim == 0 or prof.hv != prof.hv_inv:
         return None
     if not _k1_matches_s2uv(h, prof.U_cal, prof.v_line.basis[0]):
         return None
-    nu_cols = [prof.nu.col(t) for t in range(prof.nu.cols)]
-    ub = list(prof.U_cal.basis)
-    vecs = list(characteristic_subalgebra(h).basis)
-    for a in range(len(ub)):
-        for b in range(a, len(ub)):
-            out = [
-                [ub[b][jj] * nu_cols[a][k] + ub[a][jj] * nu_cols[b][k] for jj in range(n - 1)]
-                for k in range(n - 1)
-            ]
-            vecs.append(Mat(out).flatten())
-    return Subspace.span((n - 1) * (n - 1), vecs), None
+    return _k_tilde_plus_sym(h, [prof.nu.col(t) for t in range(prof.nu.cols)], prof.U_cal.basis), None
 
 
 def _k1_matches_s2uv(h, u_cal, v0):
     n = h.n
-    m = n - 1
-    vecs = []
-    ub = list(u_cal.basis)
-    for a in range(len(ub)):
-        for b in range(a, len(ub)):
-            flat = [Fraction(0)] * (m * m * n)
-            for i in range(m):
-                for jj in range(m):
-                    c = ub[a][i] * ub[b][jj] + ub[b][i] * ub[a][jj]
-                    if c != 0:
-                        for k in range(n):
-                            flat[i * m * n + jj * n + k] += c * v0[k]
-            vecs.append(flat)
-    return first_prolongation(h) == Subspace.span(m * m * n, vecs)
+    v = sparse(v0)
+    sym = _sym_rows(u_cal.basis, u_cal.basis, n - 1)
+    vecs = [{c * n + k: x * z for c, x in row.items() for k, z in v.items()} for row in sym]
+    return first_prolongation(h) == Subspace.span((n - 1) * (n - 1) * n, vecs)
+
+
+def _sym_rows(xs, ys, m):
+    """x_a y_b^T + x_b y_a^T for a <= b, m x m flattened, as sparse rows."""
+    sx, sy = [sparse(x) for x in xs], [sparse(y) for y in ys]
+    return [
+        sparse_sum((i * m + j, x * y) for p, q in ((a, b), (b, a)) for i, x in sx[p].items() for j, y in sy[q].items())
+        for a in range(len(sx))
+        for b in range(a, len(sx))
+    ]
+
+
+def _k_tilde_plus_sym(h, xs, ys):
+    """k~ plus x_a y_b^T + x_b y_a^T for a <= b, on the hyperplane."""
+    m = h.n - 1
+    return Subspace.span(m * m, [*characteristic_subalgebra(h).rows, *_sym_rows(xs, ys, m)])
 
 
 def _rule_sp_full(h, prof):
@@ -389,16 +384,10 @@ def _rule_sp_full(h, prof):
     return characteristic_subalgebra(h), None
 
 
-def _k_tilde_plus_s2u_flat(h, g, u_basis):
+def _k_tilde_plus_s2u(h, g, u_basis):
     """k~ plus u_a x g(u_b, .) + u_b x g(u_a, .) on the hyperplane, u_a, u_b in u_basis."""
     n = h.n
-    flats = [g.matvec(tuple(u) + (Fraction(0),))[: n - 1] for u in u_basis]
-    vecs = list(characteristic_subalgebra(h).basis)
-    for a in range(len(u_basis)):
-        for b in range(a, len(u_basis)):
-            ua, ub, fa, fb = u_basis[a], u_basis[b], flats[a], flats[b]
-            vecs.append(tuple(fb[jj] * ua[k] + fa[jj] * ub[k] for k in range(n - 1) for jj in range(n - 1)))
-    return Subspace.span((n - 1) * (n - 1), vecs)
+    return _k_tilde_plus_sym(h, u_basis, [g.matvec(tuple(u) + (Fraction(0),))[: n - 1] for u in u_basis])
 
 
 def _rule_nondeg_metric(h, prof):
@@ -413,7 +402,7 @@ def _rule_nondeg_metric(h, prof):
     v0 = orthogonal_complement(ctx, hyperplane).basis[0]
     hv = _preimage(h.span.rows, [unit(n, j) for j in range(n - 1)], Subspace.span(n, [v0]))
     u = Subspace.span(n - 1, [f.matvec(v0)[: n - 1] for f in _mats_of(hv, n)])
-    return _k_tilde_plus_s2u_flat(h, g, u.basis), None
+    return _k_tilde_plus_s2u(h, g, u.basis), None
 
 
 def _rule_unitary(h, prof):
@@ -454,7 +443,7 @@ def _rule_deg_metric(h, prof):
         return None
     if prof.h_perp != prof.h_perp_inv:
         return None
-    return _k_tilde_plus_s2u_flat(h, g, prof.U_tilde.basis), None
+    return _k_tilde_plus_s2u(h, g, prof.U_tilde.basis), None
 
 
 RULES = [

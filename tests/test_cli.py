@@ -10,19 +10,44 @@ import pytest
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, env_extra=None):
+def cli_env(env_extra=None):
     env = dict(os.environ)
     # the child interpreter finds the package the same way pytest does
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    if env_extra:
-        env.update(env_extra)
+    env.update(env_extra or {})
+    return env
+
+
+def run_cli(*args, env_extra=None):
     proc = subprocess.run(
         [sys.executable, "-m", "torsionlab.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=cli_env(env_extra),
     )
     return proc
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("space", "--algebra", "gl:n=3", "--with-bases"),
+        ("exists", "product", "--p", "2", "--f", "[[1,0,0],[0,2,0],[0,0,3]]"),
+        ("classify-hpc", "--f", "[[1,0,0],[0,1,0],[0,0,2]]", "--with-bases", "--format", "text"),
+    ],
+)
+def test_closed_stdout_exits_1_without_traceback(args):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torsionlab.cli", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+    )
+    proc.stdout.close()  # the reader is gone before the first write
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "runtime:" in err
 
 
 def test_space_sp4():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -187,39 +188,40 @@ def test_classify_hpc_pattern_sweep_case_a():
                 t = rand_invertible(rng, 2 * m - 1)
                 fc = t * f * t.inverse()
                 res = classify_hyperparacomplex(AlmostAbelian(fc))
-                assert res["verdict"] in ("yes_caseA", "yes_caseB"), (m, a_block, a_val)
+                assert res["verdict"] == "yes_caseA", (m, a_block, a_val)
                 assert res["basis"] is not None
 
 
+def case_b_matrix(m, u1, u2, a_val):
+    """The paper's five-block case-B form with A = 1 and couplings u1, u2."""
+    mm = m - 2
+    rows = []
+    for i in range(mm):
+        rows.append([1 if i == j else 0 for j in range(mm)] + [0] * mm + [u1[i], -u2[i], u1[i]])
+    for i in range(mm):
+        rows.append([0] * mm + [1 if i == j else 0 for j in range(mm)] + [u2[i], u1[i], -u2[i]])
+    for t in range(3):
+        rows.append([0] * (2 * mm) + [a_val if k == t else 0 for k in range(3)])
+    return Mat(rows)
+
+
 def test_classify_hpc_pattern_sweep_case_b():
-    # case-B pattern matrices are recognized (case A subsumes them)
+    # conjugated case-B pattern matrices are recognized in case A
     rng = random.Random(13)
+    inputs = []
     for m in (3, 4):
-        mm = m - 2
-        a_block = diag(*[1] * mm)
         for a_val in (1, 2):
-            u1 = [rng.randint(-2, 2) for _ in range(mm)]
-            u2 = [rng.randint(-2, 2) for _ in range(mm)]
-            rows = []
-            for i in range(mm):
-                rows.append(
-                    [a_block.data[i][j] for j in range(mm)]
-                    + [0] * mm
-                    + [u1[i], -u2[i], u1[i]]
-                )
-            for i in range(mm):
-                rows.append(
-                    [0] * mm
-                    + [a_block.data[i][j] for j in range(mm)]
-                    + [u2[i], u1[i], -u2[i]]
-                )
-            for t in range(3):
-                rows.append([0] * (2 * mm) + [a_val if k == t else 0 for k in range(3)])
-            f = Mat(rows)
-            tmat = rand_invertible(rng, 2 * m - 1)
-            fc = tmat * f * tmat.inverse()
-            res = classify_hyperparacomplex(AlmostAbelian(fc))
-            assert res["verdict"] in ("yes_caseA", "yes_caseB"), (m, a_val, u1, u2)
+            u1 = [rng.randint(-2, 2) for _ in range(m - 2)]
+            u2 = [rng.randint(-2, 2) for _ in range(m - 2)]
+            inputs.append((m, u1, u2, a_val, rand_invertible(rng, 2 * m - 1)))
+    rng = random.Random(5)
+    for m, u1v, u2v, a_val in [(3, 1, 0, 2), (3, 1, 1, 1), (4, 2, -1, 0), (2, 0, 0, 3)]:
+        inputs.append((m, [u1v] * (m - 2), [u2v] * (m - 2), a_val, rand_invertible(rng, 2 * m - 1)))
+    for m, u1, u2, a_val, tmat in inputs:
+        fc = tmat * case_b_matrix(m, u1, u2, a_val) * tmat.inverse()
+        res = classify_hyperparacomplex(AlmostAbelian(fc))
+        assert res["verdict"] == "yes_caseA", (m, a_val, u1, u2)
+        assert res["basis"].det() != 0
 
 
 def test_hpc_flatness_paper_recomputation():
@@ -244,8 +246,6 @@ def test_hpc_flatness_trivial_and_eigen():
     assert res["flat"] is True
     # w in the 2a-eigenspace of A
     res = hpc_flatness(AlmostAbelian(Mat.zeros(3, 3)), {**base, "w1": (Fraction(3),), "w2": (Fraction(0),)})
-    assert res["flat"] is True
-    res = hpc_flatness(AlmostAbelian(Mat.zeros(3, 3)), {"verdict": "yes_caseB"})
     assert res["flat"] is True
 
 
@@ -313,35 +313,6 @@ def test_admits_su_family():
 def test_admits_glH_family():
     assert admits_torsion_free("gl_H", AlmostAbelian(diag(3, 3, 3)))["overall"] == "yes"
     assert admits_torsion_free("gl_H", AlmostAbelian(diag(1, 2, 3)))["overall"] == "no"
-
-
-def test_case_b_classifier_direct():
-    # exercise the five-block search directly (the public classifier
-    # prefers the case-A form, which subsumes these at the type level)
-    from torsionlab.existence import _classify_case_b
-    from torsionlab.spectral import primary_components
-
-    rng = random.Random(5)
-    for m, u1v, u2v, a in [(3, 1, 0, 2), (3, 1, 1, 1), (4, 2, -1, 0), (2, 0, 0, 3)]:
-        mm = m - 2
-        u1 = [u1v] * mm
-        u2 = [u2v] * mm
-        rows = []
-        for i in range(mm):
-            a_row = [1 if i == j else 0 for j in range(mm)]
-            rows.append(a_row + [0] * mm + [u1[i], -u2[i], u1[i]])
-        for i in range(mm):
-            a_row = [1 if i == j else 0 for j in range(mm)]
-            rows.append([0] * mm + a_row + [u2[i], u1[i], -u2[i]])
-        for t in range(3):
-            rows.append([0] * (2 * mm) + [a if k == t else 0 for k in range(3)])
-        f = Mat(rows)
-        tmat = rand_invertible(rng, 2 * m - 1)
-        fc = tmat * f * tmat.inverse()
-        _, split = primary_components(fc)
-        res = _classify_case_b(fc, split, m)
-        assert res is not None and res["verdict"] == "yes_caseB", (m, u1v, u2v, a)
-        assert res["basis"].det() != 0
 
 
 def test_family_dimension_guards():
@@ -413,6 +384,12 @@ def sweep_matrix(rng, m):
                 blocks.append(b)
                 left -= b.rows
     f = Mat.block([[b if i == j else None for j in range(len(blocks))] for i, b in enumerate(blocks)])
+    return conjugated(rng, f)
+
+
+def conjugated(rng, f):
+    """t f t^-1 for a random unimodular t = lower * upper."""
+    m = f.rows
     lower = Mat([[1 if i == j else (rng.randint(-1, 1) if i > j else 0) for j in range(m)] for i in range(m)])
     upper = Mat([[1 if i == j else (rng.randint(-1, 1) if i < j else 0) for j in range(m)] for i in range(m)])
     t = lower * upper
@@ -454,6 +431,66 @@ def test_spectral_verdict_sweep_is_pinned():
     rows = [sweep_verdicts(AlmostAbelian(sweep_matrix(rng, n - 1))) for n in range(4, 9) for _ in range(4)]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == SWEEP_DIGEST
+
+
+HPC_EIGENVALUES = (0, 1, -2)
+
+
+def partitions(k, largest=None):
+    """The partitions of k, parts in decreasing order."""
+    if k == 0:
+        yield ()
+        return
+    for part in range(min(k, largest or k), 0, -1):
+        for rest in partitions(k - part, part):
+            yield (part, *rest)
+
+
+def jordan_types(size):
+    """Every Jordan type of size x size with eigenvalues in HPC_EIGENVALUES:
+    one partition, possibly empty, per eigenvalue."""
+    for sizes in itertools.product(range(size + 1), repeat=len(HPC_EIGENVALUES)):
+        if sum(sizes) == size:
+            yield from itertools.product(*(partitions(k) for k in sizes))
+
+
+def jordan_matrix(jtype):
+    entries = {}
+    start = 0
+    for lam, parts in zip(HPC_EIGENVALUES, jtype):
+        for s in parts:
+            for i in range(start, start + s):
+                entries[i, i] = lam
+                if i + 1 < start + s:
+                    entries[i, i + 1] = 1
+            start += s
+    return Mat([[entries.get((i, j), 0) for j in range(start)] for i in range(start)])
+
+
+def hpc_jordan_sweep(ns):
+    """(n, verdict, rule, basis) of classify_hyperparacomplex on every
+    Jordan type of each size n - 1, each under a seed-11 unimodular
+    conjugation."""
+    rng = random.Random(11)
+    rows = []
+    for n in ns:
+        for jtype in jordan_types(n - 1):
+            res = classify_hyperparacomplex(AlmostAbelian(conjugated(rng, jordan_matrix(jtype))))
+            basis = res.get("basis")
+            rows.append([n, res["verdict"], res["rule"], None if basis is None else [[str(x) for x in r] for r in basis.data]])
+    return rows
+
+
+# SHA-256 of hpc_jordan_sweep((4, 6)), recorded while the classifier still
+# ran the five-block case-B search after case A
+HPC_SWEEP_DIGEST = "0c0fc24350449ded45a25096f45631670347bd3e764951f22049b4ff134b7149"
+
+
+def test_hpc_jordan_sweep_is_pinned():
+    rows = hpc_jordan_sweep((4, 6))
+    assert len(rows) == 130
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == HPC_SWEEP_DIGEST
 
 
 @pytest.mark.parametrize("group", ["product", "tangent", "gl_C", "sl_C", "sp_C", "u", "su", "gl_H"])
