@@ -50,7 +50,11 @@ class InputError(ValueError):
 
 
 def _check_max_n(n):
-    max_n = int(os.environ.get("TORSIONLAB_MAX_N", "12"))
+    text = os.environ.get("TORSIONLAB_MAX_N", "12")
+    try:
+        max_n = int(text)
+    except ValueError:
+        raise InputError(f"TORSIONLAB_MAX_N must be an integer, not {text!r}") from None
     if n > max_n:
         raise InputError(f"ambient dimension {n} exceeds TORSIONLAB_MAX_N={max_n}")
 

@@ -6,9 +6,9 @@ connection space D, the torsion maps T = (T1, T2) and the obstruction
 space F = T1(ker T2).  T is read at the transversal e_n: on D the
 torsion at any transversal v is v_n times the torsion at e_n, so F and
 every certificate are the same for all v, and each is computed once per
-algebra.  Membership f in F is decided by an exact affine solve and
-every returned certificate is re-validated by evaluating the torsion
-(and curvature) tensors on the g_f bracket.
+algebra.  Membership f in F (or k~) is one exact solve over the pairs
+the space is built from, and every returned certificate is re-validated
+by evaluating the torsion (and curvature) on the g_f bracket table.
 
 Index conventions: gamma[i][j][k] is the k-th component of the
 covariant derivative of e_j in the direction e_i; tensors are flattened
@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebras import LinearSubalgebra, conjugate
-from .linalg import Mat, ShapeError, Subspace, dense, fr, image_on_kernel, kernel_rows, solve_affine, sparse_sum, vec
+from .linalg import Mat, ShapeError, Subspace, dense, fr, image_on_kernel, kernel_rows, solve_on_kernel, sparse, sparse_sum, vec
 
 
 class AlmostAbelian:
@@ -46,23 +46,18 @@ class AlmostAbelian:
     def __hash__(self):
         return hash(self.f)
 
-    def bracket(self, x, y):
-        x, y = vec(x), vec(y)
-        n = self.n
-        fx = self.f.matvec(x[: n - 1])
-        fy = self.f.matvec(y[: n - 1])
-        return tuple(x[n - 1] * fy[k] - y[n - 1] * fx[k] for k in range(n - 1)) + (Fraction(0),)
-
-    def bracket_tensor(self):
-        """c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k, flattened."""
-        n = self.n
-        c = [Fraction(0)] * (n * n * n)
-        for j in range(n - 1):
-            col = self.f.col(j)
-            for k in range(n - 1):
-                c[(n - 1) * n * n + j * n + k] = col[k]
-                c[j * n * n + (n - 1) * n + k] = -col[k]
-        return tuple(c)
+    def brackets(self):
+        """The nonzero brackets of basis vectors, {(i, j): {k: c}} with
+        [e_i, e_j] = sum_k c e_k: [e_n, e_j] = f e_j = -[e_j, e_n] for each
+        j < n - 1 with f e_j != 0."""
+        m = self.n - 1
+        table = {}
+        for j in range(m):
+            col = {k: x for k in range(m) if (x := self.f.data[k][j])}
+            if col:
+                table[m, j] = col
+                table[j, m] = {k: -x for k, x in col.items()}
+        return table
 
 
 class ConnectionTensor:
@@ -117,6 +112,17 @@ class Refusal:
         raise AttributeError("Refusal is immutable")
 
 
+def _k_tilde_pairs(n, rows):
+    """(last row, top-left block) on R^{n-1} of each element of h, given as
+    sparse flattened rows: k~_h is the second on the kernel of the first."""
+    m = n - 1
+    return [
+        ({c - m * n: x for c, x in row.items() if m * n <= c < n * n - 1},
+         {c // n * m + c % n: x for c, x in row.items() if c < m * n and c % n < m})
+        for row in rows
+    ]
+
+
 @lru_cache(maxsize=None)
 def characteristic_subalgebra(h: LinearSubalgebra) -> Subspace:
     """k~_h: restrictions to R^{n-1} of elements of h preserving R^{n-1}."""
@@ -124,9 +130,7 @@ def characteristic_subalgebra(h: LinearSubalgebra) -> Subspace:
     if n < 2:
         raise ShapeError("need n >= 2")
     m = n - 1
-    return image_on_kernel(
-        m, m * m, ((f.data[m][:m], f.submatrix(range(m), range(m)).flatten()) for f in h.basis)
-    )
+    return image_on_kernel(m, m * m, _k_tilde_pairs(n, (sparse(b.flatten()) for b in h.basis)))
 
 
 @lru_cache(maxsize=None)
@@ -195,12 +199,15 @@ def torsion_maps(h: LinearSubalgebra, v=None):
     Every X in D is symmetric on hyperplane pairs, so the torsion at
     v = v_n e_n + v' is v_n times the torsion at e_n.  Split along
     R^{n-1} + span(v) it gives T2 unchanged and T1 = v_n T1 - v' x T2,
-    where T1, T2 are the maps at e_n (the default).
+    where T1, T2 are the maps at e_n (the default), built on each call
+    from the sparse columns _torsion_maps caches.
     """
-    t1, t2, _ = _torsion_maps(h)
+    n, m = h.n, h.n - 1
+    pairs = _torsion_maps(h)
+    t1 = Mat([[col.get(r, 0) for _, col in pairs] for r in range(m * m)], m * m, len(pairs))
+    t2 = Mat([[col.get(r, 0) for col, _ in pairs] for r in range(m)], m, len(pairs))
     if v is None:
         return t1, t2
-    n, m = h.n, h.n - 1
     v = vec(v)
     if len(v) != n:
         raise ShapeError("transversal has wrong length")
@@ -210,21 +217,12 @@ def torsion_maps(h: LinearSubalgebra, v=None):
     return Mat(rows, m * m, t1.cols), t2
 
 
-def _from_columns(n_rows, columns):
-    """The n_rows x len(columns) matrix with the given sparse columns."""
-    grid = [[Fraction(0)] * len(columns) for _ in range(n_rows)]
-    for c, col in enumerate(columns):
-        for r, x in col.items():
-            grid[r][c] = x
-    return Mat(grid, n_rows, len(columns))
-
-
 @lru_cache(maxsize=None)
 def _torsion_maps(h: LinearSubalgebra):
     """T(X)(e_a)_k = X_{e_n}(e_a)_k - X_{e_a}(e_n)_k read from the nonzero
     entries of each D basis vector X, at row k*m + a of [T1; T2] (T2 is
-    the e_n component).  Returns T1 and T2 as matrices and, per X, its
-    sparse columns (T2 X, T1 X)."""
+    the e_n component).  Returns, per X, its sparse columns (T2 X, T1 X):
+    F_h is the image of T1 on the kernel of T2."""
     n, m = h.n, h.n - 1
     reads = {}  # entry of X -> (row of [T1; T2], sign)
     for a in range(m):
@@ -232,15 +230,16 @@ def _torsion_maps(h: LinearSubalgebra):
             reads[m * n * n + a * n + k] = (k * m + a, 1)
             reads[a * n * n + m * n + k] = (k * m + a, -1)
     cols = [sparse_sum((reads[c][0], reads[c][1] * x) for c, x in row.items() if c in reads) for row in connection_space(h).rows]
-    t1 = [{r: x for r, x in col.items() if r < m * m} for col in cols]
-    t2 = [{r - m * m: x for r, x in col.items() if r >= m * m} for col in cols]
-    return _from_columns(m * m, t1), _from_columns(m, t2), list(zip(t2, t1))
+    return tuple(
+        ({r - m * m: x for r, x in col.items() if r >= m * m}, {r: x for r, x in col.items() if r < m * m})
+        for col in cols
+    )
 
 
 @lru_cache(maxsize=None)
 def obstruction_space(h: LinearSubalgebra) -> Subspace:
     """F_h = T1(ker T2); the same for every transversal (see torsion_maps)."""
-    return image_on_kernel(h.n - 1, (h.n - 1) ** 2, _torsion_maps(h)[2])
+    return image_on_kernel(h.n - 1, (h.n - 1) ** 2, _torsion_maps(h))
 
 
 def torsion_tensor(nabla: ConnectionTensor, aa: AlmostAbelian):
@@ -248,34 +247,48 @@ def torsion_tensor(nabla: ConnectionTensor, aa: AlmostAbelian):
     n = aa.n
     if nabla.n != n:
         raise ShapeError("connection/algebra dimension mismatch")
-    c = aa.bracket_tensor()
     g = nabla.gamma
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out.append(g[i * n * n + j * n + k] - g[j * n * n + i * n + k] - c[i * n * n + j * n + k])
+    out = [g[(i * n + j) * n + k] - g[(j * n + i) * n + k] for i in range(n) for j in range(n) for k in range(n)]
+    for (i, j), col in aa.brackets().items():
+        for k, x in col.items():
+            out[(i * n + j) * n + k] -= x
     return tuple(out)
 
 
+def _slices(nabla: ConnectionTensor):
+    """A_i = nabla_{e_i} as sparse columns {k: {l: x}}, A_i e_k = sum_l x e_l."""
+    n = nabla.n
+    a = [{} for _ in range(n)]
+    for idx, x in enumerate(nabla.gamma):
+        if x:
+            a[idx // (n * n)].setdefault(idx // n % n, {})[idx % n] = x
+    return a
+
+
+def _apply(a, v):
+    """The terms (l, x) of A v, for A in sparse columns and a sparse vector v."""
+    return [(l, x * y) for k, x in v.items() for l, y in a.get(k, {}).items()]
+
+
 def curvature_tensor(nabla: ConnectionTensor, aa: AlmostAbelian):
-    """R(e_i, e_j) e_k = [nabla_i, nabla_j] e_k - nabla_{[e_i,e_j]} e_k, flattened n^4."""
+    """R(e_i, e_j) e_k = [nabla_i, nabla_j] e_k - nabla_{[e_i,e_j]} e_k, flattened n^4,
+    on the sparse slices A_i = nabla_{e_i} for i < j; R(e_j, e_i) = -R(e_i, e_j)."""
     n = aa.n
     if nabla.n != n:
         raise ShapeError("connection/algebra dimension mismatch")
-    c = aa.bracket_tensor()
-    g = nabla.gamma
-    out = []
+    a = _slices(nabla)
+    table = aa.brackets()
+    out = [Fraction(0)] * n**4
     for i in range(n):
-        for j in range(n):
+        for j in range(i + 1, n):
+            bracket = table.get((i, j), {})
             for k in range(n):
-                for l in range(n):
-                    s = Fraction(0)
-                    for m in range(n):
-                        s += g[j * n * n + k * n + m] * g[i * n * n + m * n + l]
-                        s -= g[i * n * n + k * n + m] * g[j * n * n + m * n + l]
-                        s -= c[i * n * n + j * n + m] * g[m * n * n + k * n + l]
-                    out.append(s)
+                terms = _apply(a[i], a[j].get(k, {}))
+                terms += [(l, -x) for l, x in _apply(a[j], a[i].get(k, {}))]
+                terms += [(l, -c * y) for t, c in bracket.items() for l, y in a[t].get(k, {}).items()]
+                for l, x in sparse_sum(terms).items():
+                    out[((i * n + j) * n + k) * n + l] = x
+                    out[((j * n + i) * n + k) * n + l] = -x
     return tuple(out)
 
 
@@ -288,30 +301,34 @@ def nijenhuis(a: Mat, aa: AlmostAbelian):
     n = aa.n
     if a.rows != n or a.cols != n:
         raise ShapeError("A must be n x n")
-    cols = [a.col(j) for j in range(n)]
-    a2 = a * a
-    out = []
+    table = aa.brackets()
+    amap = {j: {k: x for k in range(n) if (x := a.data[k][j])} for j in range(n)}
+
+    def bracket(x, y):  # the terms of [x, y] for sparse vectors x, y
+        return [(k, x[p] * y[q] * c) for (p, q), col in table.items() if p in x and q in y for k, c in col.items()]
+
+    out = [Fraction(0)] * n**3
     for i in range(n):
-        ai = cols[i]
         for j in range(n):
-            aj = cols[j]
-            t1 = aa.bracket(ai, aj)
-            t2 = a.matvec(aa.bracket(ai, [Fraction(1 if r == j else 0) for r in range(n)]))
-            t3 = a.matvec(aa.bracket([Fraction(1 if r == i else 0) for r in range(n)], aj))
-            t4 = a2.matvec(aa.bracket([Fraction(1 if r == i else 0) for r in range(n)], [Fraction(1 if r == j else 0) for r in range(n)]))
-            for k in range(n):
-                out.append(t1[k] - t2[k] - t3[k] + t4[k])
+            ei, ej = {i: 1}, {j: 1}
+            # N = [Ax, Ay] - A([Ax, y] + [x, Ay] - A[x, y]) at x = e_i, y = e_j
+            inner = bracket(amap[i], ej) + bracket(ei, amap[j]) + [(k, -x) for k, x in _apply(amap, table.get((i, j), {}))]
+            terms = bracket(amap[i], amap[j]) + [(k, -x) for k, x in _apply(amap, sparse_sum(inner))]
+            for k, x in sparse_sum(terms).items():
+                out[(i * n + j) * n + k] = x
     return tuple(out)
 
 
-def max_abs(entries):
-    m = Fraction(0)
-    for x in entries:
-        if x < 0:
-            x = -x
-        if x > m:
-            m = x
-    return m
+def _solve_or_refuse(h, aa, pairs, rows, space, name):
+    """The first echelon combination of rows (free variables zero) whose
+    generator pairs give f, as a sparse row, by one solve over the pairs
+    space(h) is built from; or the refusal with f's residual against it."""
+    m = aa.n - 1
+    f_flat = aa.f.flatten()
+    sol = solve_on_kernel(m, m * m, pairs, f_flat)
+    if sol is None:
+        return Refusal(f"f is not in the {name} of h", space(h).reduce(f_flat))
+    return sparse_sum((idx, c * y) for c, row in zip(sol, rows) if c for idx, y in row.items())
 
 
 def check_torsion_free(h: LinearSubalgebra, aa: AlmostAbelian, hyperplane_map: Mat | None = None):
@@ -325,19 +342,13 @@ def check_torsion_free(h: LinearSubalgebra, aa: AlmostAbelian, hyperplane_map: M
     if hyperplane_map is not None:
         h = conjugate(h, hyperplane_map)
     n = h.n
-    t1, t2, _ = _torsion_maps(h)
-    f_flat = aa.f.flatten()
-    sol = solve_affine(t2.data + t1.data, [Fraction(0)] * (n - 1) + list(f_flat))
-    if sol is None:
-        residual = obstruction_space(h).reduce(f_flat)
-        return Refusal("f is not in the obstruction space of h", residual)
-    rows = connection_space(h).rows
-    gamma = sparse_sum((idx, c * y) for c, row in zip(sol, rows) if c for idx, y in row.items())
+    gamma = _solve_or_refuse(h, aa, _torsion_maps(h), connection_space(h).rows, obstruction_space, "obstruction space")
+    if isinstance(gamma, Refusal):
+        return gamma
     nabla = ConnectionTensor(n, dense(gamma, n**3))
-    tors = torsion_tensor(nabla, aa)
-    if any(x != 0 for x in tors):
+    if any(torsion_tensor(nabla, aa)):
         raise AssertionError("engine invariant violated: certificate has torsion")
-    return Certificate("torsion_free", nabla, {"torsion_max_abs": max_abs(tors)})
+    return Certificate("torsion_free", nabla, {"torsion_max_abs": Fraction(0)})
 
 
 def flat_certificate(h: LinearSubalgebra, aa: AlmostAbelian):
@@ -345,28 +356,13 @@ def flat_certificate(h: LinearSubalgebra, aa: AlmostAbelian):
     if aa.n != h.n:
         raise ShapeError("algebra/subalgebra dimension mismatch")
     n = h.n
-    f_flat = aa.f.flatten()
-    rows = []
-    rhs = []
-    for j in range(n - 1):
-        rows.append([h.basis[b].data[n - 1][j] for b in range(h.dim)])
-        rhs.append(Fraction(0))
-    for i in range(n - 1):
-        for j in range(n - 1):
-            rows.append([h.basis[b].data[i][j] for b in range(h.dim)])
-            rhs.append(aa.f.data[i][j])
-    sol = solve_affine(rows, rhs)
-    if sol is None:
-        residual = characteristic_subalgebra(h).reduce(f_flat)
-        return Refusal("f is not in the characteristic subalgebra of h", residual)
-    big = h.element(sol)
-    gamma = [Fraction(0)] * n**3
-    for j in range(n):
-        for k in range(n):
-            gamma[(n - 1) * n * n + j * n + k] = big.data[k][j]
-    nabla = ConnectionTensor(n, gamma)
-    tors = torsion_tensor(nabla, aa)
-    curv = curvature_tensor(nabla, aa)
-    if any(x != 0 for x in tors) or any(x != 0 for x in curv):
+    rows = [sparse(b.flatten()) for b in h.basis]
+    big = _solve_or_refuse(h, aa, _k_tilde_pairs(n, rows), rows, characteristic_subalgebra, "characteristic subalgebra")
+    if isinstance(big, Refusal):
+        return big
+    # F[k][j], at k*n + j of F flattened, is nabla_{e_n}(e_j)_k
+    gamma = {(n - 1) * n * n + idx % n * n + idx // n: x for idx, x in big.items()}
+    nabla = ConnectionTensor(n, dense(gamma, n**3))
+    if any(torsion_tensor(nabla, aa)) or any(curvature_tensor(nabla, aa)):
         raise AssertionError("engine invariant violated: flat construction has residue")
-    return Certificate("flat", nabla, {"torsion_max_abs": max_abs(tors), "curvature_max_abs": max_abs(curv)})
+    return Certificate("flat", nabla, {"torsion_max_abs": Fraction(0), "curvature_max_abs": Fraction(0)})

@@ -20,10 +20,11 @@ from fractions import Fraction
 
 
 def fr(x) -> Fraction:
-    """Coerce an int, string like '2/3', or Fraction to a Fraction."""
+    """Coerce an int, string like '2/3', or Fraction to a Fraction; a
+    bool or a float is not a rational value."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not a rational value: {x!r}")
 
@@ -326,24 +327,6 @@ def rref(m: Mat):
     return Mat(rows, m.rows, m.cols), pivots, rank
 
 
-def solve_affine(rows, rhs):
-    """First echelon solution of the linear system rows * x = rhs.
-
-    Free variables are set to zero, which makes the returned solution
-    deterministic.  Returns None when the system is inconsistent.
-    """
-    if not rows:
-        return ()
-    width = len(rows[0])
-    red, pivots, _ = _rref_rows([sparse([*r, b]) for r, b in zip(rows, rhs)])
-    if pivots and pivots[-1] == width:
-        return None
-    sol = [Fraction(0)] * width
-    for row, c in zip(red, pivots):
-        sol[c] = row.get(width, sol[c])
-    return tuple(sol)
-
-
 def kernel_rows(rows, width):
     """Canonical sparse basis of {x in Q^width : row . x = 0 for every sparse row}."""
     red, pivots, _ = _rref_rows(rows)
@@ -464,6 +447,30 @@ def image_on_kernel(cond_dim, value_dim, generators) -> Subspace:
     return Subspace(
         value_dim, ({c - cond_dim: x for c, x in row.items()} for row, p in zip(red, pivots) if p >= cond_dim)
     )
+
+
+def solve_on_kernel(cond_dim, value_dim, generators, target):
+    """The first echelon x (free variables zero) with sum x_g B g = 0 and
+    sum x_g A g = target, or None.  generators yields the pairs (B g, A g)
+    as for image_on_kernel; their columns are transposed once into the
+    sparse rows of [B | 0; A | target], whose RREF is unique."""
+    rows = {}  # row of [B; A] -> {g: entry}, the target at column width
+    width = 0
+    for g, (cond, value) in enumerate(generators):
+        width = g + 1
+        for r, x in _row(cond, cond_dim).items():
+            rows.setdefault(r, {})[g] = x
+        for r, x in _row(value, value_dim).items():
+            rows.setdefault(cond_dim + r, {})[g] = x
+    for r, x in _row(target, value_dim).items():
+        rows.setdefault(cond_dim + r, {})[width] = x
+    red, pivots, _ = _rref_rows(rows.values())
+    if pivots and pivots[-1] == width:
+        return None
+    sol = [Fraction(0)] * width
+    for row, c in zip(red, pivots):
+        sol[c] = row.get(width, sol[c])
+    return tuple(sol)
 
 
 def kernel(m: Mat) -> Subspace:

@@ -28,7 +28,7 @@ from .algebras import (
 )
 from .builders import standard_omega
 from .engine import characteristic_subalgebra, first_prolongation, obstruction_space, tableau
-from .linalg import Mat, Subspace, image_on_kernel, kernel, kernel_rows, solve_affine, sparse, sparse_sum, unit
+from .linalg import Mat, Subspace, image_on_kernel, kernel, kernel_rows, solve_on_kernel, sparse, sparse_sum, unit
 
 
 class NoRuleApplies(ValueError):
@@ -193,26 +193,24 @@ def _detect_line_prolongation(h):
 
 def _nu_map(h, u_cal, v0):
     """nu on U, pinned by F = alpha x v - beta x nu(alpha) for F in h_v,
-    as the (n-1) x dim U matrix of its values on U's canonical basis."""
+    as the (n-1) x dim U matrix of its values on U's canonical basis.
+    F is one solve, with no kernel condition, over the elements of h.basis
+    read on R^{n-1}."""
     n = h.n
+    # F[k][j] sits at k*n + j, in F flattened and in alpha x v0
+    pairs = [({}, {idx: x for idx, x in sparse(b.flatten()).items() if idx % n < n - 1}) for b in h.basis]
+    # e_n = u0 + v0 / v0[n-1] with u0 in the hyperplane
+    c = Fraction(1) / v0[n - 1]
+    u0 = tuple(e - c * x for e, x in zip(unit(n, n - 1), v0))
     cols = []
     for alpha in u_cal.basis:
-        rows, rhs = [], []
-        for jcol in range(n - 1):
-            for k in range(n):
-                rows.append([b.data[k][jcol] for b in h.basis])
-                rhs.append(alpha[jcol] * v0[k])
-        sol = solve_affine(rows, rhs)
+        target = [alpha[j] * v0[k] if j < n - 1 else 0 for k in range(n) for j in range(n)]
+        sol = solve_on_kernel(0, n * n, pairs, target)
         if sol is None:
             raise AssertionError("U was not computed from h_v")
-        f = h.element(sol)
-        # e_n = u0 + v0 / v0[n-1] with u0 in the hyperplane
-        c = Fraction(1) / v0[n - 1]
-        u0 = tuple(e - c * x for e, x in zip(unit(n, n - 1), v0))
         alpha_u0 = sum(alpha[i] * u0[i] for i in range(n - 1))
-        fen = f.col(n - 1)
-        nu_vec = tuple(v0[n - 1] * (alpha_u0 * v0[k] - fen[k]) for k in range(n - 1))
-        cols.append(nu_vec)
+        fen = h.element(sol).col(n - 1)
+        cols.append(tuple(v0[n - 1] * (alpha_u0 * v0[k] - fen[k]) for k in range(n - 1)))
     return Mat([[col[r] for col in cols] for r in range(n - 1)], n - 1, len(cols))
 
 

@@ -11,7 +11,6 @@ indent is given.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .linalg import Mat, Subspace, fr
@@ -24,18 +23,12 @@ def rational_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def rational_from_str(s) -> Fraction:
-    if isinstance(s, (int, Fraction)):
-        return fr(s)
-    return Fraction(str(s))
-
-
 def mat_to_json(m: Mat):
     return [[rational_to_str(x) for x in row] for row in m.data]
 
 
 def mat_from_json(rows) -> Mat:
-    return Mat([[rational_from_str(x) for x in row] for row in rows])
+    return Mat(rows)
 
 
 def vector_to_json(v):

@@ -163,6 +163,9 @@ def test_product_sweep_rejects_an_uncertified_basis(monkeypatch, conjugated):
     assert all(r["ok"] and r["detail"] == "" for r in results.values() if r is not broken)
 
 
+CERTIFICATES = "invariants: every emitted certificate re-validates exactly"
+
+
 @pytest.mark.parametrize(
     "patch,check,named",
     [
@@ -176,21 +179,36 @@ def test_product_sweep_rejects_an_uncertified_basis(monkeypatch, conjugated):
             "invariants: Nijenhuis nonzero on one seeded counterexample per size",
             "n = 4",
         ),
+        ("curvature_tensor", CERTIFICATES, "flat certificate failed for sp(4,R)"),
+        ("torsion_tensor", CERTIFICATES, "torsion-free certificate failed for sp(4,R)"),
+        (
+            "nijenhuis nonzero",
+            "invariants: Nijenhuis vanishes for complex-structure certificates",
+            "Nijenhuis nonzero on a k~ element of gl(2,C)",
+        ),
     ],
-    ids=["structural", "nijenhuis"],
+    ids=["structural", "nijenhuis", "flat-certificate", "torsion-free-certificate", "nijenhuis-on-k-tilde"],
 )
 def test_structural_check_names_what_failed(monkeypatch, patch, check, named):
     from torsionlab import verify
-    from torsionlab.builders import build_su
+    from torsionlab.builders import build_sp, build_su
     from torsionlab.linalg import Subspace
 
-    monkeypatch.setattr(verify, "catalog", lambda: [build_su(2)])
+    # su(2) has k~ = F = 0; sp(4,R) has both nonzero, so both certificates run
+    monkeypatch.setattr(verify, "catalog", lambda: [build_sp(2) if patch.endswith("tensor") else build_su(2)])
     if patch == "first_prolongation":
         # a nonzero K^(1) for an algebra certified super-elliptic
         monkeypatch.setattr(verify, "first_prolongation", lambda h: Subspace.full((h.n - 1) ** 2 * h.n))
-    else:
+    elif patch == "nijenhuis":
         # a Nijenhuis tensor that vanishes everywhere
         monkeypatch.setattr(verify, "nijenhuis", lambda j, aa: (0,))
+    elif patch == "nijenhuis nonzero":
+        monkeypatch.setattr(verify, "nijenhuis", lambda j, aa: (1,))
+    else:
+        # a re-check that finds a nonzero entry
+        monkeypatch.setattr(verify, patch, lambda nabla, aa: (0, 1))
     results = {r["name"]: r for r in verify.check_invariant_suite()}
     assert not results[check]["ok"]
     assert named in results[check]["detail"]
+    if patch != "first_prolongation":  # a full K^(1) also breaks the other K^(1) shape checks
+        assert all(r["ok"] and r["detail"] == "" for name, r in results.items() if name != check)

@@ -178,6 +178,24 @@ def test_max_n_cap():
     assert "TORSIONLAB_MAX_N" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("space", "--algebra", "gl:n=3"),
+        ("exists", "product", "--p", "1", "--f", "[[1]]"),
+        ("classify-hpc", "--f", "[[1]]"),
+        ("orbits", "--group", "product", "--n", "4", "--p", "2"),
+    ],
+    ids=["space", "exists", "classify-hpc", "orbits"],
+)
+def test_malformed_max_n_is_an_input_error(args):
+    proc = run_cli(*args, env_extra={"TORSIONLAB_MAX_N": "abc"})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    error = next(line for line in proc.stderr.splitlines() if line.startswith("error:"))
+    assert "TORSIONLAB_MAX_N" in error and "'abc'" in error
+
+
 def test_user_supplied_basis_with_structure():
     spec = {
         "basis": [[["0", "-1"], ["1", "0"]]],
@@ -280,6 +298,11 @@ def test_unread_flags_rejected(args):
         (("space", "--algebra", "gl:n=4", "--v", "1/0,0,0,1"), None),
         (("check", "--algebra", "gl:n=3", "--f", '[["x",0],[0,0]]'), None),
         (("check", "--algebra", "gl:n=3", "--f", '{"f":3}'), None),
+        (("flat", "--algebra", "gl:n=2", "--f", "[[3.14159265358979323846264]]"), "not a rational value"),
+        (("flat", "--algebra", "gl:n=2", "--f", "[[1e-400]]"), "not a rational value"),
+        (("flat", "--algebra", "gl:n=2", "--f", "[[true]]"), "not a rational value"),
+        (("check", "--algebra", "gl:n=2", "--f", "[[1]]", "--hyperplane-map", "[[1.0, 0], [0, 1]]"), "not a rational value"),
+        (("space", "--algebra", '{"basis": [[[true, 0], [0, 0]]]}'), "basis[0]"),
         (("exists", "product", "--f", F3, "--p", "9"), None),
         (("exists", "family", "--group", "product", "--f", "[[1]]"), None),
         (("space", "--algebra", "so:p=0"), "p=0"),
@@ -305,6 +328,11 @@ def test_unread_flags_rejected(args):
         "v-zero-denominator",
         "f-not-rational",
         "f-not-a-matrix",
+        "f-float",
+        "f-float-underflow",
+        "f-bool",
+        "hyperplane-map-float",
+        "basis-bool",
         "p-out-of-range",
         "family-product-without-p",
         "so-p0",

@@ -92,7 +92,8 @@ SHORTHAND = [("gl:n=3", 3), ("sp:m=2", 4), ("so:p=4", 4), ("so:p=2,q=1", 3), ("g
              ("su:m=2", 4), ("delta_gl:m=2", 4), ("product_gl:n=4,p=2", 4), ("tangent_gl:m=2", 4),
              ("lagrangian_symplectic:m=1", 3), ("gl_H:k=1", 4), ("gl:n=7", 7), ("nope:n=3", 3)]
 SPEC_KEYS = ["basis", "builder", "params", "J", "g", "hpc", "omega", "lagrangian", "name", "validate"]
-SPEC_ENTRIES = ENTRIES + ["1/0"]
+# a zero denominator, a JSON float and a JSON bool are not rationals
+SPEC_ENTRIES = ENTRIES + ["1/0", 0.5, True]
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.sampled_from(SPEC_ENTRIES + ["gl", "x"])),
     lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(SPEC_KEYS), inner, max_size=3)),
@@ -130,7 +131,8 @@ def check_and_flat(draw):
     """check or flat on an algebra, f mostly of the size it needs, and
     for check a hyperplane map of any size."""
     spec, n = draw(algebras)
-    f = draw(matrices(st.one_of(st.just(max(n - 1, 1)), st.integers(1, 4))))
+    sizes = st.one_of(st.just(max(n - 1, 1)), st.integers(1, 4))
+    f = draw(st.one_of(matrices(sizes), matrices(sizes, SPEC_ENTRIES)))
     argv = [draw(st.sampled_from(["check", "flat"])), "--algebra", spec, "--f", f]
     if argv[0] == "check":
         argv += draw(flag("--hyperplane-map", st.one_of(st.none(), matrices(st.one_of(st.just(n), st.integers(1, 4))))))

@@ -30,8 +30,10 @@ from torsionlab.engine import (
     torsion_maps,
     torsion_tensor,
 )
+from torsionlab import engine
 from torsionlab.algebras import LinearSubalgebra
-from torsionlab.linalg import Mat, ShapeError, Subspace, image_on_kernel, kernel, solve_affine
+from torsionlab.linalg import Mat, ShapeError, Subspace, image_on_kernel, kernel
+import reference
 
 
 def E(n, i, j):
@@ -233,10 +235,11 @@ def test_zero_algebra_spaces():
 def test_transversal_normalized_before_cache():
     h = build_sp(2)
     e_n = tuple(Fraction(x) for x in (0, 0, 0, 1))
-    # the maps and F are cached per algebra; e_n given as a list or a
-    # tuple gives the default maps
+    # the sparse maps and F are cached per algebra; e_n given as a list or
+    # a tuple gives the default maps
     t1, t2 = torsion_maps(h)
-    assert torsion_maps(h)[0] is t1 and torsion_maps(h)[1] is t2
+    assert engine._torsion_maps(h) is engine._torsion_maps(h)
+    assert torsion_maps(h) == (t1, t2)
     assert obstruction_space(h) is obstruction_space(h)
     assert torsion_maps(h, [0, 0, 0, 1]) == torsion_maps(h, e_n) == (t1, t2)
     with pytest.raises(ValueError):
@@ -290,7 +293,7 @@ def reference_certificate(h, maps, f, v):
     n = h.n
     t1, t2 = maps
     rhs = [Fraction(0)] * (n - 1) + [v[n - 1] * x for x in f.flatten()]
-    sol = solve_affine([list(r) for r in t2.data] + [list(r) for r in t1.data], rhs)
+    sol = reference.dense_solve([list(r) for r in t2.data] + [list(r) for r in t1.data], rhs)
     if sol is None:
         return None
     gamma = [Fraction(0)] * n**3
@@ -553,3 +556,29 @@ def test_n2_boundary_so2():
     assert isinstance(check_torsion_free(so2, AlmostAbelian(Mat([[1]]))), Certificate)
     assert isinstance(flat_certificate(so2, AlmostAbelian(Mat([[1]]))), Refusal)
     assert isinstance(flat_certificate(so2, AlmostAbelian(Mat([[0]]))), Certificate)
+
+
+def test_tensors_equal_dense_references():
+    """torsion, curvature and Nijenhuis on the sparse bracket table against
+    the loops over every index tuple, on random f, random connections and
+    random A, n = 3..6."""
+    rng = random.Random(2024)
+
+    def entry(density):
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < density else Fraction(0)
+
+    seen = set()
+    for trial in range(24):
+        n = 3 + trial % 4
+        f = Mat([[entry(0.6) for _ in range(n - 1)] for _ in range(n - 1)])
+        aa = AlmostAbelian(f)
+        gamma = tuple(entry((0.15, 0.5)[trial % 2]) for _ in range(n**3))
+        nabla = ConnectionTensor(n, gamma)
+        tors, curv = torsion_tensor(nabla, aa), curvature_tensor(nabla, aa)
+        assert tors == reference.torsion_tensor(gamma, f)
+        assert curv == reference.curvature_tensor(gamma, f)
+        a = Mat([[entry(0.5) for _ in range(n)] for _ in range(n)])
+        nij = nijenhuis(a, aa)
+        assert nij == reference.nijenhuis(a, f)
+        seen.add((any(tors), any(curv), any(nij)))
+    assert (True, True, True) in seen

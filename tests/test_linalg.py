@@ -13,8 +13,17 @@ from torsionlab.linalg import (
     image_on_kernel,
     kernel,
     rref,
-    solve_affine,
+    solve_on_kernel,
     sparse,
+)
+from reference import (
+    dense_image_on_kernel,
+    dense_inverse,
+    dense_kernel,
+    dense_reduce,
+    dense_rref_rows,
+    dense_solve,
+    dense_span,
 )
 
 
@@ -168,12 +177,16 @@ def test_inverse_and_det():
         Mat([[1, 2], [2, 4]]).inverse()
 
 
-def test_solve_affine():
-    sol = solve_affine([[1, 1], [0, 1]], [3, 1])
-    assert sol == (F(2), F(1))
-    assert solve_affine([[1, 1], [1, 1]], [0, 1]) is None
-    # underdetermined: free variable pinned to zero
-    assert solve_affine([[1, 1, 0]], [5]) == (F(5), F(0), F(0))
+def test_solve_on_kernel():
+    # the generator pairs are the columns of [B; A]
+    assert solve_on_kernel(0, 2, [([], [1, 0]), ([], [1, 1])], [3, 1]) == (F(2), F(1))
+    assert solve_on_kernel(0, 2, [([], [1, 1]), ([], [1, 1])], [0, 1]) is None
+    # underdetermined: free variables pinned to zero
+    assert solve_on_kernel(0, 1, [({}, {0: F(1)}), ({}, {0: F(1)}), ({}, {})], [5]) == (F(5), F(0), F(0))
+    # x_0 + x_1 = 0 on the kernel condition, x_0 - x_1 = 4 on the value
+    assert solve_on_kernel(1, 1, [([1], [1]), ([1], [-1])], [4]) == (F(2), F(-2))
+    assert solve_on_kernel(1, 1, [([1], [1]), ([1], [1])], [4]) is None
+    assert solve_on_kernel(1, 1, [], [0]) == () and solve_on_kernel(1, 1, [], [1]) is None
 
 
 def test_block_and_flatten():
@@ -193,88 +206,6 @@ def test_unit_and_entry_span():
     assert upper.dim == 3 and not upper.contains(unit(4, 2))
     tied = entry_span(2, tied=[((0, 0), (1, 1))], extra=[unit(4, 1)])
     assert tied == Subspace.span(4, [(1, 0, 0, 1), (0, 1, 0, 0)])
-
-
-# Reference: dense Gauss-Jordan elimination over Fraction lists, and the
-# span, solve, kernel, Zassenhaus, inverse and reduce routes built on it.
-# The sparse routines must agree with them exactly.
-
-
-def dense_rref_rows(rows):
-    """In-place reduced row echelon form of dense rows; returns (rows, pivot_cols, rank)."""
-    if not rows:
-        return rows, [], 0
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        p = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return rows, pivots, len(pivots)
-
-
-def dense_span(d, vectors):
-    red, _, rank = dense_rref_rows([list(v) for v in vectors])
-    return tuple(tuple(r) for r in red[:rank])
-
-
-def dense_solve_affine(rows, rhs):
-    n_cols = len(rows[0])
-    red, pivots, _ = dense_rref_rows([list(r) + [b] for r, b in zip(rows, rhs)])
-    if n_cols in pivots:
-        return None
-    sol = [Fraction(0)] * n_cols
-    for r, c in enumerate(pivots):
-        sol[c] = red[r][n_cols]
-    return tuple(sol)
-
-
-def dense_kernel(rows, n):
-    red, pivots, _ = dense_rref_rows([list(r) for r in rows])
-    basis = []
-    for fcol in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[fcol] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fcol]
-        basis.append(v)
-    return dense_span(n, basis)
-
-
-def dense_image_on_kernel(cond_dim, pairs):
-    red, pivots, _ = dense_rref_rows([list(c) + list(v) for c, v in pairs])
-    return tuple(tuple(row[cond_dim:]) for row, c in zip(red, pivots) if c >= cond_dim)
-
-
-def dense_inverse(m):
-    n = m.rows
-    aug = [list(m.data[i]) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    red, piv, _ = dense_rref_rows(aug)
-    if sum(1 for p in piv if p < n) < n:
-        return None
-    return Mat([row[n:] for row in red], n, n)
-
-
-def dense_reduce(basis, v):
-    v = list(v)
-    for row in basis:
-        piv = next(i for i, x in enumerate(row) if x)
-        if v[piv] != 0:
-            f = v[piv]
-            v = [a - f * b for a, b in zip(v, row)]
-    return tuple(v)
 
 
 def random_rows(rng, n_rows, n_cols):
@@ -339,8 +270,8 @@ def test_solvers_equal_dense_reference():
             rhs = list(m.matvec(x))
         else:
             rhs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n_rows)]
-        got = solve_affine(rows, rhs)
-        assert got == dense_solve_affine(rows, rhs)
+        got = solve_on_kernel(0, n_rows, zip([[]] * n_cols, m.transpose().data), rhs)
+        assert got == dense_solve(rows, rhs)
         outcomes.add(got is None)
         assert kernel(m).basis == dense_kernel(rows, n_cols)
         assert Subspace.span(n_cols, rows).basis == dense_span(n_cols, rows)
@@ -363,3 +294,28 @@ def test_solvers_equal_dense_reference():
                     outcomes.add("invertible")
                     assert square.inverse() == expected
     assert outcomes == {True, False, "singular", "invertible"}
+
+
+def test_solve_on_kernel_equals_dense_reference():
+    """The first cond rows are the kernel condition B, the rest the value
+    map A; the dense reference solves [B; A] x = [0; target]."""
+    rng = random.Random(2020)
+    outcomes = set()
+    for trial in range(160):
+        n_rows, n_cols = SHAPES[trial % len(SHAPES)]
+        rows = random_rows(rng, n_rows, n_cols)
+        cond = rng.randint(0, n_rows)
+        if trial % 2:  # consistent: A x for x in ker B
+            ker = dense_kernel(rows[:cond], n_cols)
+            x = [sum((rng.randint(-2, 2) * v[c] for v in ker), F(0)) for c in range(n_cols)]
+            target = list(Mat(rows[cond:], n_rows - cond, n_cols).matvec(x))
+        else:
+            target = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n_rows - cond)]
+        pairs = [(col[:cond], col[cond:]) for col in zip(*rows)]
+        got = solve_on_kernel(cond, n_rows - cond, pairs, target)
+        expected = dense_solve(rows, [F(0)] * cond + target)
+        assert got == expected, (rows, cond, target)
+        if got is not None:
+            assert Mat(rows, n_rows, n_cols).matvec(got) == tuple([F(0)] * cond + target)
+        outcomes.add((cond > 0, got is None))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}

@@ -19,6 +19,7 @@ from torsionlab.builders import (
     standard_omega,
     witt_gram,
 )
+from reference import dense_solve
 from test_cli import SPACE_RUNGS
 from torsionlab import profiles
 from torsionlab.algebras import LinearSubalgebra, MetricContext, orthogonal_complement
@@ -65,11 +66,7 @@ def test_profile_lagrangian_symplectic():
     # nu is pinned by F = alpha x v - beta x nu(alpha); here nu(alpha) = -alpha^sharp
     for t, alpha in enumerate(prof.U_cal.basis):
         nu_a = prof.nu.col(t)
-        sharp = None
-        rows = [[om.data[i][j] for j in range(4)] for i in range(4)]
-        from torsionlab.linalg import solve_affine
-
-        sharp = solve_affine([[om.data[i][j] for i in range(4)] for j in range(4)], list(alpha))
+        sharp = dense_solve([[om.data[i][j] for i in range(4)] for j in range(4)], list(alpha))
         # omega(sharp, .) = alpha, i.e. sharp^T om = alpha
         assert sharp is not None
         assert tuple(-x for x in nu_a) == tuple(sharp)
