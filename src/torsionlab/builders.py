@@ -36,6 +36,7 @@ from .algebras import (
     trace_row,
 )
 from .linalg import Mat, Subspace, kernel_rows
+from .reporting import mat_from_json
 
 
 def _pairs(n, sign):
@@ -272,7 +273,7 @@ def builder_names():
 def _spec_matrix(what, value) -> Mat:
     """A square matrix of rationals read from a spec, or a ValueError naming what."""
     try:
-        m = Mat(value) if isinstance(value, list) else None
+        m = mat_from_json(value)
     except (TypeError, ValueError, ZeroDivisionError):
         m = None
     if m is None or not m.is_square():

@@ -5,11 +5,13 @@ exactly.  Certification that no nonzero element of rank <= r exists is
 three-valued: a structural argument (a commuting hypercomplex triple
 makes image dimensions multiples of four), an exhaustive algebraic
 solve of the minor equations for spans of dimension <= 3, or an honest
-"unknown".  The exhaustive path reduces the minors to a sum of squares
-P, removes z-multiplicity with a primitive-PRS gcd, and projects with a
-Sylvester resultant whose real roots are counted by Sturm chains; only
-rational candidate roots are substituted back, so irrational candidate
-fibers downgrade the verdict to unknown instead of guessing.
+"unknown".  The exhaustive path takes the minors of the pencil in
+Q[y][z] (the `zp_*` lists of `polynomials`) by cofactor expansion,
+reduces them to a sum of squares P, removes z-multiplicity with a
+primitive-PRS gcd, and projects with a Sylvester resultant whose real
+roots are counted by Sturm chains; only rational candidate roots are
+substituted back, so irrational candidate fibers downgrade the verdict
+to unknown instead of guessing.
 """
 
 from __future__ import annotations
@@ -19,28 +21,31 @@ from fractions import Fraction
 
 from .algebras import LinearSubalgebra
 from .polynomials import (
-    Bivar,
     Poly,
     count_real_roots,
     poly_gcd,
     rational_roots,
+    zp_add,
     zp_derivative,
+    zp_eval_y,
     zp_exact_div,
     zp_gcd,
+    zp_mul,
     zp_primitive,
     zp_resultant,
-    zp_trim,
+    zp_scale,
+    zp_sub,
 )
 
 
-def _bivar_det(rows):
+def _cofactor_det(rows):
     if len(rows) == 1:
         return rows[0][0]
-    acc = Bivar([])
+    acc = []
     for j in range(len(rows)):
         minor = [[row[k] for k in range(len(rows)) if k != j] for row in rows[1:]]
-        term = rows[0][j] * _bivar_det(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
+        term = zp_mul(rows[0][j], _cofactor_det(minor))
+        acc = zp_add(acc, term) if j % 2 == 0 else zp_sub(acc, term)
     return acc
 
 
@@ -66,17 +71,16 @@ def _decide_univariate(polys):
 
 
 def _decide_bivariate(polys):
-    """Common real zeros of Bivars: ('empty'|'witness (y,z)'|'unknown', data)."""
-    polys = [p for p in polys if not p.is_zero()]
+    """Common real zeros in Q[y][z]: ('empty'|'witness (y,z)'|'unknown', data)."""
+    polys = [p for p in polys if p]
     if not polys:
         return "witness", (Fraction(0), Fraction(0))
-    if any(len(p.coeffs) == 1 and len(p.coeffs[0]) == 1 for p in polys):
+    if any(len(p) == 1 and p[0].degree == 0 for p in polys):
         return "empty", None  # a nonzero constant in the system
-    big = Bivar([])
+    big = []
     for p in polys:
-        big = big + p * p
-    zp = zp_trim(big.z_polys())
-    cont, prim = zp_primitive(zp)
+        big = zp_add(big, zp_mul(p, p))
+    cont, prim = zp_primitive(big)
     # a real root of the content gives a whole line of zeros
     croots = rational_roots(cont)
     if croots:
@@ -93,11 +97,7 @@ def _decide_bivariate(polys):
     elim_roots = rational_roots(elim)
     n_real = count_real_roots(elim)
     for y0, _ in elim_roots:
-        fiber = []
-        for p in polys:
-            cs = [Poly([row[j] for row in p.coeffs])(y0) for j in range(len(p.coeffs[0]))]
-            fiber.append(Poly(cs))
-        verdict, z0 = _decide_univariate(fiber)
+        verdict, z0 = _decide_univariate([zp_eval_y(p, y0) for p in polys])
         if verdict == "witness":
             return "witness", (y0, z0)
         if verdict == "unknown":
@@ -144,20 +144,20 @@ def _minors(mat_entries, size, n):
     out = []
     for rows in itertools.combinations(range(n), size):
         for cols in itertools.combinations(range(n), size):
-            out.append(_bivar_det([[mat_entries[i][j] for j in cols] for i in rows]))
+            out.append(_cofactor_det([[mat_entries[i][j] for j in cols] for i in rows]))
     return out
 
 
 def _pencil(h, active, n):
     """Entries of sum_t x_t B_{active[t]} with x = (1, y, z)[:len(active)]."""
-    monos = [Bivar.const(1), Bivar([[0], [1]]), Bivar([[0, 1]])]
-    entries = [[Bivar([]) for _ in range(n)] for _ in range(n)]
+    monos = [[Poly([1])], [Poly([0, 1])], [Poly([]), Poly([1])]]
+    entries = [[[] for _ in range(n)] for _ in range(n)]
     for t, idx in enumerate(active):
         b = h.basis[idx]
         for i in range(n):
             for j in range(n):
                 if b.data[i][j] != 0:
-                    entries[i][j] = entries[i][j] + monos[t] * Bivar.const(b.data[i][j])
+                    entries[i][j] = zp_add(entries[i][j], zp_scale(monos[t], b.data[i][j]))
     return entries
 
 
@@ -198,17 +198,13 @@ def _exhaustive_small_dim(h, r):
         entries = _pencil(h, active, n)
         minors = _minors(entries, r + 1, n)
         if free == 0:
-            if all(m.is_zero() for m in minors):
+            if not any(minors):
                 point = [Fraction(0)] * d
                 point[t] = Fraction(1)
                 return tuple(point)
             continue
         if free == 1:
-            uni = []
-            for m in minors:
-                row0 = [row[0] if row else Fraction(0) for row in m.coeffs]
-                uni.append(Poly(row0))
-            verdict, y0 = _decide_univariate(uni)
+            verdict, y0 = _decide_univariate([m[0] if m else Poly([]) for m in minors])
             if verdict == "witness":
                 point = [Fraction(0)] * d
                 point[t] = Fraction(1)

@@ -1,13 +1,18 @@
-"""Exact univariate polynomial arithmetic over Q.
+"""Exact polynomial arithmetic over Q.
 
 Supports the spectral pipeline: characteristic polynomials via
 Faddeev-LeVerrier, Yun squarefree decomposition, Sturm-chain real root
-counting and rational root extraction.  All coefficients are Fractions;
-there is no numerical root finding anywhere.
+counting and rational root extraction.  Q[y][z] has one form, a list
+of `Poly`s in y indexed by the power of z (the `zp_*` functions, with
+primitive-PRS gcd, exact division and the Sylvester resultant); the
+quadratic-factor search and the rank solve of `ellipticity` build in
+it.  All coefficients are Fractions; there is no numerical root
+finding anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .linalg import Mat, fr
@@ -225,13 +230,9 @@ def rational_roots(p: Poly):
         roots.append((Fraction(0), mult0))
     if work.degree <= 0:
         return roots
-    den = 1
-    for c in work.coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in work.coeffs))
     ints = [int(c * den) for c in work.coeffs]
-    g = 0
-    for c in ints:
-        g = _gcd(g, abs(c))
+    g = math.gcd(*ints)
     ints = [c // g for c in ints]
     a0, an = abs(ints[0]), abs(ints[-1])
     candidates = set()
@@ -249,12 +250,6 @@ def rational_roots(p: Poly):
         if work.degree <= 0:
             break
     return sorted(roots)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):
@@ -287,88 +282,7 @@ def char_poly(m: Mat) -> Poly:
     return Poly(coeffs)
 
 
-# -- bivariate layer: Q[y][z], used for resultant eliminations ---------------
-
-
-class Bivar:
-    """Bivariate polynomial; coeffs[i][j] = coefficient of y^i z^j."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        rows = [tuple(fr(c) for c in row) for row in coeffs]
-        while rows and all(c == 0 for c in rows[-1]):
-            rows.pop()
-        width = 0
-        for row in rows:
-            w = len(row)
-            while w and row[w - 1] == 0:
-                w -= 1
-            width = max(width, w)
-        object.__setattr__(
-            self,
-            "coeffs",
-            tuple(row[:width] + (Fraction(0),) * (width - len(row[:width])) for row in rows)
-            if rows
-            else (),
-        )
-
-    def __setattr__(self, *a):
-        raise AttributeError("Bivar is immutable")
-
-    @classmethod
-    def const(cls, c):
-        return cls([[c]])
-
-    def is_zero(self):
-        return all(c == 0 for row in self.coeffs for c in row)
-
-    def __add__(self, other):
-        ry = max(len(self.coeffs), len(other.coeffs))
-        rz = max(
-            len(self.coeffs[0]) if self.coeffs else 0,
-            len(other.coeffs[0]) if other.coeffs else 0,
-        )
-        out = [[Fraction(0)] * rz for _ in range(ry)]
-        for src in (self, other):
-            for i, row in enumerate(src.coeffs):
-                for j, c in enumerate(row):
-                    out[i][j] += c
-        return Bivar(out)
-
-    def __neg__(self):
-        return Bivar([[-c for c in row] for row in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return Bivar([])
-        ry = len(self.coeffs) + len(other.coeffs) - 1
-        rz = len(self.coeffs[0]) + len(other.coeffs[0]) - 1
-        out = [[Fraction(0)] * rz for _ in range(ry)]
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c == 0:
-                    continue
-                for k, row2 in enumerate(other.coeffs):
-                    for l, d in enumerate(row2):
-                        if d != 0:
-                            out[i + k][j + l] += c * d
-        return Bivar(out)
-
-    def z_polys(self):
-        """Coefficients of z^j, each a Poly in y."""
-        if self.is_zero():
-            return []
-        rz = len(self.coeffs[0])
-        return [Poly([row[j] for row in self.coeffs]) for j in range(rz)]
-
-    def eval_y(self, y0) -> Poly:
-        """Specialize y, leaving a Poly in z."""
-        zp = self.z_polys()
-        return Poly([p(y0) for p in zp])
+# -- Q[y][z] as lists: p[j] is the coefficient of z^j, a Poly in y, no trailing zeros
 
 
 def zp_trim(p):
@@ -376,6 +290,25 @@ def zp_trim(p):
     while p and p[-1].is_zero():
         p.pop()
     return p
+
+
+def zp_add(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    return zp_trim([c + d for c, d in zip(p, q)] + list(p[len(q):]))
+
+
+def zp_mul(p, q):
+    out = [Poly([])] * (len(p) + len(q) - 1) if p and q else []
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            out[i + j] = out[i + j] + c * d
+    return zp_trim(out)
+
+
+def zp_eval_y(p, y0) -> Poly:
+    """Specialize y, leaving a Poly in z."""
+    return Poly([c(y0) for c in p])
 
 
 def zp_content(p):
@@ -398,12 +331,7 @@ def zp_scale(p, f: Poly):
 
 
 def zp_sub(p, q):
-    out = [Poly([])] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] = out[i] + c
-    for i, c in enumerate(q):
-        out[i] = out[i] - c
-    return zp_trim(out)
+    return zp_add(p, [-c for c in q])
 
 
 def zp_shift(p, k):
@@ -515,38 +443,25 @@ def quadratic_rational_factors(q: Poly):
 
 
 def _one_quadratic_factor(q):
-    # x^k mod (x^2 - s x + t) = a_k x + b_k, with s = y, t = z
-    a = [Bivar([]), Bivar.const(1)]
-    b = [Bivar.const(1), Bivar([])]
-    for _ in range(2, q.degree + 1):
-        a_next = Bivar([[0], [1]]) * a[-1] + b[-1]       # s * a + b
-        b_next = -(Bivar([[0, 1]]) * a[-1])              # -t * a
-        a.append(a_next)
-        b.append(b_next)
-    abig = Bivar([])
-    bbig = Bivar([])
-    for k, c in enumerate(q.coeffs):
+    # x^k mod (x^2 - s x + t) = a_k x + b_k in Q[s][t], with s = y, t = z:
+    # a_{k+1} = s a_k + b_k and b_{k+1} = -t a_k; q mod (x^2 - s x + t)
+    # is then za x + zb with za = sum c_k a_k and zb = sum c_k b_k
+    a, b = [], [Poly([1])]
+    za, zb = [], []
+    for c in q.coeffs:
         if c != 0:
-            abig = abig + a[k] * Bivar.const(c)
-            bbig = bbig + b[k] * Bivar.const(c)
-    za, zb = zp_trim(abig.z_polys()), zp_trim(bbig.z_polys())
+            za, zb = zp_add(za, zp_scale(a, c)), zp_add(zb, zp_scale(b, c))
+        a, b = zp_add([Poly((0,) + ak.coeffs) for ak in a], b), zp_shift([-ak for ak in a], 1)
     if not za or not zb:
         return None
     elim = zp_resultant(za, zb)
     if elim.is_zero():
         return None
     for s0, _ in rational_roots(elim):
-        at = abig.eval_y(s0)
-        bt = bbig.eval_y(s0)
-        g = poly_gcd(at, bt) if not (at.is_zero() and bt.is_zero()) else Poly([])
-        candidates = []
-        if g.is_zero():
-            continue
-        if g.degree == 0:
+        g = poly_gcd(zp_eval_y(za, s0), zp_eval_y(zb, s0))
+        if g.degree <= 0:
             continue
         for t0, _ in rational_roots(g):
-            candidates.append(t0)
-        for t0 in candidates:
             fac = Poly([t0, -s0, 1])
             if (q % fac).is_zero():
                 return fac

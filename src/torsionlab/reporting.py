@@ -28,6 +28,9 @@ def mat_to_json(m: Mat):
 
 
 def mat_from_json(rows) -> Mat:
+    """A matrix read from JSON, which must be a list of rows, each a list."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("a matrix must be a list of rows, each a list of rationals")
     return Mat(rows)
 
 

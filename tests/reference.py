@@ -158,3 +158,9 @@ def nijenhuis(a, f):
             for k in range(n):
                 out.append(t1[k] - t2[k] - t3[k] + t4[k])
     return tuple(out)
+
+
+def zp_expr(p, y, z):
+    """An element of Q[y][z] (a list of Polys in y, one per power of z) as
+    an expression in the symbols y and z, for the sympy cross-checks."""
+    return sum(c * y**i * z**j for j, q in enumerate(p) for i, c in enumerate(q.coeffs))

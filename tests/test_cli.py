@@ -322,6 +322,11 @@ def test_unread_flags_rejected(args):
         (("space", "--algebra", '{"basis": [[[1, 0], [0, 0]]], "hpc": null}'), "hpc must be a list of three"),
         (("space", "--algebra", '{"builder": {"n": 3}}'), "unknown builder"),
         (("space", "--algebra", '{"basis": [[[1, 0], [0, 0]]], "g": [[0, 0], [0, 0]], "validate": false}'), "g must be"),
+        # a row that is not a list is not read as its characters or keys
+        (("check", "--algebra", "gl:n=2", "--f", '["5"]'), "list of rows"),
+        (("flat", "--algebra", "gl:n=3", "--f", '["12","34"]'), "list of rows"),
+        (("check", "--algebra", "gl:n=2", "--f", '[{"7":1}]'), "list of rows"),
+        (("space", "--algebra", '{"basis": [["10","01"]]}'), "basis[0]"),
     ],
     ids=[
         "v-in-hyperplane",
@@ -352,6 +357,10 @@ def test_unread_flags_rejected(args):
         "hpc-not-a-triple",
         "builder-not-a-name",
         "unchecked-singular-metric",
+        "f-row-a-string",
+        "f-rows-strings",
+        "f-row-an-object",
+        "basis-rows-strings",
     ],
 )
 def test_bad_input_is_an_input_error(args, named):

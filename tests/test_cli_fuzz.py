@@ -153,6 +153,26 @@ classify_hpc_argv = st.builds(
 )
 
 
+@st.composite
+def non_list_rows(draw, sizes=st.integers(1, 4)):
+    """A JSON matrix with one row that is not a list: its entries joined
+    into a string, an object keyed by them, or a bare entry."""
+    rows = json.loads(draw(matrices(sizes)))
+    i = draw(st.integers(0, len(rows) - 1))
+    rows[i] = draw(st.sampled_from(["".join(rows[i]), dict.fromkeys(rows[i], 1), rows[i][0]]))
+    return rows
+
+
+non_list_row_argv = st.one_of(
+    st.builds(
+        lambda cmd, f: [cmd, "--algebra", "gl:n=3", "--f", json.dumps(f)],
+        st.sampled_from(["check", "flat"]),
+        non_list_rows(st.just(2)),
+    ),
+    non_list_rows(st.integers(2, 4)).map(lambda b: ["space", "--algebra", json.dumps({"basis": [b]})]),
+)
+
+
 def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -191,6 +211,12 @@ def test_fuzz_orbits_and_space(argv):
 @given(check_and_flat())
 def test_fuzz_check_and_flat(argv):
     assert_three_ways(argv)
+
+
+@FUZZ_FEWER
+@given(non_list_row_argv)
+def test_fuzz_non_list_rows_are_input_errors(argv):
+    assert run_main(argv)[0] == 2, argv
 
 
 @FUZZ_FEWER

@@ -1,17 +1,22 @@
 import itertools
+import random
 from fractions import Fraction
+
+import pytest
+from reference import zp_expr
 
 from torsionlab.algebras import LinearSubalgebra
 from torsionlab.builders import build_gl_H, build_so, build_sp_H, build_su, build_u
 from torsionlab.ellipticity import (
     _decide_bivariate,
+    _minors,
+    _pencil,
     _sign_normalized_grid,
     classify_low_rank,
     low_rank_witness,
 )
-from torsionlab.polynomials import Bivar, zp_gcd, zp_resultant
 from torsionlab.linalg import Mat
-from torsionlab.polynomials import Poly
+from torsionlab.polynomials import Poly, zp_gcd, zp_resultant
 
 
 def test_witness_rank_one():
@@ -81,17 +86,70 @@ def test_zp_helpers():
 
 def test_decide_bivariate_circle():
     # 1 + y^2 + z^2 has no real zeros
-    p = Bivar([[1, 0, 1], [0, 0, 0], [1, 0, 0]])
+    p = [Poly([1, 0, 1]), Poly([]), Poly([1])]
     verdict, _ = _decide_bivariate([p])
     assert verdict == "empty"
 
 
 def test_decide_bivariate_witness():
     # y^2 + z^2 vanishes only at the origin
-    p = Bivar([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+    p = [Poly([0, 0, 1]), Poly([]), Poly([1])]
     verdict, data = _decide_bivariate([p])
     assert verdict == "witness"
     assert data == (Fraction(0), Fraction(0))
+
+
+def test_decide_bivariate_witness_from_an_elimination_root():
+    # y - 2 = z - 3 = 0: y = 2 is a root of the resultant, z = 3 of its fiber
+    verdict, data = _decide_bivariate([[Poly([-2, 1])], [Poly([-3]), Poly([1])]])
+    assert (verdict, data) == ("witness", (Fraction(2), Fraction(3)))
+
+
+def test_decide_bivariate_witness_from_a_content_root():
+    # (y - 1)(z^2 + 1) vanishes on the whole line y = 1
+    verdict, data = _decide_bivariate([[Poly([-1, 1]), Poly([]), Poly([-1, 1])]])
+    assert (verdict, data) == ("witness", (Fraction(1), Fraction(0)))
+
+
+def test_decide_bivariate_unknown_on_irrational_zeros():
+    # y - 1 = z^2 - 2 = 0: the fiber over y = 1 has only z = +-sqrt 2
+    assert _decide_bivariate([[Poly([-1, 1])], [Poly([-2]), Poly([]), Poly([1])]]) == ("unknown", None)
+    # (y^2 - 2)(z^2 + 1) vanishes on the lines y = +-sqrt 2
+    assert _decide_bivariate([[Poly([-2, 0, 1]), Poly([]), Poly([-2, 0, 1])]]) == ("unknown", None)
+
+
+def test_minor_solve_refutes_outside_the_grid():
+    # a diag(3, 5) + b I has rank 1 at b = -3a or b = -5a, both outside
+    # the grid [-2, 2]^2; the solve returns the smaller root first
+    h = LinearSubalgebra(2, [Mat([[3, 0], [0, 5]]), Mat.identity(2)], name="diag", validate=False)
+    res = classify_low_rank(h, 1)
+    assert (res["status"], res["method"]) == ("refuted", "minor-solve")
+    assert res["witness_coeffs"] == (Fraction(1), Fraction(-5))
+    assert res["witness"] == Mat([[-2, 0], [0, 0]])
+
+
+def test_minor_solve_unknown_on_an_irrational_rank_one_locus():
+    # a I + b [[0, 2], [1, 0]] has det a^2 - 2 b^2: rank 1 only at a = +-sqrt2 b
+    h = LinearSubalgebra(2, [Mat.identity(2), Mat([[0, 2], [1, 0]])], name="sqrt2", validate=False)
+    assert classify_low_rank(h, 1) == {"status": "unknown", "method": "budget-exhausted"}
+
+
+def test_pencil_minors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    y, z = sympy.symbols("y z")
+    rng = random.Random(43)
+    for n, r in ((3, 1), (3, 2), (4, 2)):
+        basis = [Mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]) for _ in range(3)]
+        h = LinearSubalgebra(n, basis, name="random", validate=False)
+        ours = _minors(_pencil(h, [0, 1, 2], n), r + 1, n)
+        pencil = sum((w * sympy.Matrix(b.data) for w, b in zip((1, y, z), basis)), sympy.zeros(n, n))
+        theirs = [
+            pencil.extract(list(rows), list(cols)).det()
+            for rows in itertools.combinations(range(n), r + 1)
+            for cols in itertools.combinations(range(n), r + 1)
+        ]
+        for m, t in zip(ours, theirs, strict=True):
+            assert sympy.expand(zp_expr(m, y, z) - t) == 0
 
 
 def _reference_sign_normalized_grid(dim, coeff_range):
