@@ -10,7 +10,9 @@ writes "F preserves these structures" as linear rows and returns its
 solution space, which is how every classical builder gets its basis.
 Attached structures are validated against their defining identities,
 and the basis against preserving them, at construction unless
-validation is skipped.
+validation is skipped.  ``product`` multiplies two matrices given as
+sparse flattened rows; the closure test ``is_subalgebra`` and the spans
+A h of ``left_span`` are built on it.
 """
 
 from __future__ import annotations
@@ -18,11 +20,19 @@ from __future__ import annotations
 from .linalg import Mat, ShapeError, Subspace, dense, kernel, kernel_rows, sparse, sparse_sum
 
 
-def bracket(a: Mat, b: Mat) -> Mat:
-    """Matrix commutator ab - ba."""
-    if not (a.is_square() and b.is_square() and a.rows == b.rows):
-        raise ShapeError("bracket needs square matrices of equal size")
-    return a * b - b * a
+def product(n, a, b) -> dict:
+    """The product a b of two n x n matrices given as sparse flattened rows,
+    as a sparse flattened row: (a b)[i][j] sums a[i][k] b[k][j] over the
+    nonzero entries of a and of row k of b."""
+    b_rows = {}
+    for idx, y in b.items():
+        b_rows.setdefault(idx // n, []).append((idx % n, y))
+    return sparse_sum((idx - idx % n + j, x * y) for idx, x in a.items() for j, y in b_rows.get(idx % n, ()))
+
+
+def commutator(n, a, b) -> dict:
+    """[a, b] = a b - b a on sparse flattened rows."""
+    return sparse_sum([*product(n, a, b).items(), *((c, -x) for c, x in product(n, b, a).items())])
 
 
 def matrix_span(n, mats) -> Subspace:
@@ -30,17 +40,23 @@ def matrix_span(n, mats) -> Subspace:
 
 
 def is_subalgebra(basis) -> bool:
-    """True iff every pairwise bracket stays inside the span of basis."""
+    """True iff the span of basis is closed under the commutator."""
     basis = list(basis)
-    if not basis:
-        return True
-    n = basis[0].rows
-    span = matrix_span(n, basis)
-    for i, a in enumerate(basis):
-        for b in basis[i + 1 :]:
-            if not span.contains(bracket(a, b).flatten()):
-                return False
-    return True
+    return not basis or _closed(basis[0].rows, matrix_span(basis[0].rows, basis))
+
+
+def _closed(n, span: Subspace) -> bool:
+    """Whether span holds the commutator of each pair of its canonical
+    rows, which are sparse when the span is large."""
+    rows = span.rows
+    return all(span.contains(commutator(n, a, b)) for i, a in enumerate(rows) for b in rows[i + 1 :])
+
+
+def left_span(a: Mat, h: LinearSubalgebra) -> Subspace:
+    """A h: the span of the products a b for b in h, flattened."""
+    n = h.n
+    a = sparse(a.flatten())
+    return Subspace.span(n * n, [product(n, a, b) for b in h.span.rows])
 
 
 # Every attached structure is a tensor that h preserves.  This table is
@@ -150,10 +166,10 @@ def check_identity(key, value, n):
         if value * value != -1 * ident:
             raise StructureError("J^2 != -I")
     elif key == "g":
-        if value.transpose() != value or value.det() == 0:
+        if value.transpose() != value or value.rank() < n:
             raise StructureError("g must be symmetric invertible")
     elif key == "omega":
-        if value.transpose() != -1 * value or value.det() == 0:
+        if value.transpose() != -1 * value or value.rank() < n:
             raise StructureError("omega must be antisymmetric invertible")
     elif key == "product":
         if value * value != ident or value == ident or value == -1 * ident:
@@ -193,7 +209,7 @@ class LinearSubalgebra:
         if validate:
             if span.dim != len(basis):
                 raise ValueError("basis is linearly dependent")
-            if not is_subalgebra(basis):
+            if not _closed(n, span):
                 raise ValueError("basis is not bracket-closed")
             for key, value in structures.items():
                 check_identity(key, value, n)

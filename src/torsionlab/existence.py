@@ -437,8 +437,15 @@ def _tangent_verdicts(group, aa, p):
 
 def _reached(summary, dims, *wanted):
     """yes if f has an invariant subspace of a wanted dimension; otherwise
-    no, or unknown when the spectrum did not split."""
-    return "yes" if any(d in dims for d in wanted) else "no" if summary.fully_split else "unknown"
+    no, or unknown where the rational search is not exhaustive."""
+    return "yes" if any(d in dims for d in wanted) else "no" if _exhaustive(summary) else "unknown"
+
+
+def _exhaustive(summary):
+    """Whether the rational invariant subspaces are all the real ones: the
+    spectrum splits, and no split quadratic has two real roots, which over
+    R would give two eigenlines and so odd dimensions as well."""
+    return summary.fully_split and all(phi.degree == 1 or count_real_roots(phi) != 2 for phi, _ in summary.split_factors)
 
 
 def _hpc_verdicts(group, aa, p):
@@ -485,7 +492,7 @@ def _u3_verdict(summary, split, d1, d2):
                 if b + take <= d2:
                     nxt.add((a, b + take))
         reach = nxt
-    return "yes" if (d1, d2) in reach else "no"
+    return "yes" if (d1, d2) in reach else "no" if _exhaustive(summary) else "unknown"
 
 
 def _tangent_u1_verdict(summary, split):

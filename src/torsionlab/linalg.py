@@ -43,7 +43,7 @@ def sparse_sum(terms) -> dict:
     row = {}
     for c, x in terms:
         if x:
-            row[c] = row.get(c, 0) + x
+            row[c] = row[c] + x if c in row else x
     return {c: x for c, x in row.items() if x}
 
 
@@ -250,28 +250,6 @@ class Mat:
             raise ShapeError("matrix is singular")
         return Mat([dense({c - n: x for c, x in row.items() if c >= n}, n) for row in red], n, n)
 
-    def det(self):
-        if self.rows != self.cols:
-            raise ShapeError("det of non-square matrix")
-        m = [list(row) for row in self.data]
-        n = self.rows
-        det = Fraction(1)
-        for c in range(n):
-            p = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if p is None:
-                return Fraction(0)
-            if p != c:
-                m[c], m[p] = m[p], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, n):
-                if m[r][c] != 0:
-                    f = m[r][c] * inv
-                    for k in range(c, n):
-                        m[r][k] -= f * m[c][k]
-        return det
-
     def rank(self):
         return _rref_rows([sparse(r) for r in self.data])[2]
 
@@ -312,12 +290,14 @@ def _rref_rows(rows):
 def _axpy(row, f, other, skip):
     """row += f * other in place, except at column skip; zeros are dropped."""
     for k, y in other.items():
-        if k != skip:
-            x = row.get(k, 0) + f * y
-            if x:
-                row[k] = x
-            else:
-                del row[k]
+        if k == skip:
+            continue
+        if k not in row:
+            row[k] = f * y
+        elif x := row[k] + f * y:
+            row[k] = x
+        else:
+            del row[k]
 
 
 def rref(m: Mat):
@@ -396,23 +376,28 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
+    def _residual(self, v) -> dict:
+        """The sparse remainder of v, a dense vector or a sparse row, after
+        elimination against the canonical rows.  The rows vanish at each
+        other's pivots, so v's entry at a pivot is that row's coefficient."""
+        v = _row(v, self.ambient_dim)
+        out = dict(v)
+        for row in self.rows:
+            p = next(iter(row))
+            if p in v:
+                del out[p]
+                _axpy(out, -v[p], row, p)
+        return out
+
     def reduce(self, v):
         """Remainder of v after elimination against the canonical basis."""
-        v = list(vec(v))
-        if len(v) != self.ambient_dim:
-            raise ShapeError("vector length != ambient_dim")
-        for row in self.rows:
-            f = v[next(iter(row))]
-            if f:
-                for c, x in row.items():
-                    v[c] -= f * x
-        return tuple(v)
+        return dense(self._residual(v), self.ambient_dim)
 
     def contains(self, v):
-        return not any(self.reduce(v))
+        return not self._residual(v)
 
     def contains_space(self, other):
-        return all(self.contains(row) for row in other.basis)
+        return all(self.contains(row) for row in other.rows)
 
     def __add__(self, other):
         self._check(other)

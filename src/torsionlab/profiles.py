@@ -24,6 +24,7 @@ from .algebras import (
     commutes,
     endomorphisms,
     is_degenerate,
+    left_span,
     orthogonal_complement,
 )
 from .builders import standard_omega
@@ -65,16 +66,6 @@ def _mats_of(span: Subspace, n):
     return [Mat.unflatten(n, n, flat) for flat in span.basis]
 
 
-def _left_span(a: Mat, h: LinearSubalgebra) -> Subspace:
-    """The span of a b for b in h, flattened: (a b)[i][j] sums a[i][k] b[k][j]
-    over the nonzero entries b[k][j] of each canonical basis row of h."""
-    n = h.n
-    cols = [[(i, a.data[i][k]) for i in range(n) if a.data[i][k]] for k in range(n)]
-    return Subspace.span(
-        n * n, [sparse_sum((i * n + idx % n, x * y) for idx, y in b.items() for i, x in cols[idx // n]) for b in h.span.rows]
-    )
-
-
 def _base_group(h):
     """h_1 (killing R^{n-1}), h_1^inv (also preserving it) and W."""
     n = h.n
@@ -86,7 +77,7 @@ def _base_group(h):
 
 def _j_span(h):
     """J h, when h preserves its complex structure J."""
-    return {"Jh": _left_span(h.structures["J"], h) if h.preserves("J") else None}
+    return {"Jh": left_span(h.structures["J"], h) if h.preserves("J") else None}
 
 
 def _j_chain(h):
@@ -219,7 +210,7 @@ def totally_real_type(h: LinearSubalgebra, j: Mat | None = None):
     j = j if j is not None else h.structures.get("J")
     if j is None:
         raise KeyError("totally real typing needs a complex structure J")
-    if h.span.intersect(_left_span(j, h)).dim != 0:
+    if h.span.intersect(left_span(j, h)).dim != 0:
         raise ValueError("subalgebra is not totally real: h meets Jh")
     return _totally_real_type(h, j, profile(h))
 
@@ -285,7 +276,7 @@ def _rule_commuting_endo(h, prof):
             continue
         if all(x == 0 for x in a.data[n - 1][: n - 1]):
             continue  # hyperplane is A-invariant
-        if h.span.contains_space(_left_span(a, h)):
+        if h.span.contains_space(left_span(a, h)):
             return characteristic_subalgebra(h), None
     return None
 

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from functools import cache
 
-from .algebras import LinearSubalgebra, MetricContext, bracket, conjugate, is_degenerate
+from .algebras import LinearSubalgebra, MetricContext, commutator, conjugate, is_degenerate, left_span
 from .builders import (
     build_delta_gl,
     build_gl_C,
@@ -55,7 +55,7 @@ from .existence import (
     product_obstruction,
     tangent_obstruction,
 )
-from .linalg import Mat, Subspace, entry_span, image_on_kernel, kernel, unit
+from .linalg import Mat, Subspace, entry_span, image_on_kernel, kernel, sparse_sum, unit
 from .profiles import _crosscheck, _fired, applicable_rules, profile
 
 
@@ -340,16 +340,10 @@ def _invariant_suite(pairs):
             contain.append(f"k~ not inside F for {h.name}")
         if any(_obstruction_space_at(h, v) != fs for v in _transversals(n)):
             vindep.append(f"v-dependence for {h.name}")
-        kc_mats = [Mat.unflatten(n - 1, n - 1, b) for b in kc.basis]
-        fs_mats = [Mat.unflatten(n - 1, n - 1, b) for b in fs.basis]
-        if any(not fs.contains(bracket(a, b).flatten()) for a in kc_mats for b in fs_mats):
+        if any(not fs.contains(commutator(n - 1, a, b)) for a in kc.rows for b in fs.rows):
             module.append(f"[k~,F] escapes F for {h.name}")
-        covectors_x_w = (
-            Mat([[w[k] if j == i else Fraction(0) for j in range(n - 1)] for k in range(n - 1)])
-            for i in range(n - 1)
-            for w in prof.W.basis
-        )
-        if any(not fs.contains(mat.flatten()) for mat in covectors_x_w):
+        # e^i x w is the matrix with w as its column i
+        if any(not fs.contains({k * (n - 1) + i: x for k, x in w.items()}) for i in range(n - 1) for w in prof.W.rows):
             w_cov.append(f"covector x W escapes F for {h.name}")
         kt = tableau(h)
         if not all(_restricts_into_k1(gamma, n, kt) for gamma in connection_space(h).basis):
@@ -411,17 +405,12 @@ def _structural_invariants(pairs):
         if g is not None and classify_low_rank(h, 2)["status"] == "certified" and first_prolongation(h).dim != 0:
             elliptic.append(f"K^(1) != 0 for the certified super-elliptic {h.name}")
         # totally real: K^(1) inside S^2 (R_J)^0 x R^n
-        if j is not None and h.span.intersect(Subspace.span(n * n, [(j * b).flatten() for b in h.basis])).dim == 0:
+        if j is not None and h.span.intersect(left_span(j, h)).dim == 0:
             ann = _annihilator_of(prof.RJ, n - 1)
             m = n - 1
-            target_vecs = []
-            for k in range(n):
-                flat = [Fraction(0)] * (m * m * n)
-                for i in range(m):
-                    for jj in range(m):
-                        flat[i * m * n + jj * n + k] = ann[i] * ann[jj]
-                target_vecs.append(flat)
-            if not Subspace.span(m * m * n, target_vecs).contains_space(first_prolongation(h)):
+            # ann x ann x e_k, flattened at i m n + j n + k
+            target = [sparse_sum((i * m * n + jj * n + k, ann[i] * ann[jj]) for i in range(m) for jj in range(m)) for k in range(n)]
+            if not Subspace.span(m * m * n, target).contains_space(first_prolongation(h)):
                 totally_real.append(f"K^(1) escapes S^2 ann(R_J) x R^n for {h.name}")
         # nu is injective or zero whenever defined
         if prof.nu is not None and prof.U_cal is not None and prof.nu.rank() not in (0, prof.U_cal.dim):
@@ -442,9 +431,7 @@ def _structural_invariants(pairs):
         (build_delta_gl(2), build_delta_gl(2).structures["hpc"][2]),
     ):
         n = h.n
-        sum_span = Subspace.span(
-            n * n, [m.flatten() for m in h.basis] + [(a_tensor * b).flatten() for b in h.basis]
-        )
+        sum_span = h.span + left_span(a_tensor, h)
         big_alg = LinearSubalgebra(n, [Mat.unflatten(n, n, v) for v in sum_span.basis], validate=False)
         kc = characteristic_subalgebra(h)
         fs = obstruction_space(h)

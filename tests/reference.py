@@ -1,14 +1,15 @@
 """Dense references the sparse routines of torsionlab must agree with exactly.
 
 Gauss-Jordan elimination over Fraction lists, and the span, solve,
-kernel, Zassenhaus, inverse and reduce routes built on it; and the
+kernel, Zassenhaus, inverse and reduce routes built on it; the matrix
+commutator and the closure test on dense Mat products; and the
 torsion, curvature and Nijenhuis tensors of a connection on g_f as loops
 over every index tuple of the dense bracket tensor.
 """
 
 from fractions import Fraction
 
-from torsionlab.linalg import Mat
+from torsionlab.linalg import Mat, ShapeError
 
 
 
@@ -88,6 +89,22 @@ def dense_reduce(basis, v):
             f = v[piv]
             v = [a - f * b for a, b in zip(v, row)]
     return tuple(v)
+
+
+def dense_commutator(a, b):
+    """Matrix commutator ab - ba of two square Mats of equal size."""
+    if not (a.is_square() and b.is_square() and a.rows == b.rows):
+        raise ShapeError("bracket needs square matrices of equal size")
+    return a * b - b * a
+
+
+def dense_is_subalgebra(basis):
+    """Whether every pairwise commutator of the Mats in basis stays in their span."""
+    basis = list(basis)
+    span = dense_span(None, [m.flatten() for m in basis])
+    return all(
+        not any(dense_reduce(span, dense_commutator(a, b).flatten())) for i, a in enumerate(basis) for b in basis[i + 1 :]
+    )
 
 
 def bracket_tensor(f):

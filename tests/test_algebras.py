@@ -1,29 +1,34 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from reference import dense_commutator, dense_is_subalgebra
 from torsionlab.algebras import (
     LinearSubalgebra,
     MetricContext,
     StructureError,
-    bracket,
     commutant,
+    commutator,
     conjugate,
     is_degenerate,
     is_subalgebra,
+    left_span,
     orthogonal_complement,
+    product,
 )
 from torsionlab.builders import (
     build_delta_gl,
     build_gl_C,
     build_so,
     build_sp,
+    catalog,
     hyperparacomplex_triple,
     quaternion_triple,
     standard_J,
     tangent_T,
 )
-from torsionlab.linalg import Mat, ShapeError, Subspace
+from torsionlab.linalg import Mat, ShapeError, Subspace, dense, sparse
 
 
 def E(n, i, j):
@@ -33,13 +38,28 @@ def E(n, i, j):
 
 
 def test_bracket():
-    b = Mat([[1, 2], [3, 4]])
-    assert bracket(Mat.identity(2), b).is_zero()
-    assert bracket(b, b).is_zero()
+    b = sparse(Mat([[1, 2], [3, 4]]).flatten())
+    assert commutator(2, sparse(Mat.identity(2).flatten()), b) == {}
+    assert commutator(2, b, b) == {}
     # [E12, E21] = diag(1, -1), by 2x2 hand computation
-    assert bracket(E(2, 0, 1), E(2, 1, 0)) == Mat([[1, 0], [0, -1]])
+    assert commutator(2, {1: Fraction(1)}, {2: Fraction(1)}) == {0: 1, 3: -1}
     with pytest.raises(ShapeError):
-        bracket(Mat.identity(2), Mat.identity(3))
+        dense_commutator(Mat.identity(2), Mat.identity(3))
+
+
+def _random_mat(rng, n):
+    """A rational n x n matrix with about half its entries zero."""
+    return Mat([[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)])
+
+
+def test_product_and_commutator_match_dense():
+    rng = random.Random(11)
+    for n in range(2, 7):
+        for _ in range(6):
+            a, b = _random_mat(rng, n), _random_mat(rng, n)
+            sa, sb = sparse(a.flatten()), sparse(b.flatten())
+            assert dense(product(n, sa, sb), n * n) == (a * b).flatten()
+            assert dense(commutator(n, sa, sb), n * n) == dense_commutator(a, b).flatten()
 
 
 def test_is_subalgebra():
@@ -47,6 +67,46 @@ def test_is_subalgebra():
     assert is_subalgebra([E(2, 0, 1)])  # abelian
     assert is_subalgebra([E(2, 0, 1), E(2, 0, 0)])
     assert not is_subalgebra([E(2, 0, 1), E(2, 1, 0)])
+
+
+def _perturbed(rng, basis):
+    """basis with 1 added to one entry of one element."""
+    basis = list(basis)
+    k, i, j = rng.randrange(len(basis)), rng.randrange(basis[0].rows), rng.randrange(basis[0].rows)
+    data = [list(row) for row in basis[k].data]
+    data[i][j] += 1
+    basis[k] = Mat(data)
+    return basis
+
+
+def _unimodular(rng, n):
+    lower = Mat([[1 if i == j else (rng.randint(-1, 1) if i > j else 0) for j in range(n)] for i in range(n)])
+    upper = Mat([[1 if i == j else (rng.randint(-1, 1) if i < j else 0) for j in range(n)] for i in range(n)])
+    return lower * upper
+
+
+def test_closure_matches_the_dense_reference():
+    """Sparse closure on canonical rows against dense closure on the given
+    matrices: every catalog basis, a perturbed copy of each, and random
+    unimodular conjugates (dense rows) of the small ones, perturbed too."""
+    rng = random.Random(24)
+    bases = []
+    for h in catalog():
+        bases += [h.basis, _perturbed(rng, h.basis)]
+        if h.n <= 4:
+            t = _unimodular(rng, h.n)
+            conj = [t * f * t.inverse() for f in h.basis]
+            bases += [conj, _perturbed(rng, conj)]
+    outcomes = [is_subalgebra(basis) for basis in bases]
+    assert outcomes == [dense_is_subalgebra(basis) for basis in bases]
+    assert outcomes.count(False) >= 20 and outcomes.count(True) >= 26
+
+
+def test_left_span_matches_dense_products():
+    # the upper triangular matrices, unlike the others, are not closed under transposition
+    upper = LinearSubalgebra(3, [E(3, i, j) for i in range(3) for j in range(i, 3)])
+    for h, a in ((build_gl_C(2), standard_J(4)), (build_sp(2), standard_J(4)), (upper, Mat([[1, 2, 0], [0, 1, 0], [3, 0, 1]]))):
+        assert left_span(a, h) == Subspace.span(h.n * h.n, [(a * b).flatten() for b in h.basis])
 
 
 def test_conjugate_identity_and_inverse():

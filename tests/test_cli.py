@@ -327,6 +327,9 @@ def test_unread_flags_rejected(args):
         (("flat", "--algebra", "gl:n=3", "--f", '["12","34"]'), "list of rows"),
         (("check", "--algebra", "gl:n=2", "--f", '[{"7":1}]'), "list of rows"),
         (("space", "--algebra", '{"basis": [["10","01"]]}'), "basis[0]"),
+        (("space", "--algebra", '{"basis": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]}'), "basis is not bracket-closed"),
+        (("space", "--algebra", "gl:n"), "malformed builder parameter"),
+        (("orbits", "--group", "hpc", "--n", "4"), "has no orbit types"),
     ],
     ids=[
         "v-in-hyperplane",
@@ -361,6 +364,9 @@ def test_unread_flags_rejected(args):
         "f-rows-strings",
         "f-row-an-object",
         "basis-rows-strings",
+        "basis-not-closed",
+        "builder-parameter-without-value",
+        "orbits-of-a-group-without-types",
     ],
 )
 def test_bad_input_is_an_input_error(args, named):
@@ -424,3 +430,69 @@ def test_group_help_lists_every_group():
     for name in GROUPS:
         assert f"{name} (" in text
     assert "product (n >= 2, --p, --type 1..3)" in text and "gl_H (n >= 4 divisible by 4, --type 1..1)" in text
+
+
+@pytest.mark.parametrize("which", ["gl4", "sp4-conjugated"])
+def test_explicit_basis_space_matches_the_builder(which):
+    """An explicit basis is validated (closure included) in a fresh process
+    and gives the bases the engine computes from the built algebra."""
+    from torsionlab import engine, reporting
+    from torsionlab.algebras import conjugate
+    from torsionlab.builders import build_gl, build_sp
+    from torsionlab.linalg import Mat
+
+    if which == "gl4":
+        h = build_gl(4)
+    else:  # a unimodular upper times lower triangular T fills in most entries of each element
+        t = Mat([[1, 1, 0, -1], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]) * Mat([[1, 0, 0, 0], [1, 1, 0, 0], [-1, 0, 1, 0], [0, 1, 1, 1]])
+        h = conjugate(build_sp(2), t)
+    spec = {key: reporting.mat_to_json(value) for key, value in h.structures.items() if key == "omega"}
+    spec["basis"] = [reporting.mat_to_json(m) for m in h.basis]
+    proc = run_cli("space", "--algebra", json.dumps(spec), "--with-bases")
+    assert proc.returncode == 0, proc.stderr
+    spaces = {
+        "k_tilde": engine.characteristic_subalgebra(h),
+        "tableau": engine.tableau(h),
+        "K1": engine.first_prolongation(h),
+        "D": engine.connection_space(h),
+        "F": engine.obstruction_space(h),
+    }
+    assert json.loads(proc.stdout)["bases"] == {key: reporting.subspace_to_json(s) for key, s in spaces.items()}
+
+
+def test_catalog_crosscheck(capsys):
+    from torsionlab import cli
+
+    with pytest.raises(SystemExit) as done:
+        cli.main(["catalog", "--crosscheck"])
+    assert done.value.code == 0
+    rows = json.loads(capsys.readouterr().out)["catalog"]
+    assert len(rows) == 26
+    assert all(rule["equal"] is True for row in rows for rule in row["rules"])
+    assert sum(len(row["rules"]) for row in rows) >= 10
+
+
+def test_failing_verify_paper_exits_1(monkeypatch, capsys):
+    from torsionlab import cli, verify
+
+    forced = [("symplectic", lambda: [verify._check("symplectic: forced", False, "forced failure")])]
+    monkeypatch.setattr(verify, "CHECKS", forced + verify.CHECKS[1:])
+    with pytest.raises(SystemExit) as done:
+        cli.main(["verify-paper", "--target", "symplectic"])
+    assert done.value.code == 1
+    assert capsys.readouterr().out == "[FAIL] symplectic: forced -- forced failure\n"
+
+
+def test_violated_invariant_exits_3(monkeypatch, capsys):
+    from torsionlab import cli
+
+    def broken(h):
+        raise AssertionError("forced")
+
+    monkeypatch.setattr(cli, "obstruction_space", broken)
+    with pytest.raises(SystemExit) as done:
+        cli.main(["space", "--algebra", "gl:n=3"])
+    assert done.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal invariant violation: forced" in captured.err and "Traceback" not in captured.err

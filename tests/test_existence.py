@@ -31,7 +31,7 @@ def diag(*entries):
 def rand_invertible(rng, n, lo=-2, hi=2):
     while True:
         t = Mat([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
-        if t.det() != 0:
+        if t.rank() == n:
             return t
 
 
@@ -49,7 +49,7 @@ def test_orbit_maps_straighten():
         cat = orbit_catalog(group, 4, **kw)
         for rep in cat.reps:
             t = rep["T"]
-            assert t.det() != 0
+            assert t.rank() == 4
             image = Subspace.span(4, [t.matvec(b) for b in rep["subspace"].basis])
             assert image == hyper
 
@@ -221,7 +221,7 @@ def test_classify_hpc_pattern_sweep_case_b():
         fc = tmat * case_b_matrix(m, u1, u2, a_val) * tmat.inverse()
         res = classify_hyperparacomplex(AlmostAbelian(fc))
         assert res["verdict"] == "yes_caseA", (m, a_val, u1, u2)
-        assert res["basis"].det() != 0
+        assert res["basis"].rank() == res["basis"].rows
 
 
 def test_hpc_flatness_paper_recomputation():
@@ -268,6 +268,24 @@ def test_admits_product_family():
     assert verdicts["[U1]"] == "yes"  # q - 1 = 2 is achievable
     assert verdicts["[U2]"] == "no"  # p - 1 = 1 is not
     assert set(verdicts) == {"[U1]", "[U2]", "[U3]"}
+
+
+@pytest.mark.parametrize(
+    "f, p, verdicts",
+    [
+        # x^2 - 2 has the real eigenlines of +-sqrt2: over R the basis
+        # S = [(sqrt2, 1, 0), e_3, e_1] puts f in the [U3] pattern
+        ([[0, 2, 0], [1, 0, 0], [0, 0, 1]], 2, ["yes", "yes", "unknown"]),
+        ([[0, 2], [1, 0]], 1, ["unknown", "yes", "unknown"]),
+        # a complex pair supplies only even dimensions, so no stays no
+        ([[0, -2, 0], [1, 0, 0], [0, 0, 1]], 2, ["yes", "yes", "no"]),
+        ([[0, -2], [1, 0]], 1, ["no", "yes", "no"]),
+    ],
+    ids=["x2-2-n4", "x2-2-n3", "x2+2-n4", "x2+2-n3"],
+)
+def test_real_rooted_quadratic_gives_unknown_not_no(f, p, verdicts):
+    res = admits_torsion_free("product", AlmostAbelian(Mat(f)), p=p)
+    assert [t["verdict"] for t in res["types"]] == verdicts
 
 
 def test_admits_glC_family():
@@ -419,9 +437,9 @@ def sweep_verdicts(aa):
     return out
 
 
-# SHA-256 of the seed-7 sweep below, recorded before the deciders shared
-# one primary decomposition per query; a changed verdict or rule moves it
-SWEEP_DIGEST = "b448350007fb3bc89a5901975a672413b0b30e2143b6ef818714d7ad59ffc53b"
+# SHA-256 of the seed-7 sweep below, recorded when a split quadratic with
+# two real roots stopped giving a typed "no"; a changed verdict or rule moves it
+SWEEP_DIGEST = "a9a37a5ed9c7734e4f26028c5599b38963865caf59bc9c5b9812f7621af86fc3"
 
 
 def test_spectral_verdict_sweep_is_pinned():
