@@ -31,7 +31,7 @@ from .existence import (
     product_obstruction,
     tangent_obstruction,
 )
-from .linalg import Mat, Subspace, image, kernel, rref
+from .linalg import Mat, Subspace, image, kernel
 from .profiles import StructuralProfile, closed_form_F, crosscheck, profile, totally_real_type
 from .ellipticity import classify_low_rank, low_rank_witness
 from .verify import verify_paper

@@ -4,13 +4,18 @@ What each group is lives in one table, ``GROUPS``: its dimension rule,
 whether it takes a signature p, its hyperplane orbits [U_alpha] with
 their straightening maps T_alpha and obstruction patterns, and its
 verdict function.  ``orbit_catalog``, the pattern functions, the
-deciders and ``admits_torsion_free`` read the table.  In the
-rational-spectrum regime (characteristic polynomial splitting into
-rational roots and quadratics) the deciders construct certified bases;
-outside it verdicts degrade to an honest "unknown", and "no" is only
-returned where the regime makes the search provably exhaustive.  Every
-"yes + basis" is certified by conjugating f and matching the claimed
-pattern entry by entry.
+deciders and ``admits_torsion_free`` read the table.
+
+Every spectral verdict reads one ``spectral.Spectrum`` record of f,
+built once per query.  In the rational-spectrum regime (characteristic
+polynomial splitting into rational roots and quadratics) the deciders
+construct certified bases from its invariant subspaces; outside it
+verdicts degrade to an honest "unknown", and "no" is only returned
+where the regime makes the search provably exhaustive.  Tangent [U1],
+hyperparacomplex, gl_C and gl_H share one search, ``_block_removal``:
+remove blocks at one rational eigenvalue, then is every block count
+divisible by 2 (or 4)?  Every "yes + basis" is certified by conjugating
+f and matching the claimed pattern entry by entry.
 """
 
 from __future__ import annotations
@@ -30,13 +35,7 @@ from .polynomials import (
     rational_roots,
     squarefree_part,
 )
-from .spectral import (
-    achievable_invariant_dims,
-    chain_vectors,
-    invariant_subspace,
-    jordan_chains,
-    primary_components,
-)
+from .spectral import chain_vectors, jordan_chains, primary_components
 
 
 class OrbitType(NamedTuple):
@@ -187,28 +186,22 @@ def _complete_basis(vectors, n1):
     return out
 
 
-def _invariant_data(f):
-    """primary_components(f) and the invariant-subspace dimensions it reaches."""
-    summary, split = primary_components(f)
-    return summary, split, achievable_invariant_dims(f, summary, split)
-
-
 def decide_product(aa: AlmostAbelian, p):
     """Product structures of signature (p, q) always exist; construct when possible."""
     GROUPS["product"].check(aa.n, p)
-    return _product_basis(aa.f, p, *_invariant_data(aa.f))
+    return _product_basis(primary_components(aa.f), p)
 
 
-def _product_basis(f, p, summary, split, dims):
-    n1 = f.rows
+def _product_basis(spec, p):
+    n1 = spec.f.rows
     u1, u2, _ = GROUPS["product"].orbits
     # [U1]: an invariant subspace of dimension q - 1 = n1 - p spanned by the
     # tail of the basis; [U2]: one of dimension p - 1 spanned by its head
     for orbit, d in ((u1, n1 - p), (u2, p - 1)):
-        if d in dims:
-            w = list(invariant_subspace(f, summary, split, d).basis)
+        if d in spec.dims:
+            w = list(spec.invariant_subspace(d).basis)
             completion = _complete_basis(w, n1)[len(w) :]
-            found = _certified(f, completion + w if orbit is u1 else w + completion, orbit, p)
+            found = _certified(spec.f, completion + w if orbit is u1 else w + completion, orbit, p)
             if found is not None:
                 return found
     # existence is guaranteed by the classification of product types
@@ -228,17 +221,17 @@ def _certified(f, cols, orbit, k):
 def decide_tangent(aa: AlmostAbelian):
     """Tangent structures always exist on even-dimensional algebras."""
     GROUPS["tangent"].check(aa.n)
-    return _tangent_basis(aa.f, *_invariant_data(aa.f))
+    return _tangent_basis(primary_components(aa.f))
 
 
-def _tangent_basis(f, summary, split, dims):
-    n1 = f.rows
+def _tangent_basis(spec):
+    n1 = spec.f.rows
     m = (n1 + 1) // 2
     u2 = GROUPS["tangent"].orbits[1]
     for d in (m, m - 1):
-        if d not in dims:
+        if d not in spec.dims:
             continue
-        w = invariant_subspace(f, summary, split, d)
+        w = spec.invariant_subspace(d)
         if d == m:
             middle = list(w.basis[: m - 1])
             last = [w.basis[m - 1]]
@@ -246,32 +239,34 @@ def _tangent_basis(f, summary, split, dims):
             middle = list(w.basis)
             last = [_complete_basis(middle, n1)[len(middle)]]
         rest = _complete_basis(middle + last, n1)[len(middle) + 1 :]
-        found = _certified(f, rest + middle + last, u2, m)
+        found = _certified(spec.f, rest + middle + last, u2, m)
         if found is not None:
             return found
     return {"verdict": "yes", "type": None, "basis": None, "rule": "existence-only"}
 
 
-def _divisible_after_removal(fd, removals, factors, modulus):
-    """Whether every block count is divisible by modulus once one block
-    of each size in removals leaves the factor fd.
+def _block_removal(factors, modulus, variants=lambda counts: [[s] for s in counts]):
+    """The first (fd, removal) after which every block count of factors
+    is divisible by modulus, or None.
 
-    Removing a block of size s leaves one of size s - 1.  The counts
-    checked are fd's after the removal and those of the other factors.
+    fd runs over the rational eigenvalues' factors; removal over
+    variants(fd.block_counts), largest block first, each one block of
+    every size it lists.  Removing a block of size s from fd leaves one
+    of size s - 1.
     """
-    counts = dict(fd.block_counts)
-    for s in removals:
-        if counts.get(s, 0) <= 0:
-            return False
-        counts[s] -= 1
-        if s > 1:
-            counts[s - 1] = counts.get(s - 1, 0) + 1
-    others = [other.block_counts for other in factors if other is not fd]
-    return all(v % modulus == 0 for c in [counts, *others] for v in c.values())
-
-
-def _rational_eigen_factors(split):
-    return [fd for fd in split if fd.deg == 1]
+    for fd in factors:
+        if fd.deg != 1:
+            continue
+        others = [other.block_counts for other in factors if other is not fd]
+        for removal in sorted(variants(fd.block_counts), reverse=True):
+            counts = dict(fd.block_counts)
+            for s in removal:
+                counts[s] -= 1
+                if s > 1:
+                    counts[s - 1] = counts.get(s - 1, 0) + 1
+            if all(v % modulus == 0 for c in [counts, *others] for v in c.values()):
+                return fd, removal
+    return None
 
 
 # -- hyperparacomplex classification ----------------------------------------
@@ -299,21 +294,18 @@ def classify_hyperparacomplex(aa: AlmostAbelian):
       shift, or the companion block of phi), so the two A blocks agree.
     "no" is only claimed when the search is exhaustive: every real
     eigenvalue rational, and n <= 8, the bound the case-B search had.
+    There is no case without a real eigenvalue: n is even, so chi_f has
+    odd degree n - 1 and a real root.
     """
     GROUPS["hpc"].check(aa.n)
-    n = aa.n
-    f = aa.f
-    summary, split = primary_components(f)
-    total_real = sum(c for _, _, c in summary.squarefree)
-    if total_real == 0:
-        return {"verdict": "no", "rule": "no-real-eigenvalue"}
+    spec = primary_components(aa.f)
     # block counts inside unfactored pieces are unknown
-    if summary.fully_split:
-        for fd in _rational_eigen_factors(split):
-            for s in sorted(fd.block_counts, reverse=True):
-                if _divisible_after_removal(fd, [s], split, 2):
-                    return _construct_case_a(f, split, fd, s, n // 2)
-        if n <= 8:
+    if spec.fully_split:
+        found = _block_removal(spec.split, 2)
+        if found is not None:
+            fd, (s,) = found
+            return _construct_case_a(aa.f, spec.split, fd, s, aa.n // 2)
+        if aa.n <= 8:
             return {"verdict": "no", "rule": "exhaustive-normal-form-search"}
     return {"verdict": "unknown", "rule": "outside-rational-spectral-regime"}
 
@@ -421,31 +413,23 @@ def admits_torsion_free(group, aa: AlmostAbelian, p=None):
 
 
 def _product_verdicts(group, aa, p):
-    n = aa.n
-    summary, split, dims = _invariant_data(aa.f)
-    d1, d2 = p - 1, n - p - 1
-    verdicts = (_reached(summary, dims, d2), _reached(summary, dims, d1), _u3_verdict(summary, split, d1, d2))
-    return verdicts, "yes", _product_basis(aa.f, p, summary, split, dims)
+    spec = primary_components(aa.f)
+    d1, d2 = p - 1, aa.n - p - 1
+    verdicts = (_reached(spec, d2), _reached(spec, d1), _u3_verdict(spec, d1, d2))
+    return verdicts, "yes", _product_basis(spec, p)
 
 
 def _tangent_verdicts(group, aa, p):
     m = aa.n // 2
-    summary, split, dims = _invariant_data(aa.f)
-    verdicts = (_tangent_u1_verdict(summary, split), _reached(summary, dims, m, m - 1))
-    return verdicts, "yes", _tangent_basis(aa.f, summary, split, dims)
+    spec = primary_components(aa.f)
+    verdicts = (_tangent_u1_verdict(spec), _reached(spec, m, m - 1))
+    return verdicts, "yes", _tangent_basis(spec)
 
 
-def _reached(summary, dims, *wanted):
+def _reached(spec, *wanted):
     """yes if f has an invariant subspace of a wanted dimension; otherwise
     no, or unknown where the rational search is not exhaustive."""
-    return "yes" if any(d in dims for d in wanted) else "no" if _exhaustive(summary) else "unknown"
-
-
-def _exhaustive(summary):
-    """Whether the rational invariant subspaces are all the real ones: the
-    spectrum splits, and no split quadratic has two real roots, which over
-    R would give two eigenlines and so odd dimensions as well."""
-    return summary.fully_split and all(phi.degree == 1 or count_real_roots(phi) != 2 for phi, _ in summary.split_factors)
+    return "yes" if any(d in spec.dims for d in wanted) else "no" if spec.exhaustive else "unknown"
 
 
 def _hpc_verdicts(group, aa, p):
@@ -476,12 +460,12 @@ def _typed_verdict(label, verdict):
     return out
 
 
-def _u3_verdict(summary, split, d1, d2):
+def _u3_verdict(spec, d1, d2):
     """[U3]: the Jordan chains split between two disjoint invariant
     subspaces of dimensions d1 and d2."""
-    if not summary.fully_split:
+    if not spec.fully_split:
         return "unknown"
-    chains = [(fd, length) for fd in split for length, count in fd.block_counts.items() for _ in range(count)]
+    chains = [(fd, length) for fd in spec.split for length, count in fd.block_counts.items() for _ in range(count)]
     reach = {(0, 0)}
     for fd, length in chains:
         nxt = set()
@@ -492,16 +476,13 @@ def _u3_verdict(summary, split, d1, d2):
                 if b + take <= d2:
                     nxt.add((a, b + take))
         reach = nxt
-    return "yes" if (d1, d2) in reach else "no" if _exhaustive(summary) else "unknown"
+    return "yes" if (d1, d2) in reach else "no" if spec.exhaustive else "unknown"
 
 
-def _tangent_u1_verdict(summary, split):
-    if not summary.fully_split:
+def _tangent_u1_verdict(spec):
+    if not spec.fully_split:
         return "unknown"
-    for fd in _rational_eigen_factors(split):
-        if any(_divisible_after_removal(fd, [s], split, 2) for s in fd.block_counts):
-            return "yes"
-    return "no"
+    return "no" if _block_removal(spec.split, 2) is None else "yes"
 
 
 def _unitary_spectrum(f):
@@ -520,7 +501,7 @@ def _unitary_spectrum(f):
     # all roots of r must be real and <= 0 (they are -theta^2)
     if count_real_roots(r) != squarefree_part(r).degree:
         return None
-    if count_real_roots(r, 0, _root_bound(r)) > 0:
+    if count_real_roots(r, 0) > 0:
         return None
     # f is semisimple iff the squarefree part of its characteristic
     # polynomial annihilates it
@@ -529,16 +510,6 @@ def _unitary_spectrum(f):
 
 def _unitary_verdict(group, aa):
     return "no" if _unitary_spectrum(aa.f) is None else "yes"
-
-
-def _root_bound(r):
-    bound = Fraction(1)
-    lead = r.leading()
-    for c in r.coeffs:
-        cand = 1 + abs(c / lead)
-        if cand > bound:
-            bound = cand
-    return bound
 
 
 def _special_unitary_verdict(group, aa):
@@ -590,33 +561,33 @@ def _signed_cancellation_possible(coeffs):
 def _complex_verdict(group, aa):
     """f similar to [[A, v], [0, a]] with A complex-linear: remove one
     dimension at a real eigenvalue, all real-eigenvalue block counts even."""
-    return _removal_verdict(aa.f, 2, lambda counts: [[s] for s in counts])
+    return _removal_verdict(aa.f, 2)
 
 
 def _quaternionic_verdict(group, aa):
-    def variants(counts):
-        out = []
-        if counts.get(1, 0) >= 3:
-            out.append([1, 1, 1])
-        for s in counts:
-            if s >= 2 and counts.get(s, 0) >= 3 and counts.get(s - 1, 0) >= 1:
-                out.append([s, s, s])
-        return out
-
-    return _removal_verdict(aa.f, 4, variants)
+    return _removal_verdict(aa.f, 4, _triple_blocks)
 
 
-def _removal_verdict(f, modulus, variants):
+def _triple_blocks(counts):
+    """gl_H's removals: three 1-blocks, or three s-blocks beside an (s-1)-block."""
+    out = []
+    if counts.get(1, 0) >= 3:
+        out.append([1, 1, 1])
+    for s in counts:
+        if s >= 2 and counts.get(s, 0) >= 3 and counts.get(s - 1, 0) >= 1:
+            out.append([s, s, s])
+    return out
+
+
+def _removal_verdict(f, modulus, *variants):
     """yes if removing the blocks of one variant at a rational eigenvalue
-    leaves every real factor's block counts divisible by modulus."""
-    summary, split = primary_components(f)
-    if any(c > 0 for _, _, c in summary.unsplit):
+    leaves every real factor's block counts divisible by modulus; unknown
+    when an unsplit piece has a real root."""
+    spec = primary_components(f)
+    if any(count_real_roots(q) > 0 for q, _ in spec.unsplit):
         return "unknown"
-    real_factors = [fd for fd in split if fd.deg == 1 or count_real_roots(fd.phi) > 0]
-    for fd in _rational_eigen_factors(split):
-        if any(_divisible_after_removal(fd, r, real_factors, modulus) for r in variants(fd.block_counts)):
-            return "yes"
-    return "no"
+    real_factors = [fd for fd in spec.split if fd.deg == 1 or count_real_roots(fd.phi) > 0]
+    return "no" if _block_removal(real_factors, modulus, *variants) is None else "yes"
 
 
 # -- the existence groups -----------------------------------------------------

@@ -56,9 +56,10 @@ def dense(row, width) -> tuple:
 
 
 def _row(v, width) -> dict:
-    """A sparse row passes through; a dense vector must have length width."""
+    """A sparse row passes through, its stored zeros dropped; a dense
+    vector must have length width."""
     if isinstance(v, dict):
-        return v
+        return v if all(v.values()) else {c: x for c, x in v.items() if x}
     if len(v) != width:
         raise ShapeError(f"vector of length {len(v)} where {width} is needed")
     return sparse(v)
@@ -298,13 +299,6 @@ def _axpy(row, f, other, skip):
             row[k] = x
         else:
             del row[k]
-
-
-def rref(m: Mat):
-    """Unique reduced row-echelon form of m, with pivot columns and rank."""
-    red, pivots, rank = _rref_rows([sparse(r) for r in m.data])
-    rows = [dense(r, m.cols) for r in red] + [[0] * m.cols] * (m.rows - rank)
-    return Mat(rows, m.rows, m.cols), pivots, rank
 
 
 def kernel_rows(rows, width):

@@ -402,27 +402,21 @@ def _rule_unitary(h, prof):
     ctx = MetricContext(g)
     hyper = _hyperplane(n)
     vecs = list(characteristic_subalgebra(h).basis)
+    # (a, b) = (v0, J v0) on a non-degenerate hyperplane, (J v0, v0) on a
+    # degenerate one, each with its own v0
     if not is_degenerate(ctx, hyper):
         rj = hyper.intersect(Subspace.span(n, [j.matvec(x) for x in hyper.basis]))
         rows = [list(g.matvec(b)) for b in rj.basis]
         perp_in_hyper = kernel(Mat(rows, len(rows), n)).intersect(hyper)
         v0 = next(b for b in perp_in_hyper.basis if not rj.contains(b))
-        jv = j.matvec(v0)
-        gv = g.matvec(v0)
-        gjv = g.matvec(jv)
-        test = Mat([[gjv[jj] * v0[k] - gv[jj] * jv[k] for jj in range(n)] for k in range(n)])
-        if h.contains(test):
-            extra = Mat([[gv[jj] * v0[k] for jj in range(n - 1)] for k in range(n - 1)])
-            vecs.append(extra.flatten())
+        a, b = v0, j.matvec(v0)
     else:
         v0 = orthogonal_complement(ctx, hyper).basis[0]
-        jv = j.matvec(v0)
-        gv = g.matvec(v0)
-        gjv = g.matvec(jv)
-        test = Mat([[gv[jj] * jv[k] - gjv[jj] * v0[k] for jj in range(n)] for k in range(n)])
-        if h.contains(test):
-            extra = Mat([[gjv[jj] * jv[k] for jj in range(n - 1)] for k in range(n - 1)])
-            vecs.append(extra.flatten())
+        a, b = j.matvec(v0), v0
+    ga, gb = g.matvec(a), g.matvec(b)
+    # a (x) g(b) - b (x) g(a); if h holds it, a (x) g(a) on the hyperplane joins F
+    if h.contains(Mat([[gb[jj] * a[k] - ga[jj] * b[k] for jj in range(n)] for k in range(n)])):
+        vecs.append(Mat([[ga[jj] * a[k] for jj in range(n - 1)] for k in range(n - 1)]).flatten())
     return Subspace.span((n - 1) * (n - 1), vecs), None
 
 

@@ -1,11 +1,15 @@
 """Exact spectral analysis of rational endomorphisms.
 
-Squarefree decomposition with Sturm real-root counts gives the
-spectral summary; when the characteristic polynomial splits into
-rational-root linear factors and quadratics, the primary decomposition,
-Jordan block counts and explicit chain bases are computed exactly over
-Q, which is what the existence deciders need to build invariant
-subspaces and doubled ("A, A") block structures.  Outside that regime
+``primary_components(f)`` returns one immutable record, ``Spectrum``,
+of the primary decomposition of f over Q as far as rational roots and
+quadratics split chi_f: the ``FactorData`` of each factor of degree 1
+or 2 (kernel ladder, Jordan block counts, and from them explicit chain
+bases) and the leftover factors of higher degree.  The existence
+deciders read four things from it: ``fully_split``, ``exhaustive``
+(the rational invariant subspaces are all the real ones), ``dims``
+(the invariant-subspace dimensions it reaches) and
+``invariant_subspace(d)``.  The subset-sum table behind the last two
+is built once per record, on first use.  Outside the split regime
 callers fall back to honest "unknown" verdicts.
 """
 
@@ -22,56 +26,37 @@ from .polynomials import (
 )
 
 
-class SpectralSummary:
-    """Squarefree structure of char(f) with exact real-root counts."""
-
-    __slots__ = ("poly", "squarefree", "split_factors", "unsplit", "fully_split")
-
-    def __init__(self, poly, squarefree, split_factors, unsplit):
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "squarefree", tuple(squarefree))
-        object.__setattr__(self, "split_factors", tuple(split_factors))
-        object.__setattr__(self, "unsplit", tuple(unsplit))
-        object.__setattr__(self, "fully_split", not unsplit)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SpectralSummary is immutable")
-
-
-def spectral_summary(f: Mat) -> SpectralSummary:
-    chi = char_poly(f)
-    sq = []
-    split_factors = []
-    unsplit = []
-    for q, mult in squarefree_decomposition(chi):
-        sq.append((q, mult, count_real_roots(q)))
+def spectral_summary(f: Mat):
+    """(split, unsplit): the monic factors of chi_f with their
+    multiplicities, split holding those of degree 1 or 2 and unsplit
+    the leftovers that rational roots and quadratics do not split."""
+    split, unsplit = [], []
+    for q, mult in squarefree_decomposition(char_poly(f)):
         work = q
         for root, _ in rational_roots(q):
-            split_factors.append((Poly([-root, 1]), mult))
+            split.append((Poly([-root, 1]), mult))
             work = work.exact_div(Poly([-root, 1]))
         if work.degree > 2:
             quads, work = quadratic_rational_factors(work)
-            for quad in quads:
-                split_factors.append((quad, mult))
+            split.extend((quad, mult) for quad in quads)
         if work.degree == 2:
-            split_factors.append((work.monic(), mult))
+            split.append((work.monic(), mult))
         elif work.degree > 2:
-            unsplit.append((work.monic(), mult, count_real_roots(work)))
-    return SpectralSummary(chi, sq, split_factors, unsplit)
+            unsplit.append((work.monic(), mult))
+    return split, unsplit
 
 
 class FactorData:
-    """Primary component data for one irreducible factor (degree 1 or 2)."""
+    """Primary component data for one irreducible factor phi (degree 1
+    or 2): the ladder ker phi(f)^k and the Jordan block counts by size."""
 
-    __slots__ = ("phi", "mult", "deg", "ladder", "block_counts", "component")
+    __slots__ = ("phi", "deg", "ladder", "block_counts")
 
-    def __init__(self, phi, mult, ladder, block_counts):
+    def __init__(self, phi, ladder, block_counts):
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "deg", phi.degree)
         object.__setattr__(self, "ladder", tuple(ladder))
         object.__setattr__(self, "block_counts", dict(block_counts))
-        object.__setattr__(self, "component", ladder[-1] if ladder else None)
 
     def __setattr__(self, *a):
         raise AttributeError("FactorData is immutable")
@@ -106,14 +91,87 @@ def factor_data(f: Mat, phi: Poly, mult: int) -> FactorData:
         c = (2 * dims[j] - dims[j - 1] - dims[j + 1]) // deg
         if c:
             counts[j] = c
-    return FactorData(phi, mult, ladder, counts)
+    return FactorData(phi, ladder, counts)
 
 
-def primary_components(f: Mat):
-    """FactorData for every split factor, plus unsplit leftovers."""
-    summary = spectral_summary(f)
-    split = [factor_data(f, phi, mult) for phi, mult in summary.split_factors]
-    return summary, split
+def primary_components(f: Mat) -> Spectrum:
+    """The Spectrum record of f."""
+    split, unsplit = spectral_summary(f)
+    return Spectrum(f, [factor_data(f, phi, mult) for phi, mult in split], unsplit)
+
+
+class Spectrum:
+    """The primary decomposition of f: split holds the FactorData of each
+    factor of degree 1 or 2, unsplit the leftover (q, multiplicity)."""
+
+    __slots__ = ("f", "split", "unsplit", "_table")
+
+    def __init__(self, f, split, unsplit):
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "split", tuple(split))
+        object.__setattr__(self, "unsplit", tuple(unsplit))
+        object.__setattr__(self, "_table", None)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Spectrum is immutable")
+
+    @property
+    def fully_split(self):
+        return not self.unsplit
+
+    @property
+    def exhaustive(self):
+        """Whether the rational invariant subspaces are all the real ones: the
+        spectrum splits, and no split quadratic has two real roots, which over
+        R would give two eigenlines and so odd dimensions as well."""
+        return self.fully_split and all(fd.deg == 1 or count_real_roots(fd.phi) != 2 for fd in self.split)
+
+    @property
+    def dims(self):
+        """Dimensions of the f-invariant subspaces built from kernel flags:
+        exact when fully_split, otherwise a sound subset."""
+        return self._parts_and_reach()[1].keys()
+
+    def _parts_and_reach(self):
+        if self._table is None:
+            parts = _invariant_parts(self)
+            object.__setattr__(self, "_table", (parts, _reachable(parts)))
+        return self._table
+
+    def invariant_subspace(self, d):
+        """An f-invariant subspace of exactly d dimensions, built from the
+        choice per part that reaches d; None when d is not in dims."""
+        f, n = self.f, self.f.rows
+        parts, reach = self._parts_and_reach()
+        choice = reach.get(d)
+        if choice is None:
+            return None
+        vectors = []
+        for (_, source), want in zip(parts, choice):
+            if want == 0:
+                continue
+            if isinstance(source, Poly):
+                vectors.extend(_kernel_ladder(f, source, 1)[0].basis)
+                continue
+            if not isinstance(source, FactorData):
+                vectors.extend(source[want].basis)
+                continue
+            remaining = want // source.deg
+            for chain in jordan_chains(f, source):
+                if remaining == 0:
+                    break
+                take = min(remaining, len(chain))
+                vectors.extend(chain_vectors(f, source, chain, take))
+                remaining -= take
+            if remaining:
+                raise AssertionError("component cannot supply requested dimensions")
+        sub = Subspace.span(n, vectors)
+        if sub.dim != d:
+            raise AssertionError("invariant subspace has wrong dimension")
+        for b in sub.basis:
+            if not sub.contains(f.matvec(b)):
+                raise AssertionError("constructed subspace is not invariant")
+        return sub
 
 
 def jordan_chains(f: Mat, fd: FactorData):
@@ -126,14 +184,10 @@ def jordan_chains(f: Mat, fd: FactorData):
     nmat = fd.phi.eval_mat(f)
     s = len(fd.ladder)
     chains = []
-    ambient_added = Subspace.zero(n)
     for j in range(s, 0, -1):
         lower = fd.ladder[j - 2] if j >= 2 else Subspace.zero(n)
-        pushed = []
-        for ch in chains:
-            if len(ch) > j:
-                pushed.append(ch[len(ch) - j])  # level-j vector of a taller chain
-        avoid_vectors = list(lower.basis) + [v for v in pushed]
+        pushed = [ch[len(ch) - j] for ch in chains if len(ch) > j]  # level-j vectors of taller chains
+        avoid_vectors = list(lower.basis) + pushed
         if fd.deg == 2:
             avoid_vectors += [f.matvec(v) for v in pushed]
         avoid = Subspace.span(n, avoid_vectors)
@@ -166,7 +220,7 @@ def chain_vectors(f: Mat, fd: FactorData, chain, levels=None):
     return out
 
 
-def _invariant_parts(f: Mat, summary: SpectralSummary, split):
+def _invariant_parts(spec: Spectrum):
     """(allowed dimensions, source) for every primary component.
 
     Inside a linear-factor component any dimension is reachable, inside
@@ -175,13 +229,13 @@ def _invariant_parts(f: Mat, summary: SpectralSummary, split):
     dimension.  A multiplicity-1 piece q has the flags 0 and deg q, and
     its source is q: invariant_subspace builds ker q(f) if it picks it.
     """
-    parts = [(range(0, fd.dim + 1, fd.deg), fd) for fd in split]
-    for q, mult, _ in summary.unsplit:
+    parts = [(range(0, fd.dim + 1, fd.deg), fd) for fd in spec.split]
+    for q, mult in spec.unsplit:
         if mult == 1:
             parts.append(([0, q.degree], q))
             continue
-        flags = {0: Subspace.zero(f.rows)}
-        flags.update((k.dim, k) for k in _kernel_ladder(f, q, mult))
+        flags = {0: Subspace.zero(spec.f.rows)}
+        flags.update((k.dim, k) for k in _kernel_ladder(spec.f, q, mult))
         parts.append((list(flags), flags))
     return parts
 
@@ -196,53 +250,3 @@ def _reachable(parts):
                 nxt.setdefault(total + d, picks + [d])
         reach = nxt
     return reach
-
-
-def achievable_invariant_dims(f: Mat, summary: SpectralSummary, split):
-    """Dimensions of the f-invariant subspaces built from kernel flags.
-
-    (summary, split) is primary_components(f).  The set is exact when
-    summary.fully_split; otherwise it is a sound subset.
-    """
-    return set(_reachable(_invariant_parts(f, summary, split)))
-
-
-def invariant_subspace(f: Mat, summary: SpectralSummary, split, d_target: int):
-    """An f-invariant subspace of exactly d_target dimensions, or None.
-
-    (summary, split) is primary_components(f); the subspace is built
-    from the choice of achievable_invariant_dims that reaches d_target.
-    """
-    n = f.rows
-    if d_target == 0:
-        return Subspace.zero(n)
-    parts = _invariant_parts(f, summary, split)
-    choice = _reachable(parts).get(d_target)
-    if choice is None:
-        return None
-    vectors = []
-    for (_, source), want in zip(parts, choice):
-        if want == 0:
-            continue
-        if isinstance(source, Poly):
-            vectors.extend(_kernel_ladder(f, source, 1)[0].basis)
-            continue
-        if not isinstance(source, FactorData):
-            vectors.extend(source[want].basis)
-            continue
-        remaining = want // source.deg
-        for chain in jordan_chains(f, source):
-            if remaining == 0:
-                break
-            take = min(remaining, len(chain))
-            vectors.extend(chain_vectors(f, source, chain, take))
-            remaining -= take
-        if remaining:
-            raise AssertionError("component cannot supply requested dimensions")
-    sub = Subspace.span(n, vectors)
-    if sub.dim != d_target:
-        raise AssertionError("invariant subspace has wrong dimension")
-    for b in sub.basis:
-        if not sub.contains(f.matvec(b)):
-            raise AssertionError("constructed subspace is not invariant")
-    return sub

@@ -28,6 +28,10 @@ def diag(*entries):
     return Mat([[Fraction(entries[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)])
 
 
+def block_diag(*blocks):
+    return Mat.block([[b if i == j else None for j in range(len(blocks))] for i, b in enumerate(blocks)])
+
+
 def rand_invertible(rng, n, lo=-2, hi=2):
     while True:
         t = Mat([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
@@ -331,6 +335,10 @@ def test_admits_su_family():
 def test_admits_glH_family():
     assert admits_torsion_free("gl_H", AlmostAbelian(diag(3, 3, 3)))["overall"] == "yes"
     assert admits_torsion_free("gl_H", AlmostAbelian(diag(1, 2, 3)))["overall"] == "no"
+    # three 1-blocks at 1 beside the rotations of x^2 + 1 and x^2 + 4: the
+    # complex pairs' odd block counts do not count
+    f = block_diag(Mat([[0, -1], [1, 0]]), Mat([[0, -4], [1, 0]]), diag(1, 1, 1))
+    assert admits_torsion_free("gl_H", AlmostAbelian(f))["overall"] == "yes"
 
 
 def test_family_dimension_guards():
@@ -342,41 +350,68 @@ def test_family_dimension_guards():
         admits_torsion_free("so", AlmostAbelian(Mat.zeros(3, 3)))
 
 
-@pytest.mark.parametrize(
-    "call",
+# eigenvalue 1 with blocks 2 + 1 + 1, a rotation block and a 1-block at 2
+QUERY_F = Mat.block(
     [
-        lambda aa: admits_torsion_free("product", aa, p=3),
-        lambda aa: admits_torsion_free("tangent", aa),
-        lambda aa: admits_torsion_free("gl_C", aa),
-        lambda aa: admits_torsion_free("gl_H", aa),
-        classify_hyperparacomplex,
+        [Mat([[1, 1], [0, 1]]), None, None, None],
+        [None, diag(1, 1), None, None],
+        [None, None, Mat([[0, -1], [1, 0]]), None],
+        [None, None, None, diag(2)],
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "call, tables",
+    [
+        (lambda aa: admits_torsion_free("product", aa, p=3), 1),
+        (lambda aa: admits_torsion_free("tangent", aa), 1),
+        (lambda aa: admits_torsion_free("gl_C", aa), 0),
+        (lambda aa: admits_torsion_free("gl_H", aa), 0),
+        (classify_hyperparacomplex, 0),
     ],
     ids=["product", "tangent", "gl_C", "gl_H", "hpc"],
 )
-def test_one_primary_decomposition_per_query(monkeypatch, call):
-    from torsionlab import existence, spectral
+def test_one_primary_decomposition_per_query(monkeypatch, call, tables):
+    """One Spectrum record per query, built without a Sturm count; the
+    subset-sum table behind dims and invariant_subspace is built once,
+    and only by the groups that read it."""
+    from torsionlab import existence, polynomials, spectral
 
-    calls = []
-    real = spectral.primary_components
+    calls, sturm, parts = [], [], []
+    real, real_sturm, real_parts = spectral.primary_components, polynomials.count_real_roots, spectral._invariant_parts
 
     def counted(f):
-        calls.append(f)
-        return real(f)
+        before = len(sturm)
+        spec = real(f)
+        calls.append(len(sturm) - before)
+        return spec
+
+    def counted_sturm(*a):
+        sturm.append(a)
+        return real_sturm(*a)
 
     monkeypatch.setattr(spectral, "primary_components", counted)
     monkeypatch.setattr(existence, "primary_components", counted)
-    # eigenvalue 1 with blocks 2 + 1 + 1, a rotation block and a 1-block at 2
-    j = Mat([[0, -1], [1, 0]])
-    f = Mat.block(
-        [
-            [Mat([[1, 1], [0, 1]]), None, None, None],
-            [None, diag(1, 1), None, None],
-            [None, None, j, None],
-            [None, None, None, diag(2)],
-        ]
-    )
-    call(AlmostAbelian(f))
-    assert len(calls) == 1
+    monkeypatch.setattr(spectral, "count_real_roots", counted_sturm)
+    monkeypatch.setattr(polynomials, "count_real_roots", counted_sturm)
+    monkeypatch.setattr(spectral, "_invariant_parts", lambda *a: parts.append(a) or real_parts(*a))
+    call(AlmostAbelian(QUERY_F))
+    assert calls == [0]
+    assert len(parts) == tables
+
+
+def test_block_removal_tries_the_largest_block_first():
+    """Under modulus 1 every removal passes, so the search returns the
+    first one it tries: the largest block, or triple, at the eigenvalue."""
+    from torsionlab.existence import _block_removal, _triple_blocks
+    from torsionlab.spectral import primary_components
+
+    j2 = Mat([[1, 1], [0, 1]])
+    single = primary_components(block_diag(Mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), diag(0)))
+    assert _block_removal(single.split, 1)[1] == [3]
+    triple = primary_components(block_diag(j2, j2, j2, diag(1, 1, 1)))
+    assert _block_removal(triple.split, 1, _triple_blocks)[1] == [2, 2, 2]
 
 
 SWEEP_BLOCKS = [

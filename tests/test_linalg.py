@@ -12,7 +12,6 @@ from torsionlab.linalg import (
     image,
     image_on_kernel,
     kernel,
-    rref,
     solve_on_kernel,
     sparse,
 )
@@ -37,10 +36,20 @@ def rand_mat(rng, rows, cols, span=6):
     )
 
 
+def rref(m: Mat):
+    """_rref_rows on the rows of m as dense nonzero rows, pivots and rank,
+    checked against the dense reference."""
+    red, pivots, rank = _rref_rows([sparse(r) for r in m.data])
+    red = [dense(r, m.cols) for r in red]
+    ref, ref_pivots, ref_rank = dense_rref_rows([list(r) for r in m.data])
+    assert (red, pivots, rank) == ([tuple(r) for r in ref[:ref_rank]], ref_pivots, ref_rank)
+    return red, pivots, rank
+
+
 def test_rref_identity():
     m = Mat.identity(3)
     red, pivots, rank = rref(m)
-    assert red == m
+    assert red == list(m.data)
     assert pivots == [0, 1, 2]
     assert rank == 3
 
@@ -48,7 +57,7 @@ def test_rref_identity():
 def test_rref_zero():
     m = Mat.zeros(2, 4)
     red, pivots, rank = rref(m)
-    assert red == m
+    assert red == []
     assert pivots == []
     assert rank == 0
 
@@ -57,7 +66,7 @@ def test_rref_rank_one():
     # [[2,4],[1,2]] row-reduces to [[1,2],[0,0]] by hand.
     m = Mat([[2, 4], [1, 2]])
     red, pivots, rank = rref(m)
-    assert red == Mat([[1, 2], [0, 0]])
+    assert red == [(1, 2)]
     assert rank == 1
 
 
@@ -312,6 +321,26 @@ def test_reduce_and_contains_read_a_sparse_row():
         assert span.contains(sparse(v)) == span.contains(v) == (not any(expected))
         outcomes.add(span.contains(v))
     assert outcomes == {True, False}
+
+
+def test_a_stored_zero_in_a_sparse_row_is_dropped():
+    zero = {0: F(0)}
+    assert Subspace.span(2, [(0, 1)]).contains(zero)
+    assert Subspace.span(2, [(0, 1)]).reduce(zero) == (0, 0)
+    assert Subspace.span(2, [{0: F(0), 1: F(1)}]) == Subspace.span(2, [(0, 1)])
+
+
+def test_a_stored_zero_through_image_on_kernel():
+    # the generator (B g, A g) = (0, e_1), with and without a stored zero in B g
+    assert image_on_kernel(1, 1, [({0: F(0)}, (1,))]) == image_on_kernel(1, 1, [((0,), (1,))]) == Subspace.full(1)
+
+
+def test_a_stored_zero_through_solve_on_kernel():
+    # x B g = 0 and x A g = 2 for the one generator (0, e_1), and for (0, 0)
+    # whose stored zero sits in A g
+    expected = (F(2),)
+    assert solve_on_kernel(1, 1, [({0: F(0)}, {0: F(1)})], (2,)) == solve_on_kernel(1, 1, [((0,), (1,))], (2,)) == expected
+    assert solve_on_kernel(1, 1, [((1,), {0: F(0)})], {0: F(0)}) == solve_on_kernel(1, 1, [((1,), (0,))], (0,)) == (F(0),)
 
 
 def test_solve_on_kernel_equals_dense_reference():

@@ -3,14 +3,7 @@ from fractions import Fraction
 
 from torsionlab.linalg import Mat, Subspace, kernel
 from torsionlab.polynomials import Poly
-from torsionlab.spectral import (
-    achievable_invariant_dims,
-    factor_data,
-    invariant_subspace,
-    jordan_chains,
-    primary_components,
-    spectral_summary,
-)
+from torsionlab.spectral import factor_data, jordan_chains, primary_components
 
 
 def diag(*entries):
@@ -20,23 +13,24 @@ def diag(*entries):
 
 def test_spectral_summary_split():
     f = diag(1, 1, 2)
-    s = spectral_summary(f)
+    s = primary_components(f)
     assert s.fully_split
-    assert {(phi.coeffs, m) for phi, m in s.split_factors} == {((Fraction(-2), Fraction(1)), 1), ((Fraction(-1), Fraction(1)), 2)}
+    # a linear factor's component has the dimension of its multiplicity
+    assert {(fd.phi.coeffs, fd.dim) for fd in s.split} == {((Fraction(-2), Fraction(1)), 1), ((Fraction(-1), Fraction(1)), 2)}
 
 
 def test_spectral_summary_rotation():
     f = Mat([[0, -1, 0], [1, 0, 0], [0, 0, 3]])
-    s = spectral_summary(f)
+    s = primary_components(f)
     assert s.fully_split
-    quads = [phi for phi, m in s.split_factors if phi.degree == 2]
+    quads = [fd.phi for fd in s.split if fd.deg == 2]
     assert quads == [Poly([1, 0, 1])]
 
 
 def test_spectral_summary_unsplit():
     # companion matrix of x^4 + x + 1 (no rational roots, irreducible over Q)
     f = Mat([[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]])
-    s = spectral_summary(f)
+    s = primary_components(f)
     assert not s.fully_split
     assert s.unsplit[0][0].degree == 4
 
@@ -74,14 +68,14 @@ def test_jordan_chains_quadratic_nilpotent():
 
 def test_achievable_dims():
     f = Mat([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
-    summary, split = primary_components(f)
-    assert summary.fully_split
-    assert achievable_invariant_dims(f, summary, split) == {0, 1, 2, 3}
+    spec = primary_components(f)
+    assert spec.fully_split
+    assert spec.dims == {0, 1, 2, 3}
     j2 = Mat([[0, -1], [1, 0]])
     f2 = Mat.block([[j2, None], [None, j2]])
-    summary2, split2 = primary_components(f2)
-    assert summary2.fully_split
-    assert achievable_invariant_dims(f2, summary2, split2) == {0, 2, 4}
+    spec2 = primary_components(f2)
+    assert spec2.fully_split
+    assert spec2.dims == {0, 2, 4}
 
 
 def test_invariant_subspace_construction():
@@ -92,10 +86,10 @@ def test_invariant_subspace_construction():
         diag(1, 2, 3, 4, 5),
     ]
     for f in mats:
-        summary, split = primary_components(f)
-        assert summary.fully_split
-        for d in sorted(achievable_invariant_dims(f, summary, split)):
-            sub = invariant_subspace(f, summary, split, d)
+        spec = primary_components(f)
+        assert spec.fully_split
+        for d in sorted(spec.dims):
+            sub = spec.invariant_subspace(d)
             assert sub is not None and sub.dim == d
             for b in sub.basis:
                 assert sub.contains(f.matvec(b))
@@ -104,19 +98,19 @@ def test_invariant_subspace_construction():
 def test_invariant_subspace_respects_obstructions():
     j2 = Mat([[0, -1], [1, 0]])
     f = Mat.block([[j2, None], [None, j2]])
-    summary, split = primary_components(f)
-    assert invariant_subspace(f, summary, split, 1) is None
-    assert invariant_subspace(f, summary, split, 3) is None
-    assert invariant_subspace(f, summary, split, 2) is not None
+    spec = primary_components(f)
+    assert spec.invariant_subspace(1) is None
+    assert spec.invariant_subspace(3) is None
+    assert spec.invariant_subspace(2) is not None
 
 
 def test_invariant_subspace_unsplit_flags():
     # irreducible quartic: only {0, 4} available
     f = Mat([[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]])
-    summary, split = primary_components(f)
-    assert not summary.fully_split
-    assert achievable_invariant_dims(f, summary, split) == {0, 4}
-    sub = invariant_subspace(f, summary, split, 4)
+    spec = primary_components(f)
+    assert not spec.fully_split
+    assert spec.dims == {0, 4}
+    sub = spec.invariant_subspace(4)
     assert sub == Subspace.full(4)
 
 
@@ -125,15 +119,15 @@ def test_multiplicity_one_unsplit_piece_builds_its_kernel_only_when_picked(monke
 
     # a generic f whose characteristic polynomial is an irreducible quintic
     f = Mat([[2, -1, 0, 3, 1], [1, 0, -2, 1, 4], [-3, 2, 1, 0, -1], [0, 5, -1, 2, 2], [1, 1, 3, -2, 0]])
-    summary, split = primary_components(f)
-    assert split == [] and [(q.degree, mult) for q, mult, _ in summary.unsplit] == [(5, 1)]
+    spec = primary_components(f)
+    assert spec.split == () and [(q.degree, mult) for q, mult in spec.unsplit] == [(5, 1)]
     ladders = []
     real_ladder = spectral._kernel_ladder
     monkeypatch.setattr(spectral, "_kernel_ladder", lambda *a: ladders.append(a) or real_ladder(*a))
-    assert achievable_invariant_dims(f, summary, split) == {0, 5}
-    assert invariant_subspace(f, summary, split, 0) == Subspace.zero(5)
+    assert spec.dims == {0, 5}
+    assert spec.invariant_subspace(0) == Subspace.zero(5)
     assert ladders == []
-    assert invariant_subspace(f, summary, split, 5) == Subspace.full(5)
+    assert spec.invariant_subspace(5) == Subspace.full(5)
     assert len(ladders) == 1
 
 
@@ -146,10 +140,10 @@ def test_unsplit_flag_ties_keep_the_first_choice():
     q2 = (q * q).coeffs
     companion = Mat([[1 if i == j + 1 else 0 for j in range(5)] + [-q2[i]] for i in range(6)])
     f = Mat.block([[Mat([[0, 0, 2], [1, 0, 0], [0, 1, 0]]), None], [None, companion]])
-    summary, split = primary_components(f)
-    assert [(u, mult) for u, mult, _ in summary.unsplit] == [(p, 1), (q, 2)]
-    assert achievable_invariant_dims(f, summary, split) == {0, 3, 6, 9}
-    assert invariant_subspace(f, summary, split, 3) == kernel(q.eval_mat(f))
+    spec = primary_components(f)
+    assert list(spec.unsplit) == [(p, 1), (q, 2)]
+    assert spec.dims == {0, 3, 6, 9}
+    assert spec.invariant_subspace(3) == kernel(q.eval_mat(f))
 
 
 def test_random_conjugation_chains():
@@ -161,12 +155,12 @@ def test_random_conjugation_chains():
             if t.rank() == 5:
                 break
         f = t * base * t.inverse()
-        summary, split = primary_components(f)
-        assert summary.fully_split
-        prof = {fd.phi.coeffs: fd.block_counts for fd in split}
+        spec = primary_components(f)
+        assert spec.fully_split
+        prof = {fd.phi.coeffs: fd.block_counts for fd in spec.split}
         assert prof[(Fraction(-1), Fraction(1))] == {1: 1, 2: 1}
         assert prof[(Fraction(1), Fraction(0), Fraction(1))] == {1: 1}
-        for fd in split:
+        for fd in spec.split:
             chains = jordan_chains(f, fd)
             assert sum(len(c) for c in chains) * fd.deg == fd.dim
 
