@@ -3,21 +3,25 @@
 A ``LinearSubalgebra`` is a bracket-closed span of n x n rational
 matrices together with optional attached data (complex structure J,
 metric Gram g, product/tangent tensor, hyperparacomplex or hypercomplex
-triple, symplectic form).  ``STRUCTURE_KINDS`` says what each key is:
-an endomorphism or a triple of endomorphisms that h commutes with, a
-bilinear form h is skew for, or hyperplane-level data.  ``stabilizer``
-writes "F preserves these structures" as linear rows and returns its
-solution space, which is how every classical builder gets its basis.
+triple, symplectic form).  It keeps its elements as sparse flattened
+rows, ``h.rows``, in the order given, and builds the dense ``Mat`` view
+``h.basis`` on first use; every layer above reads the rows.
+``STRUCTURE_KINDS`` says what each key is: an endomorphism or a triple
+of endomorphisms that h commutes with, a bilinear form h is skew for,
+or hyperplane-level data.  ``stabilizer``
+writes "F preserves these structures" as linear rows and returns the
+canonical sparse rows of its solution space, which is how every
+classical builder gets its elements.
 Attached structures are validated against their defining identities,
 and the basis against preserving them, at construction unless
 validation is skipped.  ``product`` multiplies two matrices given as
-sparse flattened rows; the closure test ``is_subalgebra`` and the spans
-A h of ``left_span`` are built on it.
+sparse flattened rows; the closure test ``is_subalgebra``, the spans
+A h of ``left_span`` and ``conjugate`` are built on it.
 """
 
 from __future__ import annotations
 
-from .linalg import Mat, ShapeError, Subspace, dense, kernel, kernel_rows, sparse, sparse_sum
+from .linalg import Mat, ShapeError, Subspace, _row, dense, kernel, kernel_rows, sparse, sparse_sum
 
 
 def product(n, a, b) -> dict:
@@ -35,14 +39,15 @@ def commutator(n, a, b) -> dict:
     return sparse_sum([*product(n, a, b).items(), *((c, -x) for c, x in product(n, b, a).items())])
 
 
-def matrix_span(n, mats) -> Subspace:
-    return Subspace.span(n * n, [m.flatten() for m in mats])
+def padded(n, row) -> dict:
+    """A sparse flattened row of gl(n) as the top-left block of gl(n + 1)."""
+    return {idx // n * (n + 1) + idx % n: x for idx, x in row.items()}
 
 
 def is_subalgebra(basis) -> bool:
-    """True iff the span of basis is closed under the commutator."""
+    """True iff the span of the matrices in basis is closed under the commutator."""
     basis = list(basis)
-    return not basis or _closed(basis[0].rows, matrix_span(basis[0].rows, basis))
+    return not basis or _closed(basis[0].rows, Subspace.span(basis[0].rows ** 2, [m.flatten() for m in basis]))
 
 
 def _closed(n, span: Subspace) -> bool:
@@ -136,16 +141,16 @@ def _kills(rows, flats):
     return all(sum(x * flat[i] for i, x in row.items() if i in flat) == 0 for flat in flats for row in rows)
 
 
-def commutes(basis, a: Mat) -> bool:
-    """Whether every matrix in basis commutes with a."""
-    return _kills(_commutator_rows(a), [sparse(f.flatten()) for f in basis])
+def commutes(h, a: Mat) -> bool:
+    """Whether every element of h commutes with a."""
+    return _kills(_commutator_rows(a), h.rows)
 
 
 def stabilizer(n, structures, rows=()):
-    """Canonical basis of {F in gl(n) : F preserves every structure and
-    row . F = 0 for every extra row}."""
+    """The canonical sparse flattened rows spanning {F in gl(n) : F
+    preserves every structure and row . F = 0 for every extra row}."""
     conditions = [r for key, value in structures.items() for r in _structure_rows(key, value)] + list(rows)
-    return [Mat.unflatten(n, n, dense(v, n * n)) for v in kernel_rows(conditions, n * n)]
+    return kernel_rows(conditions, n * n)
 
 
 class StructureError(ValueError):
@@ -186,28 +191,36 @@ def check_identity(key, value, n):
             raise StructureError(f"{key} triple identity fails")
 
 
+def _element_row(n, m) -> dict:
+    """An element of gl(n), an n x n Mat or a sparse flattened row, as a sparse flattened row."""
+    if not isinstance(m, Mat):
+        return _row(m, n * n)
+    if m.rows != n or m.cols != n:
+        raise ShapeError("basis must consist of n x n matrices")
+    return sparse(m.flatten())
+
+
 class LinearSubalgebra:
-    """Bracket-closed subspace of gl(n, Q) with optional attached structures."""
+    """Bracket-closed subspace of gl(n, Q) with optional attached structures;
+    rows holds its elements in the order given, basis the same as Mats."""
 
-    __slots__ = ("n", "basis", "structures", "name", "_span")
+    __slots__ = ("n", "rows", "structures", "name", "_span", "_basis")
 
-    def __init__(self, n, basis, structures=None, name="", validate=True):
-        basis = tuple(basis)
-        for m in basis:
-            if not (isinstance(m, Mat) and m.rows == n and m.cols == n):
-                raise ShapeError("basis must consist of n x n matrices")
+    def __init__(self, n, elements, structures=None, name="", validate=True):
+        rows = tuple(_element_row(n, m) for m in elements)
         structures = dict(structures or {})
         for key in structures:
             if key not in STRUCTURE_KINDS:
                 raise StructureError(f"unknown structure {key!r}; known: {', '.join(STRUCTURE_KINDS)}")
-        span = matrix_span(n, basis)
+        span = Subspace.span(n * n, rows)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "structures", structures)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_span", span)
+        object.__setattr__(self, "_basis", None)
         if validate:
-            if span.dim != len(basis):
+            if span.dim != len(rows):
                 raise ValueError("basis is linearly dependent")
             if not _closed(n, span):
                 raise ValueError("basis is not bracket-closed")
@@ -220,8 +233,15 @@ class LinearSubalgebra:
         raise AttributeError("LinearSubalgebra is immutable")
 
     @property
+    def basis(self):
+        if self._basis is None:
+            n = self.n
+            object.__setattr__(self, "_basis", tuple(Mat.unflatten(n, n, dense(r, n * n)) for r in self.rows))
+        return self._basis
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def span(self) -> Subspace:
@@ -235,11 +255,9 @@ class LinearSubalgebra:
         return key in self.structures and _kills(_structure_rows(key, self.structures[key]), self._span.rows)
 
     def element(self, coeffs) -> Mat:
-        acc = Mat.zeros(self.n, self.n)
-        for c, b in zip(coeffs, self.basis):
-            if c:
-                acc = acc + b.scale(c)
-        return acc
+        n = self.n
+        flat = sparse_sum((idx, c * x) for c, row in zip(coeffs, self.rows) if c for idx, x in row.items())
+        return Mat.unflatten(n, n, dense(flat, n * n))
 
     def __eq__(self, other):
         return (
@@ -261,7 +279,8 @@ def conjugate(h: LinearSubalgebra, t: Mat) -> LinearSubalgebra:
     if not t.is_square() or t.rows != h.n:
         raise ShapeError("T must be an invertible n x n matrix")
     tinv = t.inverse()
-    basis = [t * f * tinv for f in h.basis]
+    n, ts, tinvs = h.n, sparse(t.flatten()), sparse(tinv.flatten())
+    rows = [product(n, product(n, ts, f), tinvs) for f in h.rows]
     structures = {}
     for key, value in h.structures.items():
         kind = STRUCTURE_KINDS[key]
@@ -272,7 +291,7 @@ def conjugate(h: LinearSubalgebra, t: Mat) -> LinearSubalgebra:
         elif kind == FORM:
             structures[key] = tinv.transpose() * value * tinv
         # hyperplane-level data does not transport under a general T
-    return LinearSubalgebra(h.n, basis, structures, name=f"{h.name}^T" if h.name else "", validate=False)
+    return LinearSubalgebra(n, rows, structures, name=f"{h.name}^T" if h.name else "", validate=False)
 
 
 def commutant(a: Mat) -> LinearSubalgebra:

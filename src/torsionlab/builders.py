@@ -32,10 +32,11 @@ from .algebras import (
     LinearSubalgebra,
     check_identity,
     form_rows,
+    padded,
     stabilizer,
     trace_row,
 )
-from .linalg import Mat, Subspace, kernel_rows
+from .linalg import Mat, Subspace, kernel_rows, sparse_sum
 from .reporting import mat_from_json
 
 
@@ -110,8 +111,7 @@ def _stabilizer_algebra(n, structures, name, rows=()):
 
 
 def build_gl(n):
-    basis = [Mat.unflatten(n, n, v) for v in Subspace.full(n * n).basis]
-    return LinearSubalgebra(n, basis, name=f"gl({n})", validate=False)
+    return LinearSubalgebra(n, Subspace.full(n * n).rows, name=f"gl({n})", validate=False)
 
 
 def build_sp(m):
@@ -225,19 +225,14 @@ def build_lagrangian_symplectic(m):
     # F is omega-self-adjoint, kills L (F b = 0) and maps into L (a F = 0)
     kills_l = [{i * nu + k: x for k, x in b.items()} for b in lag.rows for i in range(nu)]
     into_l = [{k * nu + j: x for k, x in a.items()} for a in ann for j in range(nu)]
-    sym_l_basis = stabilizer(nu, {}, form_rows(omega, -1) + kills_l + into_l)
-    basis = []
-    zero_col = Mat.zeros(nu, 1)
-    zero_row = Mat.zeros(1, nu)
-    for s in sym_l_basis:
-        basis.append(Mat.block([[s, zero_col], [zero_row, Mat.zeros(1, 1)]]))
-    for u in lag.basis:
-        col = Mat([[x] for x in u], nu, 1)
-        row = Mat([[sum(u[i] * omega.data[i][j] for i in range(nu)) for j in range(nu)]], 1, nu)
-        basis.append(Mat.block([[Mat.zeros(nu, nu), col], [row, Mat.zeros(1, 1)]]))
+    rows = [padded(nu, s) for s in stabilizer(nu, {}, form_rows(omega, -1) + kills_l + into_l)]
+    # [[0, u], [omega(u, .), 0]]: u in the last column, omega(u, .) in the last row
+    for u in lag.rows:
+        coupling = [(nu * (nu + 1) + j, x * omega.data[i][j]) for i, x in u.items() for j in range(nu)]
+        rows.append(sparse_sum([(i * (nu + 1) + nu, x) for i, x in u.items()] + coupling))
     return LinearSubalgebra(
         nu + 1,
-        basis,
+        rows,
         {"omega_u": omega, "lagrangian": lag},
         name=f"lagsym({m})",
         validate=False,

@@ -2,8 +2,10 @@
 
 Commands: space, check, flat, exists, classify-hpc, orbits, catalog,
 verify-paper.  JSON in, JSON (or text) out; rationals travel as "p/q"
-strings.  Exit codes: 0 success or certificate, 1 honest negative,
-refusal, or a reader that closed stdout, 2 input error, 3 internal
+strings.  Each command hands its raw result to ``_emit``, which converts
+it once with ``reporting.to_json`` for either format.  Exit codes: 0
+success or certificate, 1 honest negative, refusal, or a reader that
+closed stdout, 2 input error (malformed JSON included), 3 internal
 invariant violation.
 TORSIONLAB_MAX_N (default 12) caps the ambient dimension.
 """
@@ -16,7 +18,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import reporting
 from .algebras import LinearSubalgebra
@@ -60,13 +61,17 @@ def _check_max_n(n):
 
 
 def _load_json_arg(text):
-    if text.strip().startswith(("{", "[")):
-        return json.loads(text)
+    """Inline JSON or a JSON file; a malformed document, an integer past
+    Python's int-string digit limit or an unreadable file is an InputError."""
     try:
+        if text.strip().startswith(("{", "[")):
+            return json.loads(text)
         with open(text) as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {text!r}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def parse_algebra(spec_text) -> LinearSubalgebra:
@@ -111,6 +116,8 @@ def parse_f(text, h) -> Mat:
 
 
 def _emit(report, fmt):
+    """Print a raw result, converted once by reporting.to_json."""
+    report = reporting.to_json(report)
     if fmt == "json":
         print(reporting.dumps(report))
     else:
@@ -155,7 +162,7 @@ def cmd_space(args):
     except NoRuleApplies:
         report["closed_form_rule"] = None
     if args.with_bases:
-        report["bases"] = {key: reporting.subspace_to_json(s) for key, s in spaces.items()}
+        report["bases"] = spaces
     _emit(report, args.format)
     return 0
 
@@ -165,12 +172,12 @@ def _report_certificate(h, result, verdict, args):
     if isinstance(result, Certificate):
         report = {"algebra": h.name, "verdict": verdict}
         if args.with_bases:
-            report["certificate"] = reporting.certificate_to_json(result, h.n)
+            report["certificate"] = {"kind": result.kind, "nabla": result.nabla, "residuals": result.residuals}
         else:
-            report["residuals"] = {k: reporting.rational_to_str(v) for k, v in result.residuals.items()}
+            report["residuals"] = result.residuals
         _emit(report, args.format)
         return 0
-    report = {"algebra": h.name, "verdict": "refused", **reporting.refusal_to_json(result)}
+    report = {"algebra": h.name, "verdict": "refused", "refused": True, "reason": result.reason, "residual": result.residual}
     _emit(report, args.format)
     return 1
 
@@ -187,20 +194,6 @@ def cmd_flat(args):
     h = parse_algebra(args.algebra)
     f = parse_f(args.f, h)
     return _report_certificate(h, flat_certificate(h, AlmostAbelian(f)), "left-invariantly-flat", args)
-
-
-def _basis_payload(res):
-    out = dict(res)
-    for key in ("basis", "conjugated", "A"):
-        if isinstance(out.get(key), Mat):
-            out[key] = reporting.mat_to_json(out[key])
-    for key in ("w1", "w2", "witness"):
-        if key in out and out[key] is not None:
-            out[key] = reporting.vector_to_json(out[key])
-    for key in ("a", "lam", "mu", "expected_eigenvalue"):
-        if key in out and isinstance(out[key], Fraction):
-            out[key] = reporting.rational_to_str(out[key])
-    return out
 
 
 def _existence_group(name, n, p=None, type_index=None):
@@ -229,8 +222,6 @@ def cmd_exists(args):
     name = args.group or args.mode
     _existence_group(name, n, args.p, args.type)
     res = admits_torsion_free(name, AlmostAbelian(f), p=args.p)
-    if "detail" in res:
-        res["detail"] = _basis_payload(res["detail"])
     if args.type is not None:
         matching = [t for t in res["types"] if t["type"] == f"[U{args.type}]"]
         res = {"group": name, "types": matching, "overall": matching[0]["verdict"]}
@@ -245,14 +236,14 @@ def cmd_classify_hpc(args):
     _existence_group("hpc", n)
     aa = AlmostAbelian(f)
     res = classify_hyperparacomplex(aa)
-    report = _basis_payload(res)
-    if res["verdict"].startswith("yes"):
-        report["flatness"] = _basis_payload(hpc_flatness(aa, res))
+    yes = res["verdict"].startswith("yes")
+    if yes:
+        res["flatness"] = hpc_flatness(aa, res)
     if not args.with_bases:
-        report.pop("basis", None)
-        report.pop("conjugated", None)
-    _emit(report, args.format)
-    return 0 if res["verdict"].startswith("yes") else 1
+        res.pop("basis", None)
+        res.pop("conjugated", None)
+    _emit(res, args.format)
+    return 0 if yes else 1
 
 
 def cmd_orbits(args):
@@ -262,10 +253,6 @@ def cmd_orbits(args):
     reps = orbit_catalog(args.group, args.n, p=args.p).reps
     if args.type is not None:
         reps = [rep for rep in reps if rep["label"] == f"[U{args.type}]"]
-    reps = [
-        {"label": rep["label"], "subspace": reporting.subspace_to_json(rep["subspace"]), "T": reporting.mat_to_json(rep["T"])}
-        for rep in reps
-    ]
     _emit({"group": args.group, "reps": reps}, args.format)
     return 0
 
@@ -292,7 +279,7 @@ def cmd_verify_paper(args):
         raise InputError(str(exc)) from exc
     failed = 0
     if args.format == "json":
-        print(reporting.dumps({"checks": results, "passed": sum(r["ok"] for r in results), "total": len(results)}))
+        _emit({"checks": results, "passed": sum(r["ok"] for r in results), "total": len(results)}, "json")
     for r in results:
         mark = "PASS" if r["ok"] else "FAIL"
         if args.format == "text":
@@ -391,7 +378,7 @@ def main(argv=None):
         # so the flush at exit cannot fail again, and exit 1 as on EPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    except (InputError, ShapeError, json.JSONDecodeError) as exc:
+    except (InputError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     except AssertionError as exc:

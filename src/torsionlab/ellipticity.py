@@ -153,11 +153,9 @@ def _pencil(h, active, n):
     monos = [[Poly([1])], [Poly([0, 1])], [Poly([]), Poly([1])]]
     entries = [[[] for _ in range(n)] for _ in range(n)]
     for t, idx in enumerate(active):
-        b = h.basis[idx]
-        for i in range(n):
-            for j in range(n):
-                if b.data[i][j] != 0:
-                    entries[i][j] = zp_add(entries[i][j], zp_scale(monos[t], b.data[i][j]))
+        for flat, x in h.rows[idx].items():
+            i, j = divmod(flat, n)
+            entries[i][j] = zp_add(entries[i][j], zp_scale(monos[t], x))
     return entries
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebras import LinearSubalgebra, conjugate
-from .linalg import Mat, ShapeError, Subspace, dense, fr, image_on_kernel, kernel_rows, solve_on_kernel, sparse, sparse_sum, vec
+from .linalg import Mat, ShapeError, Subspace, dense, fr, image_on_kernel, kernel_rows, solve_on_kernel, sparse_sum, vec
 
 
 class AlmostAbelian:
@@ -130,16 +130,15 @@ def characteristic_subalgebra(h: LinearSubalgebra) -> Subspace:
     if n < 2:
         raise ShapeError("need n >= 2")
     m = n - 1
-    return image_on_kernel(m, m * m, _k_tilde_pairs(n, (sparse(b.flatten()) for b in h.basis)))
+    return image_on_kernel(m, m * m, _k_tilde_pairs(n, h.rows))
 
 
 @lru_cache(maxsize=None)
 def tableau(h: LinearSubalgebra) -> Subspace:
     """K_h = {F restricted to R^{n-1}} inside Hom(R^{n-1}, R^n)."""
-    n = h.n
-    return Subspace.span(
-        n * (n - 1), [f.submatrix(range(n), range(n - 1)).flatten() for f in h.basis]
-    )
+    n, m = h.n, h.n - 1
+    # F[k][j], j < n - 1, moves from k*n + j to k*m + j
+    return Subspace.span(n * m, [{c // n * m + c % n: x for c, x in row.items() if c % n < m} for row in h.rows])
 
 
 @lru_cache(maxsize=None)
@@ -356,8 +355,7 @@ def flat_certificate(h: LinearSubalgebra, aa: AlmostAbelian):
     if aa.n != h.n:
         raise ShapeError("algebra/subalgebra dimension mismatch")
     n = h.n
-    rows = [sparse(b.flatten()) for b in h.basis]
-    big = _solve_or_refuse(h, aa, _k_tilde_pairs(n, rows), rows, characteristic_subalgebra, "characteristic subalgebra")
+    big = _solve_or_refuse(h, aa, _k_tilde_pairs(n, h.rows), h.rows, characteristic_subalgebra, "characteristic subalgebra")
     if isinstance(big, Refusal):
         return big
     # F[k][j], at k*n + j of F flattened, is nabla_{e_n}(e_j)_k

@@ -11,20 +11,25 @@ from them on first use.
 
 Flattening convention, fixed package-wide: a linear map R^a -> R^b is
 stored as a b x a matrix and flattened row-major, entry (r, c) sits at
-coordinate r*a + c.  No floating point is used anywhere.
+coordinate r*a + c.  No floating point is used anywhere: ``fr`` reads a
+rational from an int, a Fraction or a string "p/q" or "p" in decimal
+digits, and nothing else.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def fr(x) -> Fraction:
-    """Coerce an int, string like '2/3', or Fraction to a Fraction; a
-    bool or a float is not a rational value."""
+    """Coerce an int, a string "p/q" or "p", or a Fraction to a Fraction;
+    a bool, a float or any other string ("0.5", "1e9") is not rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
+    if isinstance(x, int) and not isinstance(x, bool) or isinstance(x, str) and _RATIONAL.fullmatch(x):
         return Fraction(x)
     raise TypeError(f"not a rational value: {x!r}")
 
@@ -139,23 +144,6 @@ class Mat:
     def from_cols(cls, cols_list):
         m = len(cols_list[0])
         return cls([[col[r] for col in cols_list] for r in range(m)])
-
-    @classmethod
-    def block(cls, grid):
-        """Assemble a block matrix from a grid of Mats (None = zero block)."""
-        row_h = [next(b.rows for b in row if b is not None) for row in grid]
-        col_w = [next(row[j].rows * 0 + row[j].cols for row in grid if row[j] is not None) for j in range(len(grid[0]))]
-        out = []
-        for bi, row in enumerate(grid):
-            for r in range(row_h[bi]):
-                line = []
-                for bj, blk in enumerate(row):
-                    if blk is None:
-                        line.extend([Fraction(0)] * col_w[bj])
-                    else:
-                        line.extend(blk.data[r])
-                out.append(line)
-        return cls(out)
 
     def __eq__(self, other):
         return (

@@ -185,11 +185,11 @@ def _detect_line_prolongation(h):
 def _nu_map(h, u_cal, v0):
     """nu on U, pinned by F = alpha x v - beta x nu(alpha) for F in h_v,
     as the (n-1) x dim U matrix of its values on U's canonical basis.
-    F is one solve, with no kernel condition, over the elements of h.basis
+    F is one solve, with no kernel condition, over the elements of h
     read on R^{n-1}."""
     n = h.n
     # F[k][j] sits at k*n + j, in F flattened and in alpha x v0
-    pairs = [({}, {idx: x for idx, x in sparse(b.flatten()).items() if idx % n < n - 1}) for b in h.basis]
+    pairs = [({}, {idx: x for idx, x in row.items() if idx % n < n - 1}) for row in h.rows]
     # e_n = u0 + v0 / v0[n-1] with u0 in the hyperplane
     c = Fraction(1) / v0[n - 1]
     u0 = tuple(e - c * x for e, x in zip(unit(n, n - 1), v0))
@@ -272,7 +272,7 @@ def _rule_commuting_endo(h, prof):
     # every attached endomorphism but J, which the complex rule covers
     candidates = [a for key, value in h.structures.items() if key != "J" for a in endomorphisms(key, value)]
     for a in candidates:
-        if not commutes(h.basis, a):
+        if not commutes(h, a):
             continue
         if all(x == 0 for x in a.data[n - 1][: n - 1]):
             continue  # hyperplane is A-invariant

@@ -1,7 +1,11 @@
 """JSON interchange: rationals as "p/q" strings, matrices as string grids.
 
-``dumps`` writes every payload with sorted keys, so identical jobs produce
-byte-identical output.  Its output is exactly
+``to_json`` is the one conversion of results for output: it maps every
+Fraction, Mat, Subspace and ConnectionTensor inside dicts, lists and
+tuples to its JSON form, so commands hand over raw results.  A Fraction
+prints as "p/q", or "p" when q = 1, which is the form ``linalg.fr``
+reads back.  ``dumps`` writes every payload with sorted keys, so
+identical jobs produce byte-identical output.  Its output is exactly
 ``json.dumps(obj, sort_keys=True, indent=2)`` (ASCII only, non-ASCII and
 control characters escaped), for every value that call accepts; it is
 not the stdlib call because that call's encoder runs in Python once an
@@ -11,20 +15,11 @@ indent is given.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .linalg import Mat, Subspace, fr
-
-
-def rational_to_str(x) -> str:
-    x = fr(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def mat_to_json(m: Mat):
-    return [[rational_to_str(x) for x in row] for row in m.data]
+from .engine import ConnectionTensor
+from .linalg import Mat, Subspace
 
 
 def mat_from_json(rows) -> Mat:
@@ -34,41 +29,34 @@ def mat_from_json(rows) -> Mat:
     return Mat(rows)
 
 
-def vector_to_json(v):
-    return [rational_to_str(x) for x in v]
-
-
 def subspace_to_json(s: Subspace):
     basis = []
     for row in s.rows:
         line = ["0"] * s.ambient_dim
         for c, x in row.items():
-            line[c] = rational_to_str(x)
+            line[c] = str(x)
         basis.append(line)
     return {"ambient_dim": s.ambient_dim, "dim": s.dim, "basis": basis}
 
 
-def tensor3_to_json(gamma, n):
-    return [
-        [[rational_to_str(gamma[i * n * n + j * n + k]) for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def certificate_to_json(cert, n):
-    return {
-        "kind": cert.kind,
-        "nabla": tensor3_to_json(cert.nabla.gamma, n),
-        "residuals": {k: rational_to_str(v) for k, v in cert.residuals.items()},
-    }
-
-
-def refusal_to_json(refusal):
-    return {
-        "refused": True,
-        "reason": refusal.reason,
-        "residual": vector_to_json(refusal.residual),
-    }
+def to_json(value):
+    """value with each Fraction as "p/q", each Mat and ConnectionTensor as
+    its grid of such strings and each Subspace as subspace_to_json,
+    through dicts, lists and tuples; any other value is returned as is."""
+    if isinstance(value, ConnectionTensor):  # the grid gamma[i][j][k]
+        n, gamma = value.n, value.gamma
+        value = [[gamma[(i * n + j) * n : (i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+    elif isinstance(value, Mat):
+        value = value.data
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, Subspace):
+        return subspace_to_json(value)
+    if isinstance(value, dict):
+        return {key: to_json(x) for key, x in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(x) for x in value]
+    return value
 
 
 def dumps(obj) -> str:

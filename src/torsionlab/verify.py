@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from functools import cache
 
-from .algebras import LinearSubalgebra, MetricContext, commutator, conjugate, is_degenerate, left_span
+from .algebras import LinearSubalgebra, MetricContext, commutator, conjugate, is_degenerate, left_span, padded
 from .builders import (
     build_delta_gl,
     build_gl_C,
@@ -59,27 +59,22 @@ from .linalg import Mat, Subspace, entry_span, image_on_kernel, kernel, sparse_s
 from .profiles import _crosscheck, _fired, applicable_rules, profile
 
 
-def _padded(a):
-    """a in gl(n1 - 1) as the top-left block of gl(n1), flattened."""
-    return Mat.block([[a, None], [None, Mat.zeros(1, 1)]]).flatten()
-
-
 def _sp_block_pattern(m):
     """[[A, 0], [w^t, a]] with A in sp(2m-2, R), inside End(R^{2m-1})."""
     n1 = 2 * m - 1
-    return entry_span(n1, lambda i, j: i == n1 - 1, extra=[_padded(a) for a in build_sp(m - 1).basis])
+    return entry_span(n1, lambda i, j: i == n1 - 1, extra=[padded(n1 - 1, a) for a in build_sp(m - 1).rows])
 
 
 def _glC_block_pattern(m):
     """[[A, v], [0, a]] with A in gl(m-1, C), inside End(R^{2m-1})."""
     n1 = 2 * m - 1
-    return entry_span(n1, lambda i, j: j == n1 - 1, extra=[_padded(a) for a in build_gl_C(m - 1).basis])
+    return entry_span(n1, lambda i, j: j == n1 - 1, extra=[padded(n1 - 1, a) for a in build_gl_C(m - 1).rows])
 
 
 def _u_pattern(m):
     """k~_{u(m)} + the line through e^{2m-1} x e_{2m-1}."""
     n1 = 2 * m - 1
-    return entry_span(n1, lambda i, j: i == j == n1 - 1, extra=[_padded(a) for a in build_u(m - 1).basis])
+    return entry_span(n1, lambda i, j: i == j == n1 - 1, extra=[padded(n1 - 1, a) for a in build_u(m - 1).rows])
 
 
 def _u11_diag_pattern():
@@ -181,7 +176,7 @@ def check_hypercomplex():
         ok = rank_report["status"] == "certified" and k1.dim == 0 and fs == kc
         name = f"hypercomplex {h.name}: certified super-elliptic, K^(1) = 0, F = k~"
         out.append(_check(name, ok, f"method {rank_report['method']}"))
-    bare = LinearSubalgebra(4, build_sp_H(1).basis, name="sp(1)-bare", validate=False)
+    bare = LinearSubalgebra(4, build_sp_H(1).rows, name="sp(1)-bare", validate=False)
     res = classify_low_rank(bare, 2)
     ok = res["status"] == "certified" and res["method"] == "minor-variety-empty"
     out.append(_check("hypercomplex sp(1): exhaustive minor solve certifies no rank <= 2", ok, res["method"]))
@@ -430,9 +425,7 @@ def _structural_invariants(pairs):
         (build_tangent_gl(2), build_tangent_gl(2).structures["tangent"]),
         (build_delta_gl(2), build_delta_gl(2).structures["hpc"][2]),
     ):
-        n = h.n
-        sum_span = h.span + left_span(a_tensor, h)
-        big_alg = LinearSubalgebra(n, [Mat.unflatten(n, n, v) for v in sum_span.basis], validate=False)
+        big_alg = LinearSubalgebra(h.n, (h.span + left_span(a_tensor, h)).rows, validate=False)
         kc = characteristic_subalgebra(h)
         fs = obstruction_space(h)
         if not (fs.contains_space(kc) and characteristic_subalgebra(big_alg).contains_space(fs)):

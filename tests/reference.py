@@ -1,10 +1,11 @@
 """Dense references the sparse routines of torsionlab must agree with exactly.
 
 Gauss-Jordan elimination over Fraction lists, and the span, solve,
-kernel, Zassenhaus, inverse and reduce routes built on it; the matrix
-commutator and the closure test on dense Mat products; and the
-torsion, curvature and Nijenhuis tensors of a connection on g_f as loops
-over every index tuple of the dense bracket tensor.
+kernel, Zassenhaus, inverse and reduce routes built on it; block
+matrices, the matrix commutator and the closure test on dense Mat
+products; and the torsion, curvature and Nijenhuis tensors of a
+connection on g_f as loops over every index tuple of the dense bracket
+tensor.
 """
 
 from fractions import Fraction
@@ -96,6 +97,19 @@ def dense_commutator(a, b):
     if not (a.is_square() and b.is_square() and a.rows == b.rows):
         raise ShapeError("bracket needs square matrices of equal size")
     return a * b - b * a
+
+
+def block(grid):
+    """The block matrix of a grid of Mats, None for a zero block."""
+    heights = [next(b.rows for b in row if b is not None) for row in grid]
+    widths = [next(row[j].cols for row in grid if row[j] is not None) for j in range(len(grid[0]))]
+    return Mat(
+        [
+            [x for blk, w in zip(row, widths) for x in (blk.data[r] if blk is not None else [0] * w)]
+            for row, h in zip(grid, heights)
+            for r in range(h)
+        ]
+    )
 
 
 def dense_is_subalgebra(basis):

@@ -17,9 +17,12 @@ from torsionlab.algebras import (
     orthogonal_complement,
     product,
 )
+from torsionlab import engine
 from torsionlab.builders import (
+    build,
     build_delta_gl,
     build_gl_C,
+    build_lagrangian_symplectic,
     build_so,
     build_sp,
     catalog,
@@ -27,6 +30,16 @@ from torsionlab.builders import (
     quaternion_triple,
     standard_J,
     tangent_T,
+)
+from torsionlab.engine import (
+    AlmostAbelian,
+    Certificate,
+    characteristic_subalgebra,
+    connection_space,
+    first_prolongation,
+    flat_certificate,
+    obstruction_space,
+    tableau,
 )
 from torsionlab.linalg import Mat, ShapeError, Subspace, dense, sparse
 
@@ -209,3 +222,84 @@ def test_degenerate_hyperplane():
     ctx = MetricContext(Mat([[1, 0], [0, -1]]))
     s = Subspace.span(2, [(1, 1)])
     assert is_degenerate(ctx, s)
+
+
+# -- the element format: h keeps its elements as sparse flattened rows ------
+
+
+ELEMENT_BUILDERS = {
+    "gl_C(2)": lambda: build_gl_C(2),
+    "sp(2)": lambda: build_sp(2),
+    "so(2,1)": lambda: build_so(2, 1),
+    "Dgl(2)": lambda: build_delta_gl(2),
+    "lagsym(1)": lambda: build_lagrangian_symplectic(1),
+}
+
+
+def _unimodular(rng, n):
+    """A seeded upper times lower unitriangular integer matrix, which fills
+    in most entries of each conjugated element."""
+    upper = Mat([[1 if i == j else rng.randint(-2, 2) if i < j else 0 for j in range(n)] for i in range(n)])
+    lower = Mat([[1 if i == j else rng.randint(-2, 2) if i > j else 0 for j in range(n)] for i in range(n)])
+    return upper * lower
+
+
+@pytest.mark.parametrize("build", ELEMENT_BUILDERS.values(), ids=ELEMENT_BUILDERS.keys())
+def test_conjugate_is_t_f_t_inverse_element_by_element(build):
+    h = build()
+    rng = random.Random(28)
+    for _ in range(3):
+        t = _unimodular(rng, h.n)
+        tinv = t.inverse()
+        assert conjugate(h, t).basis == tuple(t * f * tinv for f in h.basis)
+
+
+@pytest.mark.parametrize("build", ELEMENT_BUILDERS.values(), ids=ELEMENT_BUILDERS.keys())
+def test_elements_given_as_mats_or_rows_agree(build):
+    # conjugated, the elements are in no canonical order, which the flat
+    # certificate's first echelon solution reads
+    h = build()
+    h = conjugate(h, _unimodular(random.Random(5), h.n))
+    from_mats = LinearSubalgebra(h.n, h.basis, h.structures)
+    from_rows = LinearSubalgebra(h.n, h.rows, h.structures)
+    assert from_mats.rows == from_rows.rows == h.rows
+    assert from_mats.basis == from_rows.basis == h.basis
+    m = h.n - 1
+    f = Mat.unflatten(m, m, [sum(xs) for xs in zip(*characteristic_subalgebra(h).basis, [0] * m * m)])
+    certs = [flat_certificate(g, AlmostAbelian(f)) for g in (h, from_mats, from_rows)]
+    assert all(isinstance(c, Certificate) for c in certs)
+    assert certs[0].nabla == certs[1].nabla == certs[2].nabla
+
+
+def test_a_stored_zero_in_an_element_row_is_dropped():
+    h = LinearSubalgebra(2, [{0: Fraction(1), 1: Fraction(0)}, {3: Fraction(2)}])
+    assert h.rows == ({0: 1}, {3: 2})
+    assert h.basis == (E(2, 0, 0), Mat([[0, 0], [0, 2]]))
+    with pytest.raises(ShapeError):
+        LinearSubalgebra(3, [Mat.identity(2)])
+    with pytest.raises(ShapeError):
+        LinearSubalgebra(2, [(1, 0, 0)])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"builder": "gl", "params": {"n": 4}},
+        {"builder": "sp", "params": {"m": 2}},
+        {"builder": "u", "params": {"p": 1, "q": 1}},
+        {"builder": "lagrangian_symplectic", "params": {"m": 2}},
+        {"basis": [[["1", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]]]},
+    ],
+    ids=["gl(4)", "sp(4)", "u(1,1)", "lagsym(2)", "explicit"],
+)
+def test_build_and_the_engine_layers_never_densify_an_element(spec, monkeypatch):
+    layers = (characteristic_subalgebra, tableau, first_prolongation, connection_space, obstruction_space)
+    for layer in (*layers, engine._torsion_maps):
+        layer.cache_clear()
+    calls = []
+    unflatten = Mat.unflatten.__func__
+    monkeypatch.setattr(Mat, "unflatten", classmethod(lambda cls, *args: calls.append(args) or unflatten(cls, *args)))
+    h = build(spec)
+    for layer in layers:
+        layer(h)
+    assert calls == []

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import dense_commutator
+from reference import block, dense_commutator
 from torsionlab.algebras import commutant, is_subalgebra
 from torsionlab.builders import (
     build,
@@ -228,11 +228,11 @@ def _ref_lagrangian(m):
         ],
     )
     zero_col, zero_row = Mat.zeros(nu, 1), Mat.zeros(1, nu)
-    basis = [Mat.block([[s, zero_col], [zero_row, Mat.zeros(1, 1)]]) for s in sym_l]
+    basis = [block([[s, zero_col], [zero_row, Mat.zeros(1, 1)]]) for s in sym_l]
     for u in lag.basis:
         col = Mat([[x] for x in u], nu, 1)
         row = Mat([[sum(u[i] * omega.data[i][j] for i in range(nu)) for j in range(nu)]], 1, nu)
-        basis.append(Mat.block([[Mat.zeros(nu, nu), col], [row, Mat.zeros(1, 1)]]))
+        basis.append(block([[Mat.zeros(nu, nu), col], [row, Mat.zeros(1, 1)]]))
     return basis, f"lagsym({m})", {"omega_u": omega, "lagrangian": lag}
 
 

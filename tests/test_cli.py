@@ -93,6 +93,56 @@ def test_space_with_bases_output_is_pinned(capsys):
     assert digest.hexdigest() == SPACE_DIGEST
 
 
+# The stdout of every other subcommand, in JSON and text, hashed together:
+# certificates, refusals, existence details and orbit frames are pinned.
+_F3 = "[[1,0,0],[0,2,0],[0,0,3]]"
+_J3 = "[[0,-1,0],[1,0,0],[0,0,0]]"
+_I3 = "[[1,0,0],[0,1,0],[0,0,1]]"
+_Z3 = "[[0,0,0],[0,0,0],[0,0,0]]"
+_E13 = "[[0,0,1],[0,0,0],[0,0,0]]"
+_HPC_BENT = "[[1,1,0,0,0],[0,1,0,0,0],[0,0,1,1,0],[0,0,0,1,1],[0,0,0,0,1]]"
+REPORT_CASES = [
+    ("check", "--algebra", "gl_C:m=2", "--f", _J3, "--with-bases"),
+    ("check", "--algebra", "u:p=2", "--f", _Z3),
+    ("check", "--algebra", "sp:m=2", "--f", _E13),
+    ("check", "--algebra", "sp:m=2", "--f", _J3, "--with-bases", "--format", "text"),
+    ("check", "--algebra", "gl_C:m=2", "--f", _J3, "--hyperplane-map", "[[1,1,0,0],[0,1,0,0],[0,2,1,0],[0,0,0,1]]", "--with-bases"),
+    ("check", "--algebra", "gl:n=3", "--f", "[[1,2],[3,4]]", "--hyperplane-map", "[[1,1,0],[0,1,0],[2,0,1]]", "--with-bases"),
+    ("flat", "--algebra", "sp:m=2", "--f", "[[0,1,0],[0,0,0],[0,0,0]]", "--with-bases"),
+    ("flat", "--algebra", "sp:m=2", "--f", _E13, "--format", "text"),
+    ("exists", "product", "--p", "2", "--f", _F3),
+    ("exists", "product", "--p", "2", "--type", "3", "--f", _F3),
+    ("exists", "tangent", "--f", _I3),
+    ("exists", "tangent", "--f", _I3, "--format", "text"),
+    ("exists", "hpc", "--f", "[[1,1,0],[0,1,0],[0,0,1]]"),
+    ("exists", "family", "--group", "u", "--f", _J3),
+    ("exists", "family", "--group", "su", "--f", _J3),
+    ("exists", "family", "--group", "gl_C", "--f", _I3),
+    ("exists", "family", "--group", "gl_H", "--f", _I3),
+    ("exists", "family", "--group", "sl_C", "--f", _Z3),
+    ("exists", "family", "--group", "sp_C", "--f", _J3, "--type", "1"),
+    ("classify-hpc", "--f", "[[1,0,0],[0,1,0],[0,0,2]]", "--with-bases"),
+    ("classify-hpc", "--f", _HPC_BENT),
+    ("classify-hpc", "--f", _HPC_BENT, "--with-bases", "--format", "text"),
+    ("orbits", "--group", "product", "--n", "4", "--p", "2"),
+    ("orbits", "--group", "tangent", "--n", "6", "--format", "text"),
+    ("catalog", "--crosscheck", "--format", "text"),
+]
+REPORT_DIGEST = "223884b6105011962a293414bc0589673c4be0b094806099898adc74e7b94d2a"
+
+
+def test_every_report_is_pinned(capsys):
+    from torsionlab import cli
+
+    digest = hashlib.sha256()
+    for args in REPORT_CASES:
+        with pytest.raises(SystemExit) as done:
+            cli.main(list(args))
+        assert done.value.code in (0, 1), args
+        digest.update(f"{done.value.code}\n".encode() + capsys.readouterr().out.encode())
+    assert digest.hexdigest() == REPORT_DIGEST
+
+
 def test_check_certificate_and_refusal(tmp_path):
     f_good = tmp_path / "good.json"
     f_good.write_text(json.dumps([["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]]))
@@ -289,6 +339,10 @@ def test_unread_flags_rejected(args):
     assert "unrecognized arguments" in proc.stderr
 
 
+HUGE = "9" * 5000
+SPEC_FILE = "<spec file>"
+
+
 @pytest.mark.parametrize(
     "args,named",
     [
@@ -330,6 +384,15 @@ def test_unread_flags_rejected(args):
         (("space", "--algebra", '{"basis": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]}'), "basis is not bracket-closed"),
         (("space", "--algebra", "gl:n"), "malformed builder parameter"),
         (("orbits", "--group", "hpc", "--n", "4"), "has no orbit types"),
+        # an integer past Python's int-string digit limit stops json.loads
+        (("check", "--algebra", "gl:n=2", "--f", f"[[{HUGE}]]"), "integer string conversion"),
+        (("check", "--algebra", "gl:n=2", "--f", "[[1]]", "--hyperplane-map", f"[[{HUGE}, 0], [0, 1]]"), "integer string conversion"),
+        (("space", "--algebra", f'{{"builder": "gl", "params": {{"n": {HUGE}}}}}'), "integer string conversion"),
+        (("space", "--algebra", SPEC_FILE), "integer string conversion"),
+        # a rational is "p/q" or "p": an exponent is not read, so it costs nothing
+        (("check", "--algebra", "gl:n=2", "--f", '[["1e10000000"]]'), "not a rational value"),
+        (("flat", "--algebra", "gl:n=2", "--f", '[["0.5"]]'), "not a rational value"),
+        (("flat", "--algebra", "gl:n=2", "--f", '[[" 3"]]'), "not a rational value"),
     ],
     ids=[
         "v-in-hyperplane",
@@ -367,10 +430,19 @@ def test_unread_flags_rejected(args):
         "basis-not-closed",
         "builder-parameter-without-value",
         "orbits-of-a-group-without-types",
+        "f-huge-integer",
+        "hyperplane-map-huge-integer",
+        "inline-spec-huge-integer",
+        "spec-file-huge-integer",
+        "f-exponent-string",
+        "f-decimal-string",
+        "f-padded-string",
     ],
 )
-def test_bad_input_is_an_input_error(args, named):
-    proc = run_cli(*args)
+def test_bad_input_is_an_input_error(args, named, tmp_path):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(f'{{"builder": "so", "params": {{"p": {HUGE}}}}}')
+    proc = run_cli(*(str(spec_file) if arg == SPEC_FILE else arg for arg in args))
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -380,6 +452,13 @@ def test_bad_input_is_an_input_error(args, named):
         # nothing is built: the command's own runtime line reads well under a second
         runtime = float(proc.stderr.split("runtime: ")[1].split("s")[0])
         assert runtime < 0.5
+
+
+def test_rational_strings_read():
+    proc = run_cli("flat", "--algebra", "gl:n=3", "--f", '[["-3/2", "7"], ["+4/6", "0"]]', "--with-bases")
+    assert proc.returncode == 0, proc.stderr
+    nabla = json.loads(proc.stdout)["certificate"]["nabla"]
+    assert nabla[2][:2] == [["-3/2", "2/3", "0"], ["7", "0", "0"]]
 
 
 I3 = json.dumps([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
@@ -446,8 +525,8 @@ def test_explicit_basis_space_matches_the_builder(which):
     else:  # a unimodular upper times lower triangular T fills in most entries of each element
         t = Mat([[1, 1, 0, -1], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]) * Mat([[1, 0, 0, 0], [1, 1, 0, 0], [-1, 0, 1, 0], [0, 1, 1, 1]])
         h = conjugate(build_sp(2), t)
-    spec = {key: reporting.mat_to_json(value) for key, value in h.structures.items() if key == "omega"}
-    spec["basis"] = [reporting.mat_to_json(m) for m in h.basis]
+    spec = {key: reporting.to_json(value) for key, value in h.structures.items() if key == "omega"}
+    spec["basis"] = reporting.to_json(h.basis)
     proc = run_cli("space", "--algebra", json.dumps(spec), "--with-bases")
     assert proc.returncode == 0, proc.stderr
     spaces = {

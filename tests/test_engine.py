@@ -34,6 +34,7 @@ from torsionlab import engine
 from torsionlab.algebras import LinearSubalgebra
 from torsionlab.linalg import Mat, ShapeError, Subspace, image_on_kernel, kernel
 import reference
+from reference import block
 
 
 def E(n, i, j):
@@ -51,7 +52,7 @@ def sp_char_block_subspace():
     sp2 = build_sp(1)
     vecs = []
     for a in sp2.basis:
-        big = Mat.block([[a, Mat.zeros(2, 1)], [Mat.zeros(1, 2), Mat.zeros(1, 1)]])
+        big = block([[a, Mat.zeros(2, 1)], [Mat.zeros(1, 2), Mat.zeros(1, 1)]])
         vecs.append(big.flatten())
     vecs += [elementary_flat(3, 2, 0), elementary_flat(3, 2, 1), elementary_flat(3, 2, 2)]
     return Subspace.span(9, vecs)
@@ -60,8 +61,8 @@ def sp_char_block_subspace():
 def glC_char_block_subspace():
     """Expected k~ for gl(2,C): [[A, v], [0, a]] with A in gl(1,C)."""
     vecs = [
-        Mat.block([[Mat.identity(2), Mat.zeros(2, 1)], [Mat.zeros(1, 2), Mat.zeros(1, 1)]]).flatten(),
-        Mat.block([[standard_J(2), Mat.zeros(2, 1)], [Mat.zeros(1, 2), Mat.zeros(1, 1)]]).flatten(),
+        block([[Mat.identity(2), Mat.zeros(2, 1)], [Mat.zeros(1, 2), Mat.zeros(1, 1)]]).flatten(),
+        block([[standard_J(2), Mat.zeros(2, 1)], [Mat.zeros(1, 2), Mat.zeros(1, 1)]]).flatten(),
         elementary_flat(3, 0, 2),
         elementary_flat(3, 1, 2),
         elementary_flat(3, 2, 2),
@@ -377,7 +378,7 @@ def test_obstruction_space_u2():
     expected = Subspace.span(
         9,
         [
-            Mat.block([[standard_J(2), Mat.zeros(2, 1)], [Mat.zeros(1, 2), Mat.zeros(1, 1)]]).flatten(),
+            block([[standard_J(2), Mat.zeros(2, 1)], [Mat.zeros(1, 2), Mat.zeros(1, 1)]]).flatten(),
             elementary_flat(3, 2, 2),
         ],
     )

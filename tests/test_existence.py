@@ -21,6 +21,7 @@ from torsionlab.existence import (
     tangent_obstruction,
 )
 from torsionlab.linalg import Mat, Subspace
+from reference import block
 
 
 def diag(*entries):
@@ -29,7 +30,7 @@ def diag(*entries):
 
 
 def block_diag(*blocks):
-    return Mat.block([[b if i == j else None for j in range(len(blocks))] for i, b in enumerate(blocks)])
+    return block([[b if i == j else None for j in range(len(blocks))] for i, b in enumerate(blocks)])
 
 
 def rand_invertible(rng, n, lo=-2, hi=2):
@@ -263,7 +264,7 @@ def test_classify_hpc_flatness_roundtrip():
 
 def test_admits_product_family():
     # two rotation blocks: invariant dimensions are {0, 2, 4}
-    f = Mat.block(
+    f = block(
         [[Mat([[0, -1], [1, 0]]), None], [None, Mat([[0, -3], [3, 0]])]]
     )
     res = admits_torsion_free("product", AlmostAbelian(f), p=2)
@@ -314,8 +315,8 @@ def test_admits_unitary_family():
 def test_unitary_needs_a_semisimple_f(group):
     # both have the spectrum {i, i, -i, -i, 0}; only the second is semisimple
     r, i2 = Mat([[0, -1], [1, 0]]), Mat.identity(2)
-    jordan = Mat.block([[r, i2, None], [None, r, None], [None, None, Mat.zeros(1, 1)]])
-    rotations = Mat.block([[r, None, None], [None, r, None], [None, None, Mat.zeros(1, 1)]])
+    jordan = block([[r, i2, None], [None, r, None], [None, None, Mat.zeros(1, 1)]])
+    rotations = block([[r, None, None], [None, r, None], [None, None, Mat.zeros(1, 1)]])
     assert admits_torsion_free(group, AlmostAbelian(jordan))["overall"] == "no"
     assert admits_torsion_free(group, AlmostAbelian(rotations))["overall"] == "yes"
 
@@ -323,7 +324,7 @@ def test_unitary_needs_a_semisimple_f(group):
 def test_admits_su_family():
     # su(2)-block spectrum {2i, -2i} realized by two real rotation blocks
     rot2 = Mat([[0, -2], [2, 0]])
-    f = Mat.block([[rot2, None, None], [None, rot2, None], [None, None, Mat.zeros(1, 1)]])
+    f = block([[rot2, None, None], [None, rot2, None], [None, None, Mat.zeros(1, 1)]])
     assert admits_torsion_free("su", AlmostAbelian(f))["overall"] == "yes"
     # m = 2: F_{su(2)} = su(1) = 0, so a nonzero rotation is refused
     rot_only = Mat([[0, -2, 0], [2, 0, 0], [0, 0, 0]])
@@ -351,7 +352,7 @@ def test_family_dimension_guards():
 
 
 # eigenvalue 1 with blocks 2 + 1 + 1, a rotation block and a 1-block at 2
-QUERY_F = Mat.block(
+QUERY_F = block(
     [
         [Mat([[1, 1], [0, 1]]), None, None, None],
         [None, diag(1, 1), None, None],
@@ -436,7 +437,7 @@ def sweep_matrix(rng, m):
             if b.rows <= left:
                 blocks.append(b)
                 left -= b.rows
-    f = Mat.block([[b if i == j else None for j in range(len(blocks))] for i, b in enumerate(blocks)])
+    f = block([[b if i == j else None for j in range(len(blocks))] for i, b in enumerate(blocks)])
     return conjugated(rng, f)
 
 
@@ -619,5 +620,5 @@ def test_hpc_family_is_the_hpc_classifier():
 def test_su_cancellation_within_a_rational_square_class(squares, verdict):
     # f = diag(J_1, ..., J_k, 0) with J_i of characteristic polynomial x^2 + theta_i^2
     blocks = [Mat([[0, -1], [t, 0]]) for t in squares] + [Mat([[0]])]
-    f = Mat.block([[b if i == j else None for j in range(len(blocks))] for i, b in enumerate(blocks)])
+    f = block([[b if i == j else None for j in range(len(blocks))] for i, b in enumerate(blocks)])
     assert admits_torsion_free("su", AlmostAbelian(f))["overall"] == verdict

@@ -9,6 +9,7 @@ from torsionlab.linalg import (
     Subspace,
     _rref_rows,
     dense,
+    fr,
     image,
     image_on_kernel,
     kernel,
@@ -16,6 +17,7 @@ from torsionlab.linalg import (
     sparse,
 )
 from reference import (
+    block,
     dense_image_on_kernel,
     dense_inverse,
     dense_kernel,
@@ -198,7 +200,7 @@ def test_solve_on_kernel():
 
 def test_block_and_flatten():
     a = Mat([[1, 2], [3, 4]])
-    b = Mat.block([[a, None], [None, Mat.identity(1)]])
+    b = block([[a, None], [None, Mat.identity(1)]])
     assert b == Mat([[1, 2, 0], [3, 4, 0], [0, 0, 1]])
     assert Mat.unflatten(2, 2, a.flatten()) == a
 
@@ -366,3 +368,12 @@ def test_solve_on_kernel_equals_dense_reference():
             assert Mat(rows, n_rows, n_cols).matvec(got) == tuple([F(0)] * cond + target)
         outcomes.add((cond > 0, got is None))
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_fr_reads_a_string_only_as_p_over_q():
+    assert fr("-3/2") == Fraction(-3, 2) and fr("7") == 7 and fr("+4/6") == Fraction(2, 3)
+    for text in ("0.5", "1e3", "1_0", " 3", "3 ", "1/2/3", "/2", "", "\u0663"):
+        with pytest.raises(TypeError, match="not a rational value"):
+            fr(text)
+    with pytest.raises(ZeroDivisionError):
+        fr("1/0")

@@ -73,3 +73,25 @@ def test_writer_is_json_dumps_on_every_report(argv, monkeypatch, capsys):
         cli.main(argv)
     assert len(written) == 1
     assert capsys.readouterr().out == json.dumps(written[0], sort_keys=True, indent=2) + "\n"
+
+
+def test_to_json_converts_inside_every_container():
+    from fractions import Fraction
+
+    from torsionlab.engine import ConnectionTensor
+    from torsionlab.linalg import Mat, Subspace
+
+    value = {
+        "pair": (Fraction(1, 2), [Fraction(3), (Fraction(-4, 6),)]),
+        "mat": Mat([[1, Fraction(-2, 3)]]),
+        "space": Subspace.span(2, [(2, 4)]),
+        "nabla": ConnectionTensor(2, range(8)),
+        "plain": (True, None, "x", 3),
+    }
+    assert reporting.to_json(value) == {
+        "pair": ["1/2", ["3", ["-2/3"]]],
+        "mat": [["1", "-2/3"]],
+        "space": {"ambient_dim": 2, "dim": 1, "basis": [["1", "2"]]},
+        "nabla": [[["0", "1"], ["2", "3"]], [["4", "5"], ["6", "7"]]],
+        "plain": [True, None, "x", 3],
+    }

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 from torsionlab.linalg import Mat, Subspace, kernel
+from reference import block
 from torsionlab.polynomials import Poly
 from torsionlab.spectral import factor_data, jordan_chains, primary_components
 
@@ -48,7 +49,7 @@ def test_factor_data_block_counts():
 def test_jordan_chains_quadratic():
     # two rotation blocks: one 2-chain over the quadratic x^2 + 1? no: two 1-chains
     j2 = Mat([[0, -1], [1, 0]])
-    f = Mat.block([[j2, None], [None, j2]])
+    f = block([[j2, None], [None, j2]])
     fd = factor_data(f, Poly([1, 0, 1]), 2)
     assert fd.dim == 4
     assert fd.block_counts == {1: 2}
@@ -59,7 +60,7 @@ def test_jordan_chains_quadratic():
 def test_jordan_chains_quadratic_nilpotent():
     # real form of a size-2 Jordan block over x^2+1: a single 2-chain
     j2 = Mat([[0, -1], [1, 0]])
-    f = Mat.block([[j2, Mat.identity(2)], [None, j2]])
+    f = block([[j2, Mat.identity(2)], [None, j2]])
     fd = factor_data(f, Poly([1, 0, 1]), 2)
     assert fd.block_counts == {2: 1}
     chains = jordan_chains(f, fd)
@@ -72,7 +73,7 @@ def test_achievable_dims():
     assert spec.fully_split
     assert spec.dims == {0, 1, 2, 3}
     j2 = Mat([[0, -1], [1, 0]])
-    f2 = Mat.block([[j2, None], [None, j2]])
+    f2 = block([[j2, None], [None, j2]])
     spec2 = primary_components(f2)
     assert spec2.fully_split
     assert spec2.dims == {0, 2, 4}
@@ -97,7 +98,7 @@ def test_invariant_subspace_construction():
 
 def test_invariant_subspace_respects_obstructions():
     j2 = Mat([[0, -1], [1, 0]])
-    f = Mat.block([[j2, None], [None, j2]])
+    f = block([[j2, None], [None, j2]])
     spec = primary_components(f)
     assert spec.invariant_subspace(1) is None
     assert spec.invariant_subspace(3) is None
@@ -139,7 +140,7 @@ def test_unsplit_flag_ties_keep_the_first_choice():
     p, q = Poly([-2, 0, 0, 1]), Poly([-3, 0, 0, 1])
     q2 = (q * q).coeffs
     companion = Mat([[1 if i == j + 1 else 0 for j in range(5)] + [-q2[i]] for i in range(6)])
-    f = Mat.block([[Mat([[0, 0, 2], [1, 0, 0], [0, 1, 0]]), None], [None, companion]])
+    f = block([[Mat([[0, 0, 2], [1, 0, 0], [0, 1, 0]]), None], [None, companion]])
     spec = primary_components(f)
     assert list(spec.unsplit) == [(p, 1), (q, 2)]
     assert spec.dims == {0, 3, 6, 9}
@@ -169,7 +170,7 @@ def test_jordan_chains_quadratic_height_three():
     j2 = Mat([[0, -1], [1, 0]])
     i2 = Mat.identity(2)
     z = Mat.zeros(2, 2)
-    f = Mat.block([[j2, i2, z], [z, j2, i2], [z, z, j2]])
+    f = block([[j2, i2, z], [z, j2, i2], [z, z, j2]])
     fd = factor_data(f, Poly([1, 0, 1]), 3)
     assert fd.block_counts == {3: 1}
     chains = jordan_chains(f, fd)
