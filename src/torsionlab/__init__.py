@@ -2,7 +2,7 @@
 almost Abelian Lie algebras, with closed-form cross-checks and
 existence deciders."""
 
-from .algebras import LinearSubalgebra, MetricContext, commutant, conjugate, is_subalgebra
+from .algebras import LinearSubalgebra, commutant, conjugate, is_subalgebra
 from .builders import build, catalog
 from .engine import (
     AlmostAbelian,

@@ -17,6 +17,7 @@ and the basis against preserving them, at construction unless
 validation is skipped.  ``product`` multiplies two matrices given as
 sparse flattened rows; the closure test ``is_subalgebra``, the spans
 A h of ``left_span`` and ``conjugate`` are built on it.
+``orthogonal_complement`` takes a Gram matrix as it is attached under "g".
 """
 
 from __future__ import annotations
@@ -202,9 +203,10 @@ def _element_row(n, m) -> dict:
 
 class LinearSubalgebra:
     """Bracket-closed subspace of gl(n, Q) with optional attached structures;
-    rows holds its elements in the order given, basis the same as Mats."""
+    rows holds its elements in the order given, basis the same as Mats, and
+    the slot _profile the structural profile once ``profiles.profile`` made it."""
 
-    __slots__ = ("n", "rows", "structures", "name", "_span", "_basis")
+    __slots__ = ("n", "rows", "structures", "name", "_span", "_basis", "_profile")
 
     def __init__(self, n, elements, structures=None, name="", validate=True):
         rows = tuple(_element_row(n, m) for m in elements)
@@ -219,6 +221,7 @@ class LinearSubalgebra:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_span", span)
         object.__setattr__(self, "_basis", None)
+        object.__setattr__(self, "_profile", None)
         if validate:
             if span.dim != len(rows):
                 raise ValueError("basis is linearly dependent")
@@ -301,25 +304,9 @@ def commutant(a: Mat) -> LinearSubalgebra:
     return LinearSubalgebra(a.rows, stabilizer(a.rows, {}, _commutator_rows(a)), name="gl(A)", validate=False)
 
 
-class MetricContext:
-    """A metric g on R^n."""
-
-    __slots__ = ("g",)
-
-    def __init__(self, g: Mat):
-        check_identity("g", g, g.rows)
-        object.__setattr__(self, "g", g)
-
-    def __setattr__(self, *a):
-        raise AttributeError("MetricContext is immutable")
-
-
-def orthogonal_complement(ctx: MetricContext, s: Subspace) -> Subspace:
-    rows = [list(ctx.g.matvec(b)) for b in s.basis]
+def orthogonal_complement(g: Mat, s: Subspace) -> Subspace:
+    """The g-orthogonal {x : g(b, x) = 0 for every b in s} of s."""
+    rows = [list(g.matvec(b)) for b in s.basis]
     if not rows:
-        return Subspace.full(ctx.g.rows)
-    return kernel(Mat(rows, len(rows), ctx.g.rows))
-
-
-def is_degenerate(ctx: MetricContext, s: Subspace) -> bool:
-    return s.intersect(orthogonal_complement(ctx, s)).dim > 0
+        return Subspace.full(g.rows)
+    return kernel(Mat(rows, len(rows), g.rows))

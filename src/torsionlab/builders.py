@@ -126,6 +126,7 @@ def build_so(p, q=0):
 
 
 def build_so_g(gram: Mat):
+    check_identity("g", gram, gram.rows)
     return _stabilizer_algebra(gram.rows, {"g": gram}, f"so(g)[{gram.rows}]")
 
 
@@ -160,6 +161,7 @@ def build_u(p, q=0, gram=None):
         gram = _diag([1] * (2 * p) + [-1] * (2 * q))
     if (gram.rows, gram.cols) != (n, n):
         raise ValueError(f"gram must be {n} x {n} for u({p},{q})")
+    check_identity("g", gram, n)
     if J.transpose() * gram * J != gram:
         raise ValueError("gram is not J-invariant")
     name = f"u({p},{q})" if q else f"u({m})"
@@ -312,14 +314,31 @@ def _builder_call(spec):
     return fn, kwargs, n
 
 
+_BUILDER_KEYS = ("builder", "params")
+_EXPLICIT_KEYS = ("basis", "name", "validate", *(key for key, kind in STRUCTURE_KINDS.items() if kind != HYPERPLANE))
+
+
+def _spec_is_builder(spec) -> bool:
+    """Whether spec is a builder spec, once its keys are all ones its kind accepts."""
+    if not isinstance(spec, dict) or not ("builder" in spec or "basis" in spec):
+        raise ValueError("spec must be an object with 'builder' or 'basis'")
+    kind, accepted = ("a builder", _BUILDER_KEYS) if "builder" in spec else ("an explicit", _EXPLICIT_KEYS)
+    for key in spec:
+        if key not in accepted:
+            raise ValueError(f"{kind} spec takes no key {key!r}; accepted keys: {', '.join(accepted)}")
+    if not isinstance(spec.get("name", ""), str):
+        raise ValueError("spec key 'name' must be a string")
+    if not isinstance(spec.get("validate", True), bool):
+        raise ValueError("spec key 'validate' must be true or false")
+    return "builder" in spec
+
+
 def ambient_dim(spec) -> int:
     """The ambient dimension of the algebra a spec describes, read from
     its parameters or its first basis matrix before anything is built."""
-    if not isinstance(spec, dict):
-        raise ValueError("spec must be an object with 'builder' or 'basis'")
-    if "builder" in spec:
+    if _spec_is_builder(spec):
         return _builder_call(spec)[2]
-    if "basis" in spec and isinstance(spec["basis"], list) and spec["basis"]:
+    if isinstance(spec["basis"], list) and spec["basis"]:
         return _spec_matrix("basis[0]", spec["basis"][0]).rows
     raise ValueError("spec must contain 'builder' or a non-empty 'basis'")
 
@@ -328,41 +347,40 @@ def build(spec) -> LinearSubalgebra:
     """Catalog dispatcher.
 
     Accepts {"builder": name, "params": {...}} or an explicit
-    {"basis": [[[...]]], "J"/"g"/...: [[...]], "name": ..., "validate": bool}.
-    Builder parameters are checked before anything is built.  Attached
-    structures always meet their defining identities, which the rules
-    rely on; "validate": false skips only the checks of the basis.
+    {"basis": [[[...]]], "J"/"g"/...: [[...]], "name": ..., "validate": bool},
+    and no other key.  Builder parameters are checked before anything is
+    built.  Attached structures, a builder's Gram included, always meet
+    their defining identities, which the rules rely on; "validate": false
+    skips only the checks of the basis.
     """
-    if "builder" in spec:
+    if _spec_is_builder(spec):
         fn, kwargs, _ = _builder_call(spec)
         return fn(**kwargs)
-    if "basis" in spec:
-        if not isinstance(spec["basis"], list) or not spec["basis"]:
-            raise ValueError("explicit basis must be a non-empty list of matrices")
-        mats = [_spec_matrix(f"basis[{i}]", b) for i, b in enumerate(spec["basis"])]
-        n = mats[0].rows
-        if n < 2:
-            raise ValueError(f"explicit basis gives ambient dimension {n}; it must be at least 2")
-        structures = {}
-        for key, kind in STRUCTURE_KINDS.items():
-            if key not in spec or kind == HYPERPLANE:
-                continue
-            value = spec[key]
-            if kind != TRIPLE:
-                structures[key] = _spec_matrix(key, value)
-            elif isinstance(value, list) and len(value) == 3:
-                structures[key] = tuple(_spec_matrix(f"{key}[{i}]", x) for i, x in enumerate(value))
-            else:
-                raise ValueError(f"{key} must be a list of three square matrices")
-            check_identity(key, structures[key], n)
-        return LinearSubalgebra(
-            n,
-            mats,
-            structures,
-            name=spec.get("name", "user"),
-            validate=spec.get("validate", True),
-        )
-    raise ValueError("spec must contain 'builder' or 'basis'")
+    if not isinstance(spec["basis"], list) or not spec["basis"]:
+        raise ValueError("explicit basis must be a non-empty list of matrices")
+    mats = [_spec_matrix(f"basis[{i}]", b) for i, b in enumerate(spec["basis"])]
+    n = mats[0].rows
+    if n < 2:
+        raise ValueError(f"explicit basis gives ambient dimension {n}; it must be at least 2")
+    structures = {}
+    for key, kind in STRUCTURE_KINDS.items():
+        if key not in spec:
+            continue
+        value = spec[key]
+        if kind != TRIPLE:
+            structures[key] = _spec_matrix(key, value)
+        elif isinstance(value, list) and len(value) == 3:
+            structures[key] = tuple(_spec_matrix(f"{key}[{i}]", x) for i, x in enumerate(value))
+        else:
+            raise ValueError(f"{key} must be a list of three square matrices")
+        check_identity(key, structures[key], n)
+    return LinearSubalgebra(
+        n,
+        mats,
+        structures,
+        name=spec.get("name", "user"),
+        validate=spec.get("validate", True),
+    )
 
 
 def witt_gram(n: int) -> Mat:

@@ -116,12 +116,20 @@ def parse_f(text, h) -> Mat:
 
 
 def _emit(report, fmt):
-    """Print a raw result, converted once by reporting.to_json."""
-    report = reporting.to_json(report)
-    if fmt == "json":
-        print(reporting.dumps(report))
-    else:
-        _emit_text(report)
+    """Print a raw result, converted once by reporting.to_json.  Every input
+    is parsed by now, so Python's int-string digit limit is lifted meanwhile."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        report = reporting.to_json(report)
+        if fmt == "json":
+            print(reporting.dumps(report))
+        else:
+            _emit_text(report)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _line(value):

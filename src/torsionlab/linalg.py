@@ -61,9 +61,11 @@ def dense(row, width) -> tuple:
 
 
 def _row(v, width) -> dict:
-    """A sparse row passes through, its stored zeros dropped; a dense
-    vector must have length width."""
+    """A sparse row passes through, its stored zeros dropped, once its
+    columns lie in range(width); a dense vector must have length width."""
     if isinstance(v, dict):
+        if v and not (0 <= min(v) and max(v) < width):
+            raise ShapeError(f"sparse row with a column outside 0..{width - 1}")
         return v if all(v.values()) else {c: x for c, x in v.items() if x}
     if len(v) != width:
         raise ShapeError(f"vector of length {len(v)} where {width} is needed")

@@ -7,29 +7,22 @@ unitary) and, when it holds, returns its formula for F.  ``crosscheck``
 evaluates every rule that fires and compares the result with the
 generic engine; a mismatch is reported, never swallowed.
 
-Every subspace of the structural profile but J h is a preimage
-{F in h : F x in T for every x in X}, computed by ``_preimage``.  The
-profile comes in groups (h_1, J h, the h_2 chain, the line
-prolongation, the metric family); a rule pass builds only the groups
-its rules read.
+Every subspace of the structural profile but J h, R_J and N is a
+preimage {F in h : F x in T for every x in X}, computed by ``_preimage``.
+The profile comes in groups (h_1, J h, R_J, the h_2 chain, the line
+prolongation, the normal N of R^{n-1}, the metric family), each built
+from h and the profile when a rule first reads it.  ``profile(h)``
+keeps one profile on each algebra object.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebras import (
-    LinearSubalgebra,
-    MetricContext,
-    commutes,
-    endomorphisms,
-    is_degenerate,
-    left_span,
-    orthogonal_complement,
-)
+from .algebras import LinearSubalgebra, commutes, endomorphisms, left_span, orthogonal_complement
 from .builders import standard_omega
 from .engine import characteristic_subalgebra, first_prolongation, obstruction_space, tableau
-from .linalg import Mat, Subspace, image_on_kernel, kernel, kernel_rows, solve_on_kernel, sparse, sparse_sum, unit
+from .linalg import Mat, Subspace, image_on_kernel, kernel_rows, solve_on_kernel, sparse, sparse_sum, unit
 
 
 class NoRuleApplies(ValueError):
@@ -66,7 +59,7 @@ def _mats_of(span: Subspace, n):
     return [Mat.unflatten(n, n, flat) for flat in span.basis]
 
 
-def _base_group(h):
+def _base_group(h, prof):
     """h_1 (killing R^{n-1}), h_1^inv (also preserving it) and W."""
     n = h.n
     h1 = _preimage(h.span.rows, [unit(n, j) for j in range(n - 1)], Subspace.zero(n))
@@ -75,25 +68,29 @@ def _base_group(h):
     return {"h1": h1, "h1_inv": h1_inv, "W": w}
 
 
-def _j_span(h):
+def _j_span(h, prof):
     """J h, when h preserves its complex structure J."""
     return {"Jh": left_span(h.structures["J"], h) if h.preserves("J") else None}
 
 
-def _j_chain(h):
-    """R_J = R^{n-1} meet J R^{n-1} and the chain h_2 >= h_2^inv >= h_2^J."""
-    j = h.structures.get("J")
-    if j is None:
-        return dict.fromkeys(("RJ", "h2", "h2_inv", "h2_J"))
+def _rj_group(h, prof):
+    """R_J = R^{n-1} meet J R^{n-1}, when h carries J."""
+    j, n = h.structures.get("J"), h.n
+    return {"RJ": None if j is None else _hyperplane(n).intersect(Subspace.span(n, [j.col(i) for i in range(n - 1)]))}
+
+
+def _j_chain(h, prof):
+    """The chain h_2 >= h_2^inv >= h_2^J of the elements killing R_J."""
+    rj = prof.RJ
+    if rj is None:
+        return dict.fromkeys(("h2", "h2_inv", "h2_J"))
     n = h.n
     hyper = [unit(n, i) for i in range(n - 1)]
-    hyperplane = _hyperplane(n)
-    rj = hyperplane.intersect(Subspace.span(n, [j.matvec(x) for x in hyper]))
     h2 = _preimage(h.span.rows, rj.basis, Subspace.zero(n))
-    return {"RJ": rj, "h2": h2, "h2_inv": _preimage(h2.rows, hyper, hyperplane), "h2_J": _preimage(h2.rows, hyper, rj)}
+    return {"h2": h2, "h2_inv": _preimage(h2.rows, hyper, _hyperplane(n)), "h2_J": _preimage(h2.rows, hyper, rj)}
 
 
-def _line_group(h):
+def _line_group(h, prof):
     """The line of K^(1)'s values, h_v, h_v^inv, U and nu."""
     v0 = _detect_line_prolongation(h)
     if v0 is None:
@@ -111,16 +108,23 @@ def _line_group(h):
     }
 
 
-def _metric_group(h):
-    """h_perp (mapping R^{n-1} into its g-orthogonal), h_perp^inv and U~."""
-    g = h.structures.get("g")
-    if g is None:
+def _normal_group(h, prof):
+    """N, the g-orthogonal of R^{n-1}, and whether R^{n-1} is degenerate
+    (N, a line since g is invertible, lies in R^{n-1}), when h preserves g."""
+    if not h.preserves("g"):
+        return {"N": None, "degenerate": None}
+    hyperplane = _hyperplane(h.n)
+    normal = orthogonal_complement(h.structures["g"], hyperplane)
+    return {"N": normal, "degenerate": hyperplane.contains_space(normal)}
+
+
+def _metric_group(h, prof):
+    """h_perp (mapping R^{n-1} into N), h_perp^inv and U~."""
+    if prof.N is None:
         return dict.fromkeys(("h_perp", "h_perp_inv", "U_tilde"))
     n = h.n
-    hyperplane = _hyperplane(n)
-    perp = orthogonal_complement(MetricContext(g), hyperplane)
-    h_perp = _preimage(h.span.rows, [unit(n, j) for j in range(n - 1)], perp)
-    h_perp_inv = _preimage(h_perp.rows, [unit(n, j) for j in range(n)], hyperplane)
+    h_perp = _preimage(h.span.rows, [unit(n, j) for j in range(n - 1)], prof.N)
+    h_perp_inv = _preimage(h_perp.rows, [unit(n, j) for j in range(n)], _hyperplane(n))
     u_tilde = Subspace.span(n - 1, [f.col(jcol)[: n - 1] for f in _mats_of(h_perp_inv, n) for jcol in range(n)])
     return {"h_perp": h_perp, "h_perp_inv": h_perp_inv, "U_tilde": u_tilde}
 
@@ -129,17 +133,19 @@ def _metric_group(h):
 _GROUP_OF = {
     **dict.fromkeys(("h1", "h1_inv", "W"), _base_group),
     "Jh": _j_span,
-    **dict.fromkeys(("RJ", "h2", "h2_inv", "h2_J"), _j_chain),
+    "RJ": _rj_group,
+    **dict.fromkeys(("h2", "h2_inv", "h2_J"), _j_chain),
     **dict.fromkeys(("v_line", "hv", "hv_inv", "U_cal", "nu"), _line_group),
+    **dict.fromkeys(("N", "degenerate"), _normal_group),
     **dict.fromkeys(("h_perp", "h_perp_inv", "U_tilde"), _metric_group),
 }
 
 
 class StructuralProfile:
-    """The subspaces h_1, W, J h, the h_2 chain, h_v with U and nu, and the
-    degenerate-metric family, each in canonical form (None when the
-    needed structure is absent).  A field not yet built is built with
-    the rest of its group, from h, when it is first read."""
+    """The subspaces h_1, W, J h, R_J, the h_2 chain, h_v with U and nu, N
+    and the degenerate-metric family, each in canonical form (None when
+    the needed structure is absent).  A field not yet built is built with
+    the rest of its group, from h and the profile, when it is first read."""
 
     __slots__ = ("h", "_fields")
 
@@ -151,7 +157,7 @@ class StructuralProfile:
         if name not in _GROUP_OF:
             raise AttributeError(name)
         if name not in self._fields:
-            self._fields.update(_GROUP_OF[name](self.h))
+            self._fields.update(_GROUP_OF[name](self.h, self))
         return self._fields[name]
 
     def __setattr__(self, *a):
@@ -159,8 +165,10 @@ class StructuralProfile:
 
 
 def profile(h: LinearSubalgebra) -> StructuralProfile:
-    """The structural profile of h; each group is built when first read."""
-    return StructuralProfile(h)
+    """The structural profile of h, made on first use and kept on h."""
+    if h._profile is None:
+        object.__setattr__(h, "_profile", StructuralProfile(h))
+    return h._profile
 
 
 def _detect_line_prolongation(h):
@@ -380,38 +388,29 @@ def _k_tilde_plus_s2u(h, g, u_basis):
 
 
 def _rule_nondeg_metric(h, prof):
-    g = h.structures.get("g")
-    if g is None:
+    if prof.N is None or prof.degenerate:
         return None
     n = h.n
-    ctx = MetricContext(g)
-    hyperplane = _hyperplane(n)
-    if is_degenerate(ctx, hyperplane):
-        return None
-    v0 = orthogonal_complement(ctx, hyperplane).basis[0]
-    hv = _preimage(h.span.rows, [unit(n, j) for j in range(n - 1)], Subspace.span(n, [v0]))
+    v0 = prof.N.basis[0]
+    hv = _preimage(h.span.rows, [unit(n, j) for j in range(n - 1)], prof.N)
     u = Subspace.span(n - 1, [f.matvec(v0)[: n - 1] for f in _mats_of(hv, n)])
-    return _k_tilde_plus_s2u(h, g, u.basis), None
+    return _k_tilde_plus_s2u(h, h.structures["g"], u.basis), None
 
 
 def _rule_unitary(h, prof):
-    if not (h.preserves("J") and h.preserves("g")):
+    if prof.Jh is None or prof.N is None:
         return None
     g, j = h.structures["g"], h.structures["J"]
     n = h.n
-    ctx = MetricContext(g)
-    hyper = _hyperplane(n)
     vecs = list(characteristic_subalgebra(h).basis)
     # (a, b) = (v0, J v0) on a non-degenerate hyperplane, (J v0, v0) on a
     # degenerate one, each with its own v0
-    if not is_degenerate(ctx, hyper):
-        rj = hyper.intersect(Subspace.span(n, [j.matvec(x) for x in hyper.basis]))
-        rows = [list(g.matvec(b)) for b in rj.basis]
-        perp_in_hyper = kernel(Mat(rows, len(rows), n)).intersect(hyper)
-        v0 = next(b for b in perp_in_hyper.basis if not rj.contains(b))
+    if not prof.degenerate:
+        perp_in_hyper = orthogonal_complement(g, prof.RJ).intersect(_hyperplane(n))
+        v0 = next(b for b in perp_in_hyper.basis if not prof.RJ.contains(b))
         a, b = v0, j.matvec(v0)
     else:
-        v0 = orthogonal_complement(ctx, hyper).basis[0]
+        v0 = prof.N.basis[0]
         a, b = j.matvec(v0), v0
     ga, gb = g.matvec(a), g.matvec(b)
     # a (x) g(b) - b (x) g(a); if h holds it, a (x) g(a) on the hyperplane joins F
@@ -421,12 +420,9 @@ def _rule_unitary(h, prof):
 
 
 def _rule_deg_metric(h, prof):
-    g = h.structures.get("g")
-    if g is None or not is_degenerate(MetricContext(g), _hyperplane(h.n)):
+    if not prof.degenerate or prof.h_perp != prof.h_perp_inv:
         return None
-    if prof.h_perp != prof.h_perp_inv:
-        return None
-    return _k_tilde_plus_s2u(h, g, prof.U_tilde.basis), None
+    return _k_tilde_plus_s2u(h, h.structures["g"], prof.U_tilde.basis), None
 
 
 RULES = [
@@ -442,14 +438,10 @@ RULES = [
 ]
 
 
-def _fired(h, known=None):
-    """(label, F, tag) for each rule that fires, in RULES order.
-
-    known, when given, is a profile(h) the caller shares with other
-    passes; otherwise the pass makes its own.  Either way each group of
-    the profile is built at most once, when a rule first reads it.
-    """
-    prof = profile(h) if known is None else known
+def _fired(h):
+    """(label, F, tag) for each rule that fires, in RULES order; each
+    group of h's profile is built at most once, when a rule first reads it."""
+    prof = profile(h)
     for label, rule in RULES:
         out = rule(h, prof)
         if out is not None:
@@ -469,13 +461,9 @@ def closed_form_F(h: LinearSubalgebra):
 
 def crosscheck(h: LinearSubalgebra):
     """Evaluate every applicable closed form against the generic engine."""
-    return _crosscheck(h)
-
-
-def _crosscheck(h, known=None):
     engine = obstruction_space(h)
     rules = []
-    for label, sub, _ in _fired(h, known):
+    for label, sub, _ in _fired(h):
         rules.append(
             {
                 "rule": label,

@@ -3,16 +3,16 @@
 Each check reproduces a worked example or a structural identity with
 exact arithmetic and compares closed forms against the generic engine.
 The CLI `verify-paper` command and the acceptance test module both run
-this list; every tolerance is exact subspace or tensor equality.
+this list; every tolerance is exact subspace or tensor equality.  The
+catalog checks share each algebra's profile, which ``profile`` keeps on it.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
 
-from .algebras import LinearSubalgebra, MetricContext, commutator, conjugate, is_degenerate, left_span, padded
+from .algebras import LinearSubalgebra, commutator, conjugate, left_span, orthogonal_complement, padded
 from .builders import (
     build_delta_gl,
     build_gl_C,
@@ -55,8 +55,8 @@ from .existence import (
     product_obstruction,
     tangent_obstruction,
 )
-from .linalg import Mat, Subspace, entry_span, image_on_kernel, kernel, sparse_sum, unit
-from .profiles import _crosscheck, _fired, applicable_rules, profile
+from .linalg import Mat, Subspace, entry_span, image_on_kernel, sparse_sum, unit
+from .profiles import applicable_rules, crosscheck, profile
 
 
 def _sp_block_pattern(m):
@@ -315,19 +315,9 @@ def _failures_check(name, failures):
     return _check(name, not failures, "; ".join(failures[:3]))
 
 
-def _catalog_pairs():
-    """One structural profile per catalog algebra.  Pairs are handed on,
-    never looked up by h: equal spans can carry different structures."""
-    return [(h, profile(h)) for h in catalog()]
-
-
 def check_invariant_suite():
-    return _invariant_suite(_catalog_pairs())
-
-
-def _invariant_suite(pairs):
     contain, vindep, module, w_cov, d_in_k1, certs = ([] for _ in range(6))
-    for h, prof in pairs:
+    for h in catalog():
         n = h.n
         kc = characteristic_subalgebra(h)
         fs = obstruction_space(h)
@@ -338,7 +328,8 @@ def _invariant_suite(pairs):
         if any(not fs.contains(commutator(n - 1, a, b)) for a in kc.rows for b in fs.rows):
             module.append(f"[k~,F] escapes F for {h.name}")
         # e^i x w is the matrix with w as its column i
-        if any(not fs.contains({k * (n - 1) + i: x for k, x in w.items()}) for i in range(n - 1) for w in prof.W.rows):
+        w_rows = profile(h).W.rows
+        if any(not fs.contains({k * (n - 1) + i: x for k, x in w.items()}) for i in range(n - 1) for w in w_rows):
             w_cov.append(f"covector x W escapes F for {h.name}")
         kt = tableau(h)
         if not all(_restricts_into_k1(gamma, n, kt) for gamma in connection_space(h).basis):
@@ -367,7 +358,7 @@ def _invariant_suite(pairs):
         _failures_check("invariants: every emitted certificate re-validates exactly", certs),
     ]
     out.extend(_nijenhuis_checks())
-    out.extend(_structural_invariants(pairs))
+    out.extend(_structural_invariants())
     return out
 
 
@@ -390,20 +381,21 @@ def _nijenhuis_checks():
     ]
 
 
-def _structural_invariants(pairs):
-    """Structural checks over (algebra, profile) pairs of the catalog."""
+def _structural_invariants():
+    """Structural checks over the catalog, each algebra read through its profile."""
     elliptic, totally_real, sandwich, nu, s2uv = ([] for _ in range(5))
-    for h, prof in pairs:
-        n = h.n
-        g, j = h.structures.get("g"), h.structures.get("J")
+    for h in catalog():
+        n, prof = h.n, profile(h)
+        g = h.structures.get("g")
         # super-elliptic metric algebras have vanishing first prolongation
         if g is not None and classify_low_rank(h, 2)["status"] == "certified" and first_prolongation(h).dim != 0:
             elliptic.append(f"K^(1) != 0 for the certified super-elliptic {h.name}")
         # totally real: K^(1) inside S^2 (R_J)^0 x R^n
-        if j is not None and h.span.intersect(left_span(j, h)).dim == 0:
-            ann = _annihilator_of(prof.RJ, n - 1)
+        if prof.Jh is not None and h.span.intersect(prof.Jh).dim == 0:
             m = n - 1
-            # ann x ann x e_k, flattened at i m n + j n + k
+            # the annihilator of R_J in (R^{n-1})*, a line; ann x ann x e_k
+            # sits at i m n + j n + k
+            ann = orthogonal_complement(Mat.identity(m), Subspace.span(m, [b[:m] for b in prof.RJ.basis])).basis[0]
             target = [sparse_sum((i * m * n + jj * n + k, ann[i] * ann[jj]) for i in range(m) for jj in range(m)) for k in range(n)]
             if not Subspace.span(m * m * n, target).contains_space(first_prolongation(h)):
                 totally_real.append(f"K^(1) escapes S^2 ann(R_J) x R^n for {h.name}")
@@ -413,10 +405,9 @@ def _structural_invariants(pairs):
         # non-degenerate metric algebras with nonzero prolongation have
         # K^(1) = S^2 U x normal; the S2Uv guard recomputes both sides
         if (
-            g is not None
-            and not is_degenerate(MetricContext(g), Subspace.span(n, [unit(n, i) for i in range(n - 1)]))
+            prof.degenerate is False
             and first_prolongation(h).dim != 0
-            and "S2Uv" not in {label for label, *_ in _fired(h, prof)}
+            and "S2Uv" not in dict(applicable_rules(h))
         ):
             s2uv.append(f"S2Uv rule does not fire for {h.name}")
     # commuting-endomorphism sandwich: the tangent commutant (A h inside h,
@@ -439,22 +430,11 @@ def _structural_invariants(pairs):
     ]
 
 
-def _annihilator_of(rj: Subspace, m):
-    """Generator of the annihilator of R_J inside (R^{n-1})*."""
-    rows = [list(b[:m]) for b in rj.basis]
-    ann = kernel(Mat(rows, len(rows), m)).basis
-    return ann[0]
-
-
 def check_master_crosscheck():
-    return _master_crosscheck(_catalog_pairs())
-
-
-def _master_crosscheck(pairs):
     mismatches = []
     fired = 0
-    for h, prof in pairs:
-        rep = _crosscheck(h, prof)
+    for h in catalog():
+        rep = crosscheck(h)
         fired += len(rep["rules"])
         if not rep["all_equal"]:
             mismatches.append(h.name)
@@ -486,16 +466,8 @@ def verify_paper(targets=None, seed=None):
         unknown = [t for t in targets if t not in known]
         if unknown:
             raise KeyError(f"unknown verification target(s): {', '.join(unknown)}")
-    # one profile per catalog algebra, built on first use and shared by
-    # the invariant suite and the master crosscheck
-    pairs = cache(_catalog_pairs)
-    runs = {
-        check_product_tangent: lambda: check_product_tangent() if seed is None else check_product_tangent(seed=seed),
-        check_invariant_suite: lambda: _invariant_suite(pairs()),
-        check_master_crosscheck: lambda: _master_crosscheck(pairs()),
-    }
     results = []
     for name, fn in CHECKS:
         if not targets or name in targets:
-            results.extend(runs.get(fn, fn)())
+            results.extend(fn(seed=seed) if fn is check_product_tangent and seed is not None else fn())
     return results

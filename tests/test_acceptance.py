@@ -79,25 +79,20 @@ def test_acceptance(label, fn, monkeypatch):
 
 
 def test_invariant_suite_builds_one_profile_per_algebra(monkeypatch):
-    from torsionlab import verify
-    from torsionlab.builders import build_gl, build_u
+    # the invariant suite, the master crosscheck and a later crosscheck
+    # of the same algebra objects read one StructuralProfile each
+    from torsionlab import profiles, verify
+    from torsionlab.builders import build_gl, build_so, build_u
 
-    monkeypatch.setattr(verify, "catalog", lambda: [build_gl(3), build_u(2)])
+    algebras = [build_gl(3), build_u(2), build_so(2, 1)]
+    monkeypatch.setattr(verify, "catalog", lambda: algebras)
     built = []
-    real_profile = verify.profile
-    monkeypatch.setattr(verify, "profile", lambda h: built.append(h.name) or real_profile(h))
-    results = verify.check_invariant_suite()
-    assert all(r["ok"] and r["detail"] == "" for r in results)
-    assert len(built) == 2
-    # one verify-paper run hands the same profiles to the master
-    # crosscheck and to the non-degenerate-metric check
-    from torsionlab import profiles
-    from torsionlab.builders import build_so
-
-    monkeypatch.setattr(verify, "catalog", lambda: [build_gl(3), build_u(2), build_so(2, 1)])
-    monkeypatch.setattr(profiles, "profile", verify.profile)
-    built.clear()
-    verify.verify_paper(targets=["invariants", "master"])
+    real_init = profiles.StructuralProfile.__init__
+    monkeypatch.setattr(profiles.StructuralProfile, "__init__", lambda prof, h: built.append(h.name) or real_init(prof, h))
+    results = verify.verify_paper(targets=["invariants", "master"])
+    assert all(r["ok"] and r["detail"] == "" for r in results if r["name"].startswith("invariants"))
+    for h in algebras:
+        profiles.crosscheck(h)
     assert built == ["gl(3)", "u(2)", "so(2,1)"]
 
 

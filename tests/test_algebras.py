@@ -6,12 +6,10 @@ import pytest
 from reference import dense_commutator, dense_is_subalgebra
 from torsionlab.algebras import (
     LinearSubalgebra,
-    MetricContext,
     StructureError,
     commutant,
     commutator,
     conjugate,
-    is_degenerate,
     is_subalgebra,
     left_span,
     orthogonal_complement,
@@ -211,17 +209,17 @@ def test_conjugate_output_revalidates(build):
 
 def test_orthogonal_complement_lorentz():
     g = Mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
-    ctx = MetricContext(g)
     s = Subspace.span(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
-    assert orthogonal_complement(ctx, s) == Subspace.span(4, [(0, 0, 0, 1)])
-    assert not is_degenerate(ctx, s)
+    assert orthogonal_complement(g, s) == Subspace.span(4, [(0, 0, 0, 1)])
+    # s is non-degenerate: it meets its complement only in 0
+    assert s.intersect(orthogonal_complement(g, s)).dim == 0
 
 
 def test_degenerate_hyperplane():
-    # g = diag(1,-1); the line through e1+e2 is null
-    ctx = MetricContext(Mat([[1, 0], [0, -1]]))
+    # g = diag(1,-1); the line through e1+e2 is null, so it is its own complement
     s = Subspace.span(2, [(1, 1)])
-    assert is_degenerate(ctx, s)
+    perp = orthogonal_complement(Mat([[1, 0], [0, -1]]), s)
+    assert perp == s and s.intersect(perp).dim == 1
 
 
 # -- the element format: h keeps its elements as sparse flattened rows ------
@@ -279,6 +277,14 @@ def test_a_stored_zero_in_an_element_row_is_dropped():
         LinearSubalgebra(3, [Mat.identity(2)])
     with pytest.raises(ShapeError):
         LinearSubalgebra(2, [(1, 0, 0)])
+
+
+@pytest.mark.parametrize("column", [4, 7, -1], ids=["width", "past-width", "negative"])
+def test_an_element_row_column_outside_gl_n_is_a_shape_error(column):
+    # gl(2) flattens to 4 columns: 0..3
+    with pytest.raises(ShapeError):
+        LinearSubalgebra(2, [{column: Fraction(1)}], validate=False)
+    assert LinearSubalgebra(2, [{3: Fraction(1)}], validate=False).basis == (Mat([[0, 0], [0, 1]]),)
 
 
 @pytest.mark.parametrize(

@@ -393,6 +393,22 @@ SPEC_FILE = "<spec file>"
         (("check", "--algebra", "gl:n=2", "--f", '[["1e10000000"]]'), "not a rational value"),
         (("flat", "--algebra", "gl:n=2", "--f", '[["0.5"]]'), "not a rational value"),
         (("flat", "--algebra", "gl:n=2", "--f", '[[" 3"]]'), "not a rational value"),
+        # a builder's Gram meets the identity of g, as an attached g does
+        (("space", "--algebra", '{"builder": "so_g", "params": {"gram": [[1, 0], [0, 0]]}}'), "g must be symmetric invertible"),
+        (("space", "--algebra", '{"builder": "so_g", "params": {"gram": [[1, 2], [3, 4]]}}'), "g must be symmetric invertible"),
+        (("space", "--algebra", '{"builder": "u", "params": {"p": 1, "gram": [[0, 0], [0, 0]]}}'), "g must be symmetric invertible"),
+        (("space", "--algebra", '{"builder": "u", "params": {"p": 1, "gram": [[0, 1], [-1, 0]]}}'), "g must be symmetric invertible"),
+        # a spec key that would be read and then ignored
+        (("space", "--algebra", '{"builder": "gl", "params": {"n": 3}, "bogus": 1}'), "no key 'bogus'; accepted keys: builder, params"),
+        (("space", "--algebra", '{"builder": "gl", "params": {"n": 2}, "basis": [[[1, 0], [0, 0]]]}'), "no key 'basis'"),
+        (("space", "--algebra", '{"builder": "gl", "params": {"n": 2}, "J": [[0, -1], [1, 0]]}'), "no key 'J'"),
+        (("space", "--algebra", '{"builder": "gl", "params": {"n": 2}, "name": "x"}'), "no key 'name'"),
+        (("space", "--algebra", '{"basis": [[[1, 0], [0, 0]]], "params": {}}'), "no key 'params'; accepted keys: basis, name, validate"),
+        (("space", "--algebra", '{"basis": [[[1, 0], [0, 0]]], "lagrangian": [[1, 0], [0, 0]]}'), "no key 'lagrangian'"),
+        (("space", "--algebra", '{"basis": [[[1, 0], [0, 0]]], "omega_u": [[0, 1], [-1, 0]]}'), "no key 'omega_u'"),
+        (("space", "--algebra", '{"basis": [[[1, 0], [0, 0]]], "validate": 0}'), "'validate' must be true or false"),
+        (("space", "--algebra", '{"basis": [[[1, 0], [0, 0]]], "validate": "no"}'), "'validate' must be true or false"),
+        (("space", "--algebra", '{"basis": [[[1, 0], [0, 0]]], "name": [1]}'), "'name' must be a string"),
     ],
     ids=[
         "v-in-hyperplane",
@@ -437,6 +453,20 @@ SPEC_FILE = "<spec file>"
         "f-exponent-string",
         "f-decimal-string",
         "f-padded-string",
+        "so_g-singular-gram",
+        "so_g-unsymmetric-gram",
+        "u-zero-gram",
+        "u-antisymmetric-gram",
+        "builder-spec-unknown-key",
+        "builder-spec-with-basis",
+        "builder-spec-with-J",
+        "builder-spec-with-name",
+        "explicit-spec-with-params",
+        "explicit-spec-with-lagrangian",
+        "explicit-spec-with-omega_u",
+        "validate-zero",
+        "validate-string",
+        "name-a-list",
     ],
 )
 def test_bad_input_is_an_input_error(args, named, tmp_path):
@@ -459,6 +489,49 @@ def test_rational_strings_read():
     assert proc.returncode == 0, proc.stderr
     nabla = json.loads(proc.stdout)["certificate"]["nabla"]
     assert nabla[2][:2] == [["-3/2", "2/3", "0"], ["7", "0", "0"]]
+
+
+def _longest_entry(report):
+    if isinstance(report, dict):
+        return max(map(_longest_entry, report.values()), default=0)
+    if isinstance(report, list):
+        return max(map(_longest_entry, report), default=0)
+    return len(str(report))
+
+
+@pytest.mark.parametrize(
+    "algebra,f,code",
+    [
+        ("so:p=3", [[1, 0], [0, 0]], 0),
+        ("u:p=2", [[0, 0, 0], [0, 0, 0], [0, 0, 1]], 0),
+        ("u:p=2", [[1, 0, 0], [0, 0, 0], [0, 0, 0]], 1),
+    ],
+    ids=["so3-certificate", "u2-certificate", "u2-refusal"],
+)
+def test_output_rationals_past_the_int_string_limit_print(algebra, f, code):
+    # a 2,501-digit entry of the hyperplane map reads within Python's
+    # 4,300-digit limit; the results it conjugates into print in full
+    n = len(f) + 1
+    t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    t[0][1] = t[n - 2][n - 1] = "1" + "0" * 2500
+    proc = run_cli("check", "--algebra", algebra, "--f", json.dumps(f), "--hyperplane-map", json.dumps(t), "--with-bases")
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert _longest_entry(json.loads(proc.stdout)) > 4300
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_an_unpreserved_metric_fires_no_metric_rule(n):
+    # the upper-triangular algebra does not preserve g = I: without
+    # validation it is read, and no metric closed form applies to it
+    basis = [[[int((a, b) == (i, j)) for b in range(n)] for a in range(n)] for i in range(n) for j in range(i, n)]
+    identity = [[int(a == b) for b in range(n)] for a in range(n)]
+    spec = {"basis": basis, "g": identity, "validate": False}
+    proc = run_cli("space", "--algebra", json.dumps(spec))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["closed_form_rule"] is None
+    checked = run_cli("space", "--algebra", json.dumps({**spec, "validate": True}))
+    assert checked.returncode == 2 and "basis element does not preserve g" in checked.stderr
 
 
 I3 = json.dumps([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])

@@ -332,6 +332,15 @@ def test_a_stored_zero_in_a_sparse_row_is_dropped():
     assert Subspace.span(2, [{0: F(0), 1: F(1)}]) == Subspace.span(2, [(0, 1)])
 
 
+@pytest.mark.parametrize("column", [4, 7, -1], ids=["width", "past-width", "negative"])
+def test_a_sparse_row_column_outside_the_width_is_a_shape_error(column):
+    with pytest.raises(ShapeError):
+        Subspace.span(4, [{0: F(1)}, {column: F(1)}])
+    with pytest.raises(ShapeError):
+        Subspace.span(4, [(0, 1, 0, 0)]).contains({column: F(1)})
+    assert Subspace.span(4, [{3: F(1)}]).basis == ((0, 0, 0, 1),)
+
+
 def test_a_stored_zero_through_image_on_kernel():
     # the generator (B g, A g) = (0, e_1), with and without a stored zero in B g
     assert image_on_kernel(1, 1, [({0: F(0)}, (1,))]) == image_on_kernel(1, 1, [((0,), (1,))]) == Subspace.full(1)

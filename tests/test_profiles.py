@@ -22,7 +22,7 @@ from torsionlab.builders import (
 from reference import dense_solve
 from test_cli import SPACE_RUNGS
 from torsionlab import profiles
-from torsionlab.algebras import LinearSubalgebra, MetricContext, orthogonal_complement
+from torsionlab.algebras import LinearSubalgebra, orthogonal_complement
 from torsionlab.cli import parse_algebra
 from torsionlab.engine import obstruction_space
 from torsionlab.linalg import Mat, Subspace, image_on_kernel, kernel
@@ -252,8 +252,7 @@ def _table_cases(h):
         cases.append(("hv_inv", [v0], hyperplane, _ref_into_hyperplane([v0], n)))
     g = h.structures.get("g")
     if g is not None:
-        ctx = MetricContext(g)
-        perp = orthogonal_complement(ctx, hyperplane)
+        perp = orthogonal_complement(g, hyperplane)
         # for a non-degenerate hyperplane perp is the line of v0, the nondeg-metric h_v
         cases.append(("h_perp", hyper, perp, _ref_into_subspace(hyper, perp)))
     return cases
@@ -282,35 +281,69 @@ def test_preimage_edge_cases():
 
 @pytest.fixture
 def group_builds(monkeypatch):
-    """The name of each profile group builder, once per call."""
-    calls = []
+    """The name of each profile group builder, once per call, and of the
+    algebra of each StructuralProfile made."""
+    calls = {"groups": [], "profiles": []}
 
     def counting(build):
-        def wrapped(h):
-            calls.append(build.__name__)
-            return build(h)
+        def wrapped(h, prof):
+            calls["groups"].append(build.__name__)
+            return build(h, prof)
 
         return wrapped
 
     monkeypatch.setattr(profiles, "_GROUP_OF", {name: counting(build) for name, build in profiles._GROUP_OF.items()})
+    real_init = profiles.StructuralProfile.__init__
+    monkeypatch.setattr(profiles.StructuralProfile, "__init__", lambda prof, h: calls["profiles"].append(h.name) or real_init(prof, h))
     return calls
 
 
 @pytest.mark.parametrize(
     "run, builder, groups",
     [
-        (applicable_rules, lambda: build_su(2), ["_base_group", "_j_chain", "_j_span", "_line_group"]),
-        (closed_form_F, lambda: build_delta_gl(3), ["_j_chain", "_j_span"]),
+        (
+            applicable_rules,
+            lambda: build_su(2),
+            ["_base_group", "_j_chain", "_j_span", "_line_group", "_normal_group", "_rj_group"],
+        ),
+        (closed_form_F, lambda: build_delta_gl(3), ["_j_chain", "_j_span", "_rj_group"]),
         (closed_form_F, lambda: build_gl_C(2), ["_j_span"]),
     ],
     ids=["applicable_rules-su2", "closed_form_F-delta_gl3", "closed_form_F-gl_C2"],
 )
 def test_one_profile_per_rule_pass(group_builds, run, builder, groups):
-    # each group of the profile is built at most once, and only when a
-    # rule reads one of its fields
-    run(builder())
-    assert sorted(group_builds) == groups
+    # one profile per pass, and each of its groups is built at most once,
+    # only when a rule reads one of its fields: su(2)'s three metric rules
+    # share one normal group, and a second pass builds nothing
+    h = builder()
+    run(h)
+    run(h)
+    assert group_builds["profiles"] == [h.name]
+    assert sorted(group_builds["groups"]) == groups
 
+
+@pytest.mark.parametrize(
+    "builder",
+    [lambda: build_u(2), lambda: build_u(1, 1, gram=pair_swap_gram(2)), lambda: build_so(2, 2)],
+    ids=["u2", "u11-pair-swap", "so22"],
+)
+def test_crosscheck_computes_the_normal_of_the_hyperplane_once(monkeypatch, builder):
+    from torsionlab import algebras
+
+    h = builder()
+    hyperplane = Subspace.span(h.n, [tuple(Fraction(int(i == j)) for i in range(h.n)) for j in range(h.n - 1)])
+    normals = []
+    real = algebras.orthogonal_complement
+
+    def counting(g, s):
+        normals.append(s == hyperplane)
+        return real(g, s)
+
+    monkeypatch.setattr(algebras, "orthogonal_complement", counting)
+    monkeypatch.setattr(profiles, "orthogonal_complement", counting)
+    rep = crosscheck(h)
+    assert rep["all_equal"] and {"nondeg-metric", "unitary", "deg-metric"} & {r["rule"] for r in rep["rules"]}
+    assert normals.count(True) == 1
 
 
 def test_profile_is_not_shared_between_equal_spans():
@@ -318,5 +351,30 @@ def test_profile_is_not_shared_between_equal_spans():
     h = build_sp_H(1)
     bare = LinearSubalgebra(4, h.basis, name="sp(1)-bare", validate=False)
     assert bare == h and hash(bare) == hash(h)
-    assert profile(h).RJ is not None and profile(h).h_perp is not None
-    assert profile(bare).RJ is None and profile(bare).h_perp is None
+    assert profile(h) is profile(h) and profile(bare) is profile(bare)
+    assert profile(h) is not profile(bare)
+    assert profile(h).RJ is not None and profile(h).h_perp is not None and profile(h).N is not None
+    assert all(getattr(profile(bare), field) is None for field in ("RJ", "h2", "h_perp", "N"))
+
+
+def _upper_triangular(n):
+    return [Mat.from_entries(n, {(i, j): 1}) for i in range(n) for j in range(i, n)]
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        LinearSubalgebra(3, _upper_triangular(3), {"g": Mat.identity(3)}, validate=False),
+        LinearSubalgebra(4, _upper_triangular(4), {"g": Mat.identity(4)}, validate=False),
+        LinearSubalgebra(3, build_so(3).rows, {"g": witt_gram(3)}, validate=False),
+    ],
+    ids=["upper-triangular-3", "upper-triangular-4", "so3-with-witt-gram"],
+)
+def test_metric_rules_need_h_to_preserve_g(h):
+    # h carries g but does not preserve it: no metric datum is read off g
+    assert not h.preserves("g")
+    prof = profile(h)
+    assert prof.N is None and prof.degenerate is None and prof.h_perp is None
+    rep = crosscheck(h)
+    assert rep["all_equal"]
+    assert not {"nondeg-metric", "unitary", "deg-metric"} & {r["rule"] for r in rep["rules"]}
