@@ -4,8 +4,10 @@ A ``LinearSubalgebra`` is a bracket-closed span of n x n rational
 matrices together with optional attached data (complex structure J,
 metric Gram g, product/tangent tensor, hyperparacomplex or hypercomplex
 triple, symplectic form).  It keeps its elements as sparse flattened
-rows, ``h.rows``, in the order given, and builds the dense ``Mat`` view
-``h.basis`` on first use; every layer above reads the rows.
+rows, ``h.rows``, in the order given; every layer above reads the rows.
+What is derived from h alone (the dense ``Mat`` view ``h.basis``, the
+engine's spaces, the groups of the structural profile) is a ``memo``
+function: made on first use and kept on h, so it lives and dies with h.
 ``STRUCTURE_KINDS`` says what each key is: an endomorphism or a triple
 of endomorphisms that h commutes with, a bilinear form h is skew for,
 or hyperplane-level data.  ``stabilizer``
@@ -21,6 +23,8 @@ A h of ``left_span`` and ``conjugate`` are built on it.
 """
 
 from __future__ import annotations
+
+from functools import wraps
 
 from .linalg import Mat, ShapeError, Subspace, _row, dense, kernel, kernel_rows, sparse, sparse_sum
 
@@ -201,12 +205,25 @@ def _element_row(n, m) -> dict:
     return sparse(m.flatten())
 
 
+def memo(fn):
+    """fn(h), made on first use and kept in h's memo: it is freed with h,
+    and another object with an equal span makes its own."""
+
+    @wraps(fn)
+    def first_use(h):
+        if fn not in h._memo:
+            h._memo[fn] = fn(h)
+        return h._memo[fn]
+
+    return first_use
+
+
 class LinearSubalgebra:
     """Bracket-closed subspace of gl(n, Q) with optional attached structures;
     rows holds its elements in the order given, basis the same as Mats, and
-    the slot _profile the structural profile once ``profiles.profile`` made it."""
+    the slot _memo what the ``memo`` functions made from h."""
 
-    __slots__ = ("n", "rows", "structures", "name", "_span", "_basis", "_profile")
+    __slots__ = ("n", "rows", "structures", "name", "_span", "_memo", "__weakref__")
 
     def __init__(self, n, elements, structures=None, name="", validate=True):
         rows = tuple(_element_row(n, m) for m in elements)
@@ -220,8 +237,7 @@ class LinearSubalgebra:
         object.__setattr__(self, "structures", structures)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_span", span)
-        object.__setattr__(self, "_basis", None)
-        object.__setattr__(self, "_profile", None)
+        object.__setattr__(self, "_memo", {})
         if validate:
             if span.dim != len(rows):
                 raise ValueError("basis is linearly dependent")
@@ -236,11 +252,10 @@ class LinearSubalgebra:
         raise AttributeError("LinearSubalgebra is immutable")
 
     @property
+    @memo
     def basis(self):
-        if self._basis is None:
-            n = self.n
-            object.__setattr__(self, "_basis", tuple(Mat.unflatten(n, n, dense(r, n * n)) for r in self.rows))
-        return self._basis
+        n = self.n
+        return tuple(Mat.unflatten(n, n, dense(r, n * n)) for r in self.rows)
 
     @property
     def dim(self):

@@ -333,6 +333,9 @@ def _spec_is_builder(spec) -> bool:
     return "builder" in spec
 
 
+DEFAULT_MAX_N = 12  # the cap on the ambient dimension when TORSIONLAB_MAX_N is unset
+
+
 def ambient_dim(spec) -> int:
     """The ambient dimension of the algebra a spec describes, read from
     its parameters or its first basis matrix before anything is built."""

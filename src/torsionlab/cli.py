@@ -21,7 +21,7 @@ import time
 
 from . import reporting
 from .algebras import LinearSubalgebra
-from .builders import ambient_dim, build, catalog
+from .builders import DEFAULT_MAX_N, ambient_dim, build, catalog
 from .engine import (
     AlmostAbelian,
     Certificate,
@@ -51,7 +51,7 @@ class InputError(ValueError):
 
 
 def _check_max_n(n):
-    text = os.environ.get("TORSIONLAB_MAX_N", "12")
+    text = os.environ.get("TORSIONLAB_MAX_N", str(DEFAULT_MAX_N))
     try:
         max_n = int(text)
     except ValueError:

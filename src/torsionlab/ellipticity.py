@@ -165,7 +165,12 @@ def classify_low_rank(h: LinearSubalgebra, r):
     Returns {"status": "refuted"|"certified"|"unknown", ...}.  refuted
     carries an exact witness; certified carries the method (structural
     quaternionic argument, or the exhaustive minor solve for dim <= 3).
+    r is an int >= 0; no nonzero element has rank 0, so r = 0 is certified.
     """
+    if type(r) is not int or r < 0:
+        raise ValueError(f"rank bound r must be an integer >= 0, not {r!r}")
+    if r == 0:
+        return {"status": "certified", "method": "rank-0"}
     found = low_rank_witness(h, r)
     if found is not None:
         coeffs, mat = found

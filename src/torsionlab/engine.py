@@ -5,10 +5,12 @@ subalgebra, the tableau and its first prolongation, the candidate
 connection space D, the torsion maps T = (T1, T2) and the obstruction
 space F = T1(ker T2).  T is read at the transversal e_n: on D the
 torsion at any transversal v is v_n times the torsion at e_n, so F and
-every certificate are the same for all v, and each is computed once per
-algebra.  Membership f in F (or k~) is one exact solve over the pairs
-the space is built from, and every returned certificate is re-validated
-by evaluating the torsion (and curvature) on the g_f bracket table.
+every certificate are the same for all v.  Each space is a ``memo``
+function of h: computed on first use and kept on the algebra object,
+so it is freed with h, and a conjugate or a copy computes its own.
+Membership f in F (or k~) is one exact solve over the pairs the space
+is built from, and every returned certificate is re-validated by
+evaluating the torsion (and curvature) on the g_f bracket table.
 
 Index conventions: gamma[i][j][k] is the k-th component of the
 covariant derivative of e_j in the direction e_i; tensors are flattened
@@ -20,9 +22,8 @@ conjugating h.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .algebras import LinearSubalgebra, conjugate
+from .algebras import LinearSubalgebra, conjugate, memo
 from .linalg import Mat, ShapeError, Subspace, dense, fr, image_on_kernel, kernel_rows, solve_on_kernel, sparse_sum, vec
 
 
@@ -123,7 +124,7 @@ def _k_tilde_pairs(n, rows):
     ]
 
 
-@lru_cache(maxsize=None)
+@memo
 def characteristic_subalgebra(h: LinearSubalgebra) -> Subspace:
     """k~_h: restrictions to R^{n-1} of elements of h preserving R^{n-1}."""
     n = h.n
@@ -133,7 +134,7 @@ def characteristic_subalgebra(h: LinearSubalgebra) -> Subspace:
     return image_on_kernel(m, m * m, _k_tilde_pairs(n, h.rows))
 
 
-@lru_cache(maxsize=None)
+@memo
 def tableau(h: LinearSubalgebra) -> Subspace:
     """K_h = {F restricted to R^{n-1}} inside Hom(R^{n-1}, R^n)."""
     n, m = h.n, h.n - 1
@@ -141,7 +142,7 @@ def tableau(h: LinearSubalgebra) -> Subspace:
     return Subspace.span(n * m, [{c // n * m + c % n: x for c, x in row.items() if c % n < m} for row in h.rows])
 
 
-@lru_cache(maxsize=None)
+@memo
 def first_prolongation(h: LinearSubalgebra) -> Subspace:
     """K^(1) = ((R^{n-1})* x K) meet (S^2(R^{n-1})* x R^n), which is D
     restricted to hyperplane directions and arguments: D's symmetry
@@ -158,7 +159,7 @@ def first_prolongation(h: LinearSubalgebra) -> Subspace:
     return Subspace.span(m * m * n, [{keep[c]: x for c, x in row.items() if c in keep} for row in connection_space(h).rows])
 
 
-@lru_cache(maxsize=None)
+@memo
 def connection_space(h: LinearSubalgebra) -> Subspace:
     """D_h: (R^n)* x h, symmetric on hyperplane pairs, inside R^{n^3}.
 
@@ -199,7 +200,7 @@ def torsion_maps(h: LinearSubalgebra, v=None):
     v = v_n e_n + v' is v_n times the torsion at e_n.  Split along
     R^{n-1} + span(v) it gives T2 unchanged and T1 = v_n T1 - v' x T2,
     where T1, T2 are the maps at e_n (the default), built on each call
-    from the sparse columns _torsion_maps caches.
+    from the sparse columns _torsion_maps keeps on h.
     """
     n, m = h.n, h.n - 1
     pairs = _torsion_maps(h)
@@ -216,7 +217,7 @@ def torsion_maps(h: LinearSubalgebra, v=None):
     return Mat(rows, m * m, t1.cols), t2
 
 
-@lru_cache(maxsize=None)
+@memo
 def _torsion_maps(h: LinearSubalgebra):
     """T(X)(e_a)_k = X_{e_n}(e_a)_k - X_{e_a}(e_n)_k read from the nonzero
     entries of each D basis vector X, at row k*m + a of [T1; T2] (T2 is
@@ -235,7 +236,7 @@ def _torsion_maps(h: LinearSubalgebra):
     )
 
 
-@lru_cache(maxsize=None)
+@memo
 def obstruction_space(h: LinearSubalgebra) -> Subspace:
     """F_h = T1(ker T2); the same for every transversal (see torsion_maps)."""
     return image_on_kernel(h.n - 1, (h.n - 1) ** 2, _torsion_maps(h))

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
-from .builders import build_sl_C, build_sp_C
+from .builders import DEFAULT_MAX_N, build_sl_C, build_sp_C
 from .engine import AlmostAbelian, obstruction_space
 from .linalg import Mat, Subspace, entry_span, unit
 from .polynomials import (
@@ -449,8 +450,13 @@ def _one_orbit(decide):
 
 def _membership_verdict(group, aa):
     """yes when f lies in F of the group's algebra, else unknown."""
-    fs = obstruction_space(group.builder(aa.n // group.modulus))
+    fs = obstruction_space(_standard_algebra(group.builder, aa.n // group.modulus))
     return "yes" if fs.contains(aa.f.flatten()) else "unknown"
+
+
+@lru_cache(maxsize=DEFAULT_MAX_N // 2 + DEFAULT_MAX_N // 4)  # sl_C(m), sp_C(m) for every n up to the default cap
+def _standard_algebra(builder, m):
+    return builder(m)  # built once; it keeps its own F
 
 
 def _typed_verdict(label, verdict):

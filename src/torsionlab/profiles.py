@@ -10,16 +10,16 @@ generic engine; a mismatch is reported, never swallowed.
 Every subspace of the structural profile but J h, R_J and N is a
 preimage {F in h : F x in T for every x in X}, computed by ``_preimage``.
 The profile comes in groups (h_1, J h, R_J, the h_2 chain, the line
-prolongation, the normal N of R^{n-1}, the metric family), each built
-from h and the profile when a rule first reads it.  ``profile(h)``
-keeps one profile on each algebra object.
+prolongation, the normal N of R^{n-1}, the metric family), each a
+``memo`` function of h: built when a rule first reads one of its
+fields, and kept on h.  ``profile(h)`` is a view that reads them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebras import LinearSubalgebra, commutes, endomorphisms, left_span, orthogonal_complement
+from .algebras import LinearSubalgebra, check_identity, commutes, endomorphisms, left_span, memo, orthogonal_complement
 from .builders import standard_omega
 from .engine import characteristic_subalgebra, first_prolongation, obstruction_space, tableau
 from .linalg import Mat, Subspace, image_on_kernel, kernel_rows, solve_on_kernel, sparse, sparse_sum, unit
@@ -59,7 +59,8 @@ def _mats_of(span: Subspace, n):
     return [Mat.unflatten(n, n, flat) for flat in span.basis]
 
 
-def _base_group(h, prof):
+@memo
+def _base_group(h):
     """h_1 (killing R^{n-1}), h_1^inv (also preserving it) and W."""
     n = h.n
     h1 = _preimage(h.span.rows, [unit(n, j) for j in range(n - 1)], Subspace.zero(n))
@@ -68,20 +69,23 @@ def _base_group(h, prof):
     return {"h1": h1, "h1_inv": h1_inv, "W": w}
 
 
-def _j_span(h, prof):
+@memo
+def _j_span(h):
     """J h, when h preserves its complex structure J."""
     return {"Jh": left_span(h.structures["J"], h) if h.preserves("J") else None}
 
 
-def _rj_group(h, prof):
+@memo
+def _rj_group(h):
     """R_J = R^{n-1} meet J R^{n-1}, when h carries J."""
     j, n = h.structures.get("J"), h.n
     return {"RJ": None if j is None else _hyperplane(n).intersect(Subspace.span(n, [j.col(i) for i in range(n - 1)]))}
 
 
-def _j_chain(h, prof):
+@memo
+def _j_chain(h):
     """The chain h_2 >= h_2^inv >= h_2^J of the elements killing R_J."""
-    rj = prof.RJ
+    rj = _rj_group(h)["RJ"]
     if rj is None:
         return dict.fromkeys(("h2", "h2_inv", "h2_J"))
     n = h.n
@@ -90,7 +94,8 @@ def _j_chain(h, prof):
     return {"h2": h2, "h2_inv": _preimage(h2.rows, hyper, _hyperplane(n)), "h2_J": _preimage(h2.rows, hyper, rj)}
 
 
-def _line_group(h, prof):
+@memo
+def _line_group(h):
     """The line of K^(1)'s values, h_v, h_v^inv, U and nu."""
     v0 = _detect_line_prolongation(h)
     if v0 is None:
@@ -108,22 +113,27 @@ def _line_group(h, prof):
     }
 
 
-def _normal_group(h, prof):
+@memo
+def _normal_group(h):
     """N, the g-orthogonal of R^{n-1}, and whether R^{n-1} is degenerate
-    (N, a line since g is invertible, lies in R^{n-1}), when h preserves g."""
+    (N, a line since g is invertible, lies in R^{n-1}), when h preserves g;
+    g meets its identity first, as h may have been built unvalidated."""
     if not h.preserves("g"):
         return {"N": None, "degenerate": None}
-    hyperplane = _hyperplane(h.n)
-    normal = orthogonal_complement(h.structures["g"], hyperplane)
+    g, hyperplane = h.structures["g"], _hyperplane(h.n)
+    check_identity("g", g, h.n)
+    normal = orthogonal_complement(g, hyperplane)
     return {"N": normal, "degenerate": hyperplane.contains_space(normal)}
 
 
-def _metric_group(h, prof):
+@memo
+def _metric_group(h):
     """h_perp (mapping R^{n-1} into N), h_perp^inv and U~."""
-    if prof.N is None:
+    normal = _normal_group(h)["N"]
+    if normal is None:
         return dict.fromkeys(("h_perp", "h_perp_inv", "U_tilde"))
     n = h.n
-    h_perp = _preimage(h.span.rows, [unit(n, j) for j in range(n - 1)], prof.N)
+    h_perp = _preimage(h.span.rows, [unit(n, j) for j in range(n - 1)], normal)
     h_perp_inv = _preimage(h_perp.rows, [unit(n, j) for j in range(n)], _hyperplane(n))
     u_tilde = Subspace.span(n - 1, [f.col(jcol)[: n - 1] for f in _mats_of(h_perp_inv, n) for jcol in range(n)])
     return {"h_perp": h_perp, "h_perp_inv": h_perp_inv, "U_tilde": u_tilde}
@@ -144,31 +154,26 @@ _GROUP_OF = {
 class StructuralProfile:
     """The subspaces h_1, W, J h, R_J, the h_2 chain, h_v with U and nu, N
     and the degenerate-metric family, each in canonical form (None when
-    the needed structure is absent).  A field not yet built is built with
-    the rest of its group, from h and the profile, when it is first read."""
+    the needed structure is absent).  A view of h: a field is read from
+    its group, which is built and kept on h when a field is first read."""
 
-    __slots__ = ("h", "_fields")
+    __slots__ = ("h",)
 
     def __init__(self, h: LinearSubalgebra):
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "_fields", {})
 
     def __getattr__(self, name):
         if name not in _GROUP_OF:
             raise AttributeError(name)
-        if name not in self._fields:
-            self._fields.update(_GROUP_OF[name](self.h, self))
-        return self._fields[name]
+        return _GROUP_OF[name](self.h)[name]
 
     def __setattr__(self, *a):
         raise AttributeError("StructuralProfile is immutable")
 
 
 def profile(h: LinearSubalgebra) -> StructuralProfile:
-    """The structural profile of h, made on first use and kept on h."""
-    if h._profile is None:
-        object.__setattr__(h, "_profile", StructuralProfile(h))
-    return h._profile
+    """The structural profile of h; its groups are kept on h, not on the view."""
+    return StructuralProfile(h)
 
 
 def _detect_line_prolongation(h):

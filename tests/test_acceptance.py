@@ -80,20 +80,20 @@ def test_acceptance(label, fn, monkeypatch):
 
 def test_invariant_suite_builds_one_profile_per_algebra(monkeypatch):
     # the invariant suite, the master crosscheck and a later crosscheck
-    # of the same algebra objects read one StructuralProfile each
+    # of the same algebra objects build each profile group once per algebra
+    from test_profiles import count_group_builds
     from torsionlab import profiles, verify
     from torsionlab.builders import build_gl, build_so, build_u
 
     algebras = [build_gl(3), build_u(2), build_so(2, 1)]
     monkeypatch.setattr(verify, "catalog", lambda: algebras)
-    built = []
-    real_init = profiles.StructuralProfile.__init__
-    monkeypatch.setattr(profiles.StructuralProfile, "__init__", lambda prof, h: built.append(h.name) or real_init(prof, h))
+    built = count_group_builds(monkeypatch)
     results = verify.verify_paper(targets=["invariants", "master"])
     assert all(r["ok"] and r["detail"] == "" for r in results if r["name"].startswith("invariants"))
     for h in algebras:
         profiles.crosscheck(h)
-    assert built == ["gl(3)", "u(2)", "so(2,1)"]
+    assert len(built) == len(set(built))
+    assert {name for name, _ in built} == {"gl(3)", "u(2)", "so(2,1)"}
 
 
 def test_invariant_check_names_the_failing_algebra(monkeypatch):

@@ -15,7 +15,6 @@ from torsionlab.algebras import (
     orthogonal_complement,
     product,
 )
-from torsionlab import engine
 from torsionlab.builders import (
     build,
     build_delta_gl,
@@ -300,8 +299,6 @@ def test_an_element_row_column_outside_gl_n_is_a_shape_error(column):
 )
 def test_build_and_the_engine_layers_never_densify_an_element(spec, monkeypatch):
     layers = (characteristic_subalgebra, tableau, first_prolongation, connection_space, obstruction_space)
-    for layer in (*layers, engine._torsion_maps):
-        layer.cache_clear()
     calls = []
     unflatten = Mat.unflatten.__func__
     monkeypatch.setattr(Mat, "unflatten", classmethod(lambda cls, *args: calls.append(args) or unflatten(cls, *args)))

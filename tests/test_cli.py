@@ -367,6 +367,8 @@ SPEC_FILE = "<spec file>"
         (("space", "--algebra", "u:p=2,q=-1"), "parameter q"),
         (("space", "--algebra", "so:p=3,q=-1"), "parameter q"),
         (("space", "--algebra", "so:p=4,x=3"), "parameter 'x'"),
+        (("space", "--algebra", "product_gl:n=4,p=0"), "signature requires 1 <= p <= n-1"),
+        (("space", "--algebra", "product_gl:n=4,p=4"), "signature requires 1 <= p <= n-1"),
         (("space", "--algebra", "gl:n=40"), "TORSIONLAB_MAX_N"),
         (("space", "--algebra", "so:p=40"), "TORSIONLAB_MAX_N"),
         (("space", "--algebra", "."), "cannot read"),
@@ -430,6 +432,8 @@ SPEC_FILE = "<spec file>"
         "u-q-negative",
         "so-q-negative",
         "so-unknown-key",
+        "product_gl-p0",
+        "product_gl-p-equals-n",
         "gl40-capped-before-building",
         "so40-capped-before-building",
         "algebra-is-a-directory",

@@ -6,7 +6,7 @@ import pytest
 from reference import zp_expr
 
 from torsionlab.algebras import LinearSubalgebra
-from torsionlab.builders import build_gl_H, build_so, build_sp_H, build_su, build_u
+from torsionlab.builders import build_gl, build_gl_H, build_so, build_sp_H, build_su, build_u
 from torsionlab.ellipticity import (
     _decide_bivariate,
     _minors,
@@ -174,3 +174,16 @@ def test_so5_witness_is_last_basis_element():
     coeffs, mat = low_rank_witness(h, 2)
     assert coeffs == tuple(Fraction(1 if i == h.dim - 1 else 0) for i in range(h.dim))
     assert mat == h.basis[-1]
+
+
+@pytest.mark.parametrize("r", [-1, 1.0, True, "2", None])
+def test_classify_low_rank_rejects_a_rank_bound_that_is_not_an_int_at_least_0(r):
+    with pytest.raises(ValueError, match="rank bound r"):
+        classify_low_rank(build_u(2), r)
+
+
+def test_classify_low_rank_certifies_rank_0_without_the_grid(monkeypatch):
+    import torsionlab.ellipticity as ellipticity
+
+    monkeypatch.setattr(ellipticity, "low_rank_witness", lambda *a: pytest.fail("the grid ran"))
+    assert classify_low_rank(build_gl(3), 0) == {"status": "certified", "method": "rank-0"}

@@ -1,4 +1,7 @@
+import gc
 import random
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -30,7 +33,7 @@ from torsionlab.engine import (
     torsion_maps,
     torsion_tensor,
 )
-from torsionlab import engine
+from torsionlab import engine, profiles
 from torsionlab.algebras import LinearSubalgebra
 from torsionlab.linalg import Mat, ShapeError, Subspace, image_on_kernel, kernel
 import reference
@@ -231,6 +234,57 @@ def test_zero_algebra_spaces():
     assert characteristic_subalgebra(zero) == Subspace.zero(4)
     assert connection_space(zero) == Subspace.zero(27)
     assert obstruction_space(zero) == Subspace.zero(4)
+
+
+SPACES = (characteristic_subalgebra, tableau, first_prolongation, connection_space, engine._torsion_maps, obstruction_space)
+
+
+def _live(cls):
+    gc.collect()
+    return sum(isinstance(obj, cls) for obj in gc.get_objects())
+
+
+def test_an_algebra_frees_its_engine_results_and_profile_with_it():
+    before = _live(Subspace)
+    h = build_u(2)
+    results = [layer(h) for layer in SPACES]
+    assert profiles.crosscheck(h)["all_equal"]
+    assert all(layer(h) is kept for layer, kept in zip(SPACES, results))
+    assert profiles._normal_group.__wrapped__ in h._memo
+    ref = weakref.ref(h)
+    gc.disable()
+    try:
+        # nothing h keeps points back at h: reference counting alone frees it
+        del h, results
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert _live(Subspace) == before
+
+
+def test_an_equal_span_computes_its_own_results():
+    h = build_sp(2)
+    copy = LinearSubalgebra(h.n, h.rows, h.structures, name="copy", validate=False)
+    assert copy == h
+    for layer in SPACES:
+        assert layer(copy) is not layer(h) and layer(copy) == layer(h)
+    assert copy.basis is not h.basis and copy.basis == h.basis
+    assert profiles.profile(copy).W is not profiles.profile(h).W and profiles.profile(copy).W == profiles.profile(h).W
+
+
+def test_the_only_package_caches_are_bounded():
+    # engine results and profiles live on the algebra; a functools cache
+    # (found by cache_clear) must hold a bounded number of entries
+    import torsionlab.cli  # noqa: F401 -- loads every module
+
+    found = set()
+    for name, module in list(sys.modules.items()):
+        if name == "torsionlab" or name.startswith("torsionlab."):
+            for value in vars(module).values():
+                for obj in [value, *(vars(value).values() if isinstance(value, type) else ())]:
+                    if callable(getattr(obj, "cache_clear", None)):
+                        found.add(f"{obj.__module__}.{obj.__qualname__}")
+    assert found == {"torsionlab.builders._catalog", "torsionlab.cli.build_parser", "torsionlab.existence._standard_algebra"}
 
 
 def test_transversal_normalized_before_cache():

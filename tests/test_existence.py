@@ -9,6 +9,7 @@ import pytest
 from torsionlab.algebras import conjugate
 from torsionlab.builders import build_product_gl, build_tangent_gl
 from torsionlab.engine import AlmostAbelian, obstruction_space
+from torsionlab import existence
 from torsionlab.existence import (
     admits_torsion_free,
     classify_hyperparacomplex,
@@ -622,3 +623,22 @@ def test_su_cancellation_within_a_rational_square_class(squares, verdict):
     blocks = [Mat([[0, -1], [t, 0]]) for t in squares] + [Mat([[0]])]
     f = block([[b if i == j else None for j in range(len(blocks))] for i, b in enumerate(blocks)])
     assert admits_torsion_free("su", AlmostAbelian(f))["overall"] == verdict
+
+
+def test_membership_groups_build_their_standard_algebra_once_per_m(monkeypatch):
+    # sl_C and sp_C read F of the standard algebra at m = n // modulus; it
+    # is built once per (group, m), and keeps its F
+    existence._standard_algebra.cache_clear()
+    built = []
+    for name in ("sl_C", "sp_C"):
+        group = existence.GROUPS[name]
+        builder = group.builder
+        monkeypatch.setitem(existence.GROUPS, name, group._replace(builder=lambda m, b=builder, g=name: built.append((g, m)) or b(m)))
+    rng = random.Random(3)
+    for _ in range(3):
+        for name, n in (("sl_C", 4), ("sl_C", 6), ("sp_C", 4), ("sp_C", 8)):
+            f = Mat([[rng.randint(-1, 1) for _ in range(n - 1)] for _ in range(n - 1)])
+            assert admits_torsion_free(name, AlmostAbelian(f))["overall"] in ("yes", "unknown")
+            assert admits_torsion_free(name, AlmostAbelian(Mat.zeros(n - 1, n - 1)))["overall"] == "yes"
+    assert sorted(built) == [("sl_C", 2), ("sl_C", 3), ("sp_C", 1), ("sp_C", 2)]
+    existence._standard_algebra.cache_clear()

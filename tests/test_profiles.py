@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import wraps
 
 import pytest
 
@@ -22,7 +23,7 @@ from torsionlab.builders import (
 from reference import dense_solve
 from test_cli import SPACE_RUNGS
 from torsionlab import profiles
-from torsionlab.algebras import LinearSubalgebra, orthogonal_complement
+from torsionlab.algebras import LinearSubalgebra, StructureError, memo, orthogonal_complement
 from torsionlab.cli import parse_algebra
 from torsionlab.engine import obstruction_space
 from torsionlab.linalg import Mat, Subspace, image_on_kernel, kernel
@@ -279,23 +280,25 @@ def test_preimage_edge_cases():
     assert _preimage(h.span.rows, [e3], Subspace.zero(3)).dim == 6
 
 
+def count_group_builds(monkeypatch):
+    """(algebra name, group name) of each profile group built, once per
+    build: every group is swapped for a memo of a counting copy."""
+    calls = []
+
+    def counting(group):
+        build = group.__wrapped__
+        return memo(wraps(build)(lambda h: calls.append((h.name, build.__name__)) or build(h)))
+
+    swapped = {group: counting(group) for group in set(profiles._GROUP_OF.values())}
+    for group, copy in swapped.items():
+        monkeypatch.setattr(profiles, group.__name__, copy)
+    monkeypatch.setattr(profiles, "_GROUP_OF", {name: swapped[group] for name, group in profiles._GROUP_OF.items()})
+    return calls
+
+
 @pytest.fixture
 def group_builds(monkeypatch):
-    """The name of each profile group builder, once per call, and of the
-    algebra of each StructuralProfile made."""
-    calls = {"groups": [], "profiles": []}
-
-    def counting(build):
-        def wrapped(h, prof):
-            calls["groups"].append(build.__name__)
-            return build(h, prof)
-
-        return wrapped
-
-    monkeypatch.setattr(profiles, "_GROUP_OF", {name: counting(build) for name, build in profiles._GROUP_OF.items()})
-    real_init = profiles.StructuralProfile.__init__
-    monkeypatch.setattr(profiles.StructuralProfile, "__init__", lambda prof, h: calls["profiles"].append(h.name) or real_init(prof, h))
-    return calls
+    return count_group_builds(monkeypatch)
 
 
 @pytest.mark.parametrize(
@@ -312,14 +315,13 @@ def group_builds(monkeypatch):
     ids=["applicable_rules-su2", "closed_form_F-delta_gl3", "closed_form_F-gl_C2"],
 )
 def test_one_profile_per_rule_pass(group_builds, run, builder, groups):
-    # one profile per pass, and each of its groups is built at most once,
-    # only when a rule reads one of its fields: su(2)'s three metric rules
-    # share one normal group, and a second pass builds nothing
+    # each group of the profile is built at most once, only when a rule
+    # reads one of its fields: su(2)'s three metric rules share one normal
+    # group, and a second pass builds nothing
     h = builder()
     run(h)
     run(h)
-    assert group_builds["profiles"] == [h.name]
-    assert sorted(group_builds["groups"]) == groups
+    assert sorted(group_builds) == [(h.name, group) for group in groups]
 
 
 @pytest.mark.parametrize(
@@ -347,12 +349,13 @@ def test_crosscheck_computes_the_normal_of_the_hyperplane_once(monkeypatch, buil
 
 
 def test_profile_is_not_shared_between_equal_spans():
-    # equal spans hash equal, but only the structured copy has J and g
+    # equal spans hash equal, but only the structured copy has J and g;
+    # each keeps its own groups
     h = build_sp_H(1)
     bare = LinearSubalgebra(4, h.basis, name="sp(1)-bare", validate=False)
     assert bare == h and hash(bare) == hash(h)
-    assert profile(h) is profile(h) and profile(bare) is profile(bare)
-    assert profile(h) is not profile(bare)
+    assert profile(h).W is profile(h).W and profile(bare).W is profile(bare).W
+    assert profile(h).W is not profile(bare).W
     assert profile(h).RJ is not None and profile(h).h_perp is not None and profile(h).N is not None
     assert all(getattr(profile(bare), field) is None for field in ("RJ", "h2", "h_perp", "N"))
 
@@ -378,3 +381,14 @@ def test_metric_rules_need_h_to_preserve_g(h):
     rep = crosscheck(h)
     assert rep["all_equal"]
     assert not {"nondeg-metric", "unitary", "deg-metric"} & {r["rule"] for r in rep["rules"]}
+
+
+def test_an_unvalidated_gram_meets_its_identity_before_a_metric_rule_reads_it():
+    # so(2,1)'s first element preserves the singular diag(1, 1, 0); unvalidated,
+    # h reaches the metric group, which checks g before taking its normal
+    h = LinearSubalgebra(3, build_so(2, 1).rows[:1], {"g": Mat([[1, 0, 0], [0, 1, 0], [0, 0, 0]])}, validate=False)
+    assert h.preserves("g")
+    with pytest.raises(StructureError, match="g must be symmetric invertible"):
+        crosscheck(h)
+    with pytest.raises(StructureError):
+        profile(h).N
