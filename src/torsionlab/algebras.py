@@ -24,9 +24,7 @@ A h of ``left_span`` and ``conjugate`` are built on it.
 
 from __future__ import annotations
 
-from functools import wraps
-
-from .linalg import Mat, ShapeError, Subspace, _row, dense, kernel, kernel_rows, sparse, sparse_sum
+from .linalg import Mat, ShapeError, Subspace, Value, _row, dense, kernel, kernel_rows, memo, sparse, sparse_sum
 
 
 def product(n, a, b) -> dict:
@@ -205,20 +203,7 @@ def _element_row(n, m) -> dict:
     return sparse(m.flatten())
 
 
-def memo(fn):
-    """fn(h), made on first use and kept in h's memo: it is freed with h,
-    and another object with an equal span makes its own."""
-
-    @wraps(fn)
-    def first_use(h):
-        if fn not in h._memo:
-            h._memo[fn] = fn(h)
-        return h._memo[fn]
-
-    return first_use
-
-
-class LinearSubalgebra:
+class LinearSubalgebra(Value):
     """Bracket-closed subspace of gl(n, Q) with optional attached structures;
     rows holds its elements in the order given, basis the same as Mats, and
     the slot _memo what the ``memo`` functions made from h."""
@@ -232,12 +217,7 @@ class LinearSubalgebra:
             if key not in STRUCTURE_KINDS:
                 raise StructureError(f"unknown structure {key!r}; known: {', '.join(STRUCTURE_KINDS)}")
         span = Subspace.span(n * n, rows)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "structures", structures)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_span", span)
-        object.__setattr__(self, "_memo", {})
+        self._init(n=n, rows=rows, structures=structures, name=name, _span=span, _memo={})
         if validate:
             if span.dim != len(rows):
                 raise ValueError("basis is linearly dependent")
@@ -247,9 +227,6 @@ class LinearSubalgebra:
                 check_identity(key, value, n)
                 if not self.preserves(key):
                     raise StructureError(f"basis element does not preserve {key}")
-
-    def __setattr__(self, *a):
-        raise AttributeError("LinearSubalgebra is immutable")
 
     @property
     @memo
@@ -277,15 +254,8 @@ class LinearSubalgebra:
         flat = sparse_sum((idx, c * x) for c, row in zip(coeffs, self.rows) if c for idx, x in row.items())
         return Mat.unflatten(n, n, dense(flat, n * n))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearSubalgebra)
-            and self.n == other.n
-            and self._span == other._span
-        )
-
-    def __hash__(self):
-        return hash((self.n, self._span))
+    def _key(self):
+        return self.n, self._span
 
     def __repr__(self):
         label = self.name or "subalgebra"

@@ -114,12 +114,22 @@ GRID_RANGE = 2
 GRID_BUDGET = 20000
 
 
+def _rank_bound(r):
+    """r, once it is an int >= 0 (a bool is not)."""
+    if type(r) is not int or r < 0:
+        raise ValueError(f"rank bound r must be an integer >= 0, not {r!r}")
+    return r
+
+
 def low_rank_witness(h: LinearSubalgebra, r):
     """Grid search for a nonzero element of rank <= r; None within GRID_BUDGET.
 
     A returned witness is exact: (coeffs, matrix) with rank verified.
     Absence is not a proof; see classify_low_rank for certificates.
+    r is an int >= 0; no nonzero element has rank 0, so r = 0 gives None.
     """
+    if _rank_bound(r) == 0:
+        return None
     for tried, coeffs in enumerate(_sign_normalized_grid(h.dim, GRID_RANGE), start=1):
         if tried > GRID_BUDGET:
             return None
@@ -167,9 +177,7 @@ def classify_low_rank(h: LinearSubalgebra, r):
     quaternionic argument, or the exhaustive minor solve for dim <= 3).
     r is an int >= 0; no nonzero element has rank 0, so r = 0 is certified.
     """
-    if type(r) is not int or r < 0:
-        raise ValueError(f"rank bound r must be an integer >= 0, not {r!r}")
-    if r == 0:
+    if _rank_bound(r) == 0:
         return {"status": "certified", "method": "rank-0"}
     found = low_rank_witness(h, r)
     if found is not None:

@@ -24,10 +24,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebras import LinearSubalgebra, conjugate, memo
-from .linalg import Mat, ShapeError, Subspace, dense, fr, image_on_kernel, kernel_rows, solve_on_kernel, sparse_sum, vec
+from .linalg import Mat, ShapeError, Subspace, Value, dense, fr, image_on_kernel, kernel_rows, solve_on_kernel, sparse_sum, vec
 
 
-class AlmostAbelian:
+class AlmostAbelian(Value):
     """g_f = R^{n-1} x|_f R: [e_n, u] = f(u), R^{n-1} Abelian."""
 
     __slots__ = ("f", "n")
@@ -35,17 +35,10 @@ class AlmostAbelian:
     def __init__(self, f: Mat):
         if not f.is_square():
             raise ShapeError("f must be square")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "n", f.rows + 1)
+        self._init(f=f, n=f.rows + 1)
 
-    def __setattr__(self, *a):
-        raise AttributeError("AlmostAbelian is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, AlmostAbelian) and self.f == other.f
-
-    def __hash__(self):
-        return hash(self.f)
+    def _key(self):
+        return self.f
 
     def brackets(self):
         """The nonzero brackets of basis vectors, {(i, j): {k: c}} with
@@ -61,7 +54,7 @@ class AlmostAbelian:
         return table
 
 
-class ConnectionTensor:
+class ConnectionTensor(Value):
     """A full connection on g_f: n^3 rationals gamma[i][j][k]."""
 
     __slots__ = ("n", "gamma")
@@ -70,47 +63,31 @@ class ConnectionTensor:
         gamma = tuple(fr(x) for x in gamma)
         if len(gamma) != n**3:
             raise ShapeError("gamma must have n^3 entries")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gamma", gamma)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ConnectionTensor is immutable")
+        self._init(n=n, gamma=gamma)
 
     def is_zero(self):
         return all(x == 0 for x in self.gamma)
 
-    def __eq__(self, other):
-        return isinstance(other, ConnectionTensor) and self.n == other.n and self.gamma == other.gamma
-
-    def __hash__(self):
-        return hash((self.n, self.gamma))
+    def _key(self):
+        return self.n, self.gamma
 
 
-class Certificate:
+class Certificate(Value):
     """A validated connection certificate; residuals are exactly zero."""
 
     __slots__ = ("kind", "nabla", "residuals")
 
     def __init__(self, kind, nabla, residuals):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "nabla", nabla)
-        object.__setattr__(self, "residuals", residuals)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Certificate is immutable")
+        self._init(kind=kind, nabla=nabla, residuals=residuals)
 
 
-class Refusal:
+class Refusal(Value):
     """An honest negative: f is not in the relevant space; residual reported."""
 
     __slots__ = ("reason", "residual")
 
     def __init__(self, reason, residual):
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "residual", tuple(residual))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Refusal is immutable")
+        self._init(reason=reason, residual=tuple(residual))
 
 
 def _k_tilde_pairs(n, rows):

@@ -6,8 +6,11 @@ Q^d in reduced row-echelon form, whose dense ``basis`` makes subspace
 equality entry-wise tuple equality.  Inside, every elimination works
 on sparse rows: a row is a dict {column: value} that holds only its
 nonzero Fractions, and ``_rref_rows`` is the one elimination routine.
-A Subspace keeps its canonical rows sparse and builds the dense basis
-from them on first use.
+A Subspace keeps its canonical rows sparse; its dense basis, like every
+``memo`` function of a value (a spectral table, an engine space), is
+made on first use and kept on it.  Every value class derives from
+``Value``: setting or deleting an attribute raises, and equality and
+hash read one per-class key.
 
 Flattening convention, fixed package-wide: a linear map R^a -> R^b is
 stored as a b x a matrix and flattened row-major, entry (r, c) sits at
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import wraps
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -93,7 +97,48 @@ class ShapeError(ValueError):
     """Raised on dimension mismatches between exact-core operands."""
 
 
-class Mat:
+class Value:
+    """Base of the immutable value classes: setting or deleting an
+    attribute raises, so __init__ sets fields by ``_init`` (or by
+    object.__setattr__ for the bulk Mat and Poly).  Values of one class
+    are equal when their ``_key()`` is, and hash it; the default key,
+    the id, makes equality identity."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _init(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _key(self):
+        return id(self)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+def memo(fn):
+    """fn(x), made on first use and kept in the ``_memo`` dict of the value
+    x: it is freed with x, and another object with an equal key makes its own."""
+
+    @wraps(fn)
+    def first_use(x):
+        if fn not in x._memo:
+            x._memo[fn] = fn(x)
+        return x._memo[fn]
+
+    return first_use
+
+
+class Mat(Value):
     """Immutable rows x cols matrix with Fraction entries."""
 
     __slots__ = ("rows", "cols", "data")
@@ -115,9 +160,6 @@ class Mat:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Mat is immutable")
-
     @classmethod
     def zeros(cls, rows, cols):
         z = Fraction(0)
@@ -132,6 +174,8 @@ class Mat:
         """The n x n matrix with the {(i, j): value} entries, zero elsewhere."""
         out = [[Fraction(0)] * n for _ in range(n)]
         for (i, j), value in entries.items():
+            if not (0 <= i < n and 0 <= j < n):
+                raise ShapeError(f"entry ({i}, {j}) outside the {n} x {n} matrix")
             out[i][j] = value
         return cls(out)
 
@@ -144,19 +188,14 @@ class Mat:
 
     @classmethod
     def from_cols(cls, cols_list):
+        """The matrix with the given columns, one or more of one length."""
+        if len({len(col) for col in cols_list}) != 1:
+            raise ShapeError("columns must be one or more vectors of one length")
         m = len(cols_list[0])
         return cls([[col[r] for col in cols_list] for r in range(m)])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+    def _key(self):
+        return self.rows, self.cols, self.data
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
@@ -305,22 +344,17 @@ def kernel_rows(rows, width):
     return _rref_rows(free.values())[0]
 
 
-class Subspace:
+class Subspace(Value):
     """A subspace of Q^d in canonical (reduced row-echelon) form.
 
     rows holds the canonical basis as sparse rows in pivot order, each
     with ascending keys; basis is the same basis as dense tuples.
     """
 
-    __slots__ = ("ambient_dim", "rows", "_basis")
+    __slots__ = ("ambient_dim", "rows", "_memo")
 
     def __init__(self, ambient_dim, canonical_rows):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", tuple(canonical_rows))
-        object.__setattr__(self, "_basis", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Subspace is immutable")
+        self._init(ambient_dim=ambient_dim, rows=tuple(canonical_rows), _memo={})
 
     @classmethod
     def span(cls, ambient_dim, vectors):
@@ -338,24 +372,16 @@ class Subspace:
         return cls(ambient_dim, ({i: one} for i in range(ambient_dim)))
 
     @property
+    @memo
     def basis(self):
-        if self._basis is None:
-            object.__setattr__(self, "_basis", tuple(dense(r, self.ambient_dim) for r in self.rows))
-        return self._basis
+        return tuple(dense(r, self.ambient_dim) for r in self.rows)
 
     @property
     def dim(self):
         return len(self.rows)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, tuple(tuple(r.items()) for r in self.rows)))
+    def _key(self):
+        return self.ambient_dim, tuple(tuple(r.items()) for r in self.rows)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"

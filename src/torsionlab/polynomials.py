@@ -15,10 +15,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import Mat, fr
+from .linalg import Mat, Value, fr
 
 
-class Poly:
+class Poly(Value):
     """Univariate polynomial, coefficients low-to-high, no trailing zeros."""
 
     __slots__ = ("coeffs",)
@@ -28,9 +28,6 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def const(cls, c):
@@ -46,11 +43,8 @@ class Poly:
     def leading(self):
         return self.coeffs[-1] if self.coeffs else Fraction(0)
 
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+    def _key(self):
+        return self.coeffs
 
     def __repr__(self):
         if self.is_zero():

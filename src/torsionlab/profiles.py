@@ -22,7 +22,7 @@ from fractions import Fraction
 from .algebras import LinearSubalgebra, check_identity, commutes, endomorphisms, left_span, memo, orthogonal_complement
 from .builders import standard_omega
 from .engine import characteristic_subalgebra, first_prolongation, obstruction_space, tableau
-from .linalg import Mat, Subspace, image_on_kernel, kernel_rows, solve_on_kernel, sparse, sparse_sum, unit
+from .linalg import Mat, Subspace, Value, image_on_kernel, kernel_rows, solve_on_kernel, sparse, sparse_sum, unit
 
 
 class NoRuleApplies(ValueError):
@@ -151,7 +151,7 @@ _GROUP_OF = {
 }
 
 
-class StructuralProfile:
+class StructuralProfile(Value):
     """The subspaces h_1, W, J h, R_J, the h_2 chain, h_v with U and nu, N
     and the degenerate-metric family, each in canonical form (None when
     the needed structure is absent).  A view of h: a field is read from
@@ -160,15 +160,12 @@ class StructuralProfile:
     __slots__ = ("h",)
 
     def __init__(self, h: LinearSubalgebra):
-        object.__setattr__(self, "h", h)
+        self._init(h=h)
 
     def __getattr__(self, name):
         if name not in _GROUP_OF:
             raise AttributeError(name)
         return _GROUP_OF[name](self.h)[name]
-
-    def __setattr__(self, *a):
-        raise AttributeError("StructuralProfile is immutable")
 
 
 def profile(h: LinearSubalgebra) -> StructuralProfile:

@@ -9,13 +9,13 @@ deciders read four things from it: ``fully_split``, ``exhaustive``
 (the rational invariant subspaces are all the real ones), ``dims``
 (the invariant-subspace dimensions it reaches) and
 ``invariant_subspace(d)``.  The subset-sum table behind the last two
-is built once per record, on first use.  Outside the split regime
+is a ``memo`` of the record, built on first use.  Outside the split regime
 callers fall back to honest "unknown" verdicts.
 """
 
 from __future__ import annotations
 
-from .linalg import Mat, Subspace, kernel
+from .linalg import Mat, Subspace, Value, kernel, memo
 from .polynomials import (
     Poly,
     char_poly,
@@ -46,20 +46,14 @@ def spectral_summary(f: Mat):
     return split, unsplit
 
 
-class FactorData:
+class FactorData(Value):
     """Primary component data for one irreducible factor phi (degree 1
     or 2): the ladder ker phi(f)^k and the Jordan block counts by size."""
 
     __slots__ = ("phi", "deg", "ladder", "block_counts")
 
     def __init__(self, phi, ladder, block_counts):
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "deg", phi.degree)
-        object.__setattr__(self, "ladder", tuple(ladder))
-        object.__setattr__(self, "block_counts", dict(block_counts))
-
-    def __setattr__(self, *a):
-        raise AttributeError("FactorData is immutable")
+        self._init(phi=phi, deg=phi.degree, ladder=tuple(ladder), block_counts=dict(block_counts))
 
     @property
     def dim(self):
@@ -100,20 +94,14 @@ def primary_components(f: Mat) -> Spectrum:
     return Spectrum(f, [factor_data(f, phi, mult) for phi, mult in split], unsplit)
 
 
-class Spectrum:
+class Spectrum(Value):
     """The primary decomposition of f: split holds the FactorData of each
     factor of degree 1 or 2, unsplit the leftover (q, multiplicity)."""
 
-    __slots__ = ("f", "split", "unsplit", "_table")
+    __slots__ = ("f", "split", "unsplit", "_memo")
 
     def __init__(self, f, split, unsplit):
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "split", tuple(split))
-        object.__setattr__(self, "unsplit", tuple(unsplit))
-        object.__setattr__(self, "_table", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Spectrum is immutable")
+        self._init(f=f, split=tuple(split), unsplit=tuple(unsplit), _memo={})
 
     @property
     def fully_split(self):
@@ -132,11 +120,10 @@ class Spectrum:
         exact when fully_split, otherwise a sound subset."""
         return self._parts_and_reach()[1].keys()
 
+    @memo
     def _parts_and_reach(self):
-        if self._table is None:
-            parts = _invariant_parts(self)
-            object.__setattr__(self, "_table", (parts, _reachable(parts)))
-        return self._table
+        parts = _invariant_parts(self)
+        return parts, _reachable(parts)
 
     def invariant_subspace(self, d):
         """An f-invariant subspace of exactly d dimensions, built from the

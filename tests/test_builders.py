@@ -387,3 +387,12 @@ def test_ambient_dim_reads_the_parameters(spec, n):
     from torsionlab.builders import ambient_dim
 
     assert ambient_dim(spec) == n
+
+
+@pytest.mark.parametrize(
+    "make,n",
+    [(standard_J, 3), (standard_omega, 3), (tangent_T, 3), (hyperparacomplex_triple, 3), (quaternion_triple, 6)],
+)
+def test_a_structure_tensor_in_a_dimension_of_the_wrong_parity_is_a_value_error(make, n):
+    with pytest.raises(ValueError, match="dimension"):
+        make(n)

@@ -182,6 +182,19 @@ def test_classify_low_rank_rejects_a_rank_bound_that_is_not_an_int_at_least_0(r)
         classify_low_rank(build_u(2), r)
 
 
+@pytest.mark.parametrize("r", [-1, 1.0, True, "2", None])
+def test_low_rank_witness_rejects_a_rank_bound_that_is_not_an_int_at_least_0(r):
+    with pytest.raises(ValueError, match="rank bound r"):
+        low_rank_witness(build_u(2), r)
+
+
+def test_low_rank_witness_at_rank_0_is_none_without_the_grid(monkeypatch):
+    import torsionlab.ellipticity as ellipticity
+
+    monkeypatch.setattr(ellipticity, "_sign_normalized_grid", lambda *a: pytest.fail("the grid ran"))
+    assert low_rank_witness(build_gl(3), 0) is None
+
+
 def test_classify_low_rank_certifies_rank_0_without_the_grid(monkeypatch):
     import torsionlab.ellipticity as ellipticity
 

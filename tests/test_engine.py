@@ -35,7 +35,9 @@ from torsionlab.engine import (
 )
 from torsionlab import engine, profiles
 from torsionlab.algebras import LinearSubalgebra
-from torsionlab.linalg import Mat, ShapeError, Subspace, image_on_kernel, kernel
+from torsionlab.linalg import Mat, ShapeError, Subspace, Value, image_on_kernel, kernel
+from torsionlab.polynomials import Poly
+from torsionlab.spectral import primary_components
 import reference
 from reference import block
 
@@ -285,6 +287,88 @@ def test_the_only_package_caches_are_bounded():
                     if callable(getattr(obj, "cache_clear", None)):
                         found.add(f"{obj.__module__}.{obj.__qualname__}")
     assert found == {"torsionlab.builders._catalog", "torsionlab.cli.build_parser", "torsionlab.existence._standard_algebra"}
+
+
+VALUE_CLASSES = {
+    "Mat": lambda: Mat([[1, 2], [3, 4]]),
+    "Subspace": lambda: Subspace.span(2, [(1, 0)]),
+    "Poly": lambda: Poly([1, 2]),
+    "FactorData": lambda: primary_components(Mat([[1, 1], [0, 1]])).split[0],
+    "Spectrum": lambda: primary_components(Mat([[1, 1], [0, 1]])),
+    "LinearSubalgebra": lambda: build_sp(1),
+    "AlmostAbelian": lambda: AlmostAbelian(Mat([[1, 1], [0, 1]])),
+    "ConnectionTensor": lambda: ConnectionTensor(1, [0]),
+    "Certificate": lambda: Certificate("torsion-free", ConnectionTensor(1, [0]), ()),
+    "Refusal": lambda: Refusal("f is not in F_h", ()),
+    "StructuralProfile": lambda: profiles.profile(build_sp(1)),
+}
+RECORDS = ("FactorData", "Spectrum", "Certificate", "Refusal", "StructuralProfile")
+
+
+@pytest.mark.parametrize("name", VALUE_CLASSES)
+def test_a_value_refuses_set_and_del(name):
+    value = VALUE_CLASSES[name]()
+    assert type(value).__name__ == name
+    field = type(value).__slots__[0]
+    before = getattr(value, field)
+    for attempt in (lambda: setattr(value, field, None), lambda: delattr(value, field), lambda: setattr(value, "x", 1)):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            attempt()
+    assert getattr(value, field) is before
+
+
+def test_a_refused_del_leaves_the_value_whole():
+    h, m = build_sp(1), Mat([[1, 2], [3, 4]])
+    with pytest.raises(AttributeError):
+        del h._memo
+    with pytest.raises(AttributeError):
+        del m.data
+    assert obstruction_space(h) == obstruction_space(build_sp(1))
+    assert repr(m) == "Mat[2x2: 1 2; 3 4]"
+
+
+def test_equal_keys_make_equal_values_with_the_hash_of_the_key():
+    m = Mat([[1, 2], [3, 4]])
+    s = Subspace.span(3, [(1, 2, 0), (0, 0, 5)])
+    h = build_sp(1)
+    cases = [
+        (m, Mat([["1", 2], [3, "4"]]), hash((2, 2, m.data))),
+        (s, Subspace.span(3, [(0, 0, 1), (2, 4, 0)]), hash((3, tuple(tuple(r.items()) for r in s.rows)))),
+        (Poly([1, 2, 0]), Poly([1, 2]), hash((Fraction(1), Fraction(2)))),
+        (AlmostAbelian(m), AlmostAbelian(Mat(m.data)), hash(m)),
+        (ConnectionTensor(1, [3]), ConnectionTensor(1, ["3"]), hash((1, (Fraction(3),)))),
+        (h, LinearSubalgebra(2, h.rows, validate=False), hash((2, h.span))),
+    ]
+    for a, b, hashed in cases:
+        assert a == b and a is not b and hash(a) == hash(b) == hashed
+    assert AlmostAbelian(m) != m and Poly([1]) != (Fraction(1),)
+    assert Mat([[1, 2], [3, 5]]) != m and Subspace.span(3, [(1, 0, 0)]) != s
+
+
+def test_the_records_compare_by_identity_and_stay_hashable():
+    for name in RECORDS:
+        a, b = VALUE_CLASSES[name](), VALUE_CLASSES[name]()
+        assert a == a and a != b and hash(a) == hash(a) and len({a, b}) == 2
+
+
+def test_only_the_value_base_refuses_set_and_del_and_every_eq_has_a_hash():
+    # a value class takes immutability, equality and hash from Value, so
+    # a class that copies a raiser back in, or whose __eq__ leaves it
+    # unhashable, is caught here
+    import torsionlab.cli  # noqa: F401 -- loads every module
+
+    setters, unhashable = set(), set()
+    for name, module in list(sys.modules.items()):
+        if name == "torsionlab" or name.startswith("torsionlab."):
+            for cls in vars(module).values():
+                if isinstance(cls, type) and cls.__module__ == name:
+                    attrs = vars(cls)
+                    if "__setattr__" in attrs or "__delattr__" in attrs:
+                        setters.add(cls.__qualname__)
+                    if "__eq__" in attrs and attrs.get("__hash__") is None:
+                        unhashable.add(cls.__qualname__)
+    assert setters == {"Value"} and unhashable == set()
+    assert {cls.__name__ for cls in Value.__subclasses__()} == set(VALUE_CLASSES)
 
 
 def test_transversal_normalized_before_cache():

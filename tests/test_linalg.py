@@ -332,6 +332,25 @@ def test_a_stored_zero_in_a_sparse_row_is_dropped():
     assert Subspace.span(2, [{0: F(0), 1: F(1)}]) == Subspace.span(2, [(0, 1)])
 
 
+@pytest.mark.parametrize("cols", [[[1, 2], [3, 4, 5]], [[1, 2, 3], [4]], []], ids=["longer", "shorter", "none"])
+def test_from_cols_needs_one_or_more_columns_of_one_length(cols):
+    with pytest.raises(ShapeError):
+        Mat.from_cols(cols)
+    assert Mat.from_cols([[1, 2], [3, 4]]) == Mat([[1, 3], [2, 4]])
+
+
+@pytest.mark.parametrize("index", [(-1, 0), (0, -1), (2, 0), (0, 2)])
+def test_from_entries_refuses_an_index_outside_the_matrix(index):
+    with pytest.raises(ShapeError):
+        Mat.from_entries(2, {index: 1})
+    assert Mat.from_entries(2, {(1, 0): 1}) == Mat([[0, 0], [1, 0]])
+
+
+def test_the_dense_basis_is_made_once_and_kept():
+    s = Subspace.span(3, [(1, 2, 0)])
+    assert s.basis is s.basis and s.basis == ((1, 2, 0),)
+
+
 @pytest.mark.parametrize("column", [4, 7, -1], ids=["width", "past-width", "negative"])
 def test_a_sparse_row_column_outside_the_width_is_a_shape_error(column):
     with pytest.raises(ShapeError):
