@@ -212,8 +212,6 @@ def _existence_group(name, n, p=None, type_index=None):
         group.check(n, p)
     except (KeyError, ValueError) as exc:
         raise InputError(exc.args[0]) from exc
-    if p is not None and not group.signature:
-        raise InputError(f"group {name} takes no signature --p")
     if type_index is not None and f"[U{type_index}]" not in [o.label for o in group.orbits]:
         raise InputError(f"no orbit type [U{type_index}] for group {name}")
     return group

@@ -5,13 +5,16 @@ exactly.  Certification that no nonzero element of rank <= r exists is
 three-valued: a structural argument (a commuting hypercomplex triple
 makes image dimensions multiples of four), an exhaustive algebraic
 solve of the minor equations for spans of dimension <= 3, or an honest
-"unknown".  The exhaustive path takes the minors of the pencil in
-Q[y][z] (the `zp_*` lists of `polynomials`) by cofactor expansion,
-reduces them to a sum of squares P, removes z-multiplicity with a
-primitive-PRS gcd, and projects with a Sylvester resultant whose real
-roots are counted by Sturm chains; only rational candidate roots are
-substituted back, so irrational candidate fibers downgrade the verdict
-to unknown instead of guessing.
+"unknown".  The exhaustive path is one loop over projective charts:
+chart t sets x_t = 1, x_{t+1} = y, x_{t+2} = z (as far as the span
+goes) and the earlier coordinates to 0, and takes the minors of that
+pencil in Q[y][z] (the `zp_*` lists of `polynomials`) by cofactor
+expansion.  A z-free system is decided in y by the gcd of its minors.
+Otherwise the minors are reduced to a sum of squares P, z-multiplicity
+is removed with a primitive-PRS gcd, and a Sylvester resultant projects
+to y, its real roots counted by Sturm chains; only rational candidate
+roots are substituted back, so irrational candidate fibers downgrade
+the verdict to unknown instead of guessing.
 """
 
 from __future__ import annotations
@@ -54,14 +57,11 @@ def _cofactor_det(rows):
 
 def _decide_univariate(polys):
     """Common real zeros of univariate Polys: ('empty'|'witness'|'unknown', data)."""
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
+    g = poly_gcd(*polys)
+    if g.is_zero():
         return "witness", Fraction(0)
-    g = Poly([])
-    for p in polys:
-        g = poly_gcd(g, p) if not g.is_zero() else p.monic()
-        if g.degree == 0:
-            return "empty", None
+    if g.degree == 0:
+        return "empty", None
     roots = rational_roots(g)
     if roots:
         return "witness", roots[0][0]
@@ -70,11 +70,19 @@ def _decide_univariate(polys):
     return "unknown", None
 
 
+def _on_line(decision):
+    """A decision in y lifted to the points (y, 0)."""
+    verdict, y0 = decision
+    return verdict, (y0, Fraction(0)) if verdict == "witness" else None
+
+
 def _decide_bivariate(polys):
-    """Common real zeros in Q[y][z]: ('empty'|'witness (y,z)'|'unknown', data)."""
+    """Common real zeros in Q[y][z]: ('empty'|'witness (y,z)'|'unknown', data).
+
+    A z-free system is decided in y by the gcd of its polys."""
     polys = [p for p in polys if p]
-    if not polys:
-        return "witness", (Fraction(0), Fraction(0))
+    if all(len(p) == 1 for p in polys):
+        return _on_line(_decide_univariate([p[0] for p in polys]))
     if any(len(p) == 1 and p[0].degree == 0 for p in polys):
         return "empty", None  # a nonzero constant in the system
     big = []
@@ -82,14 +90,9 @@ def _decide_bivariate(polys):
         big = zp_add(big, zp_mul(p, p))
     cont, prim = zp_primitive(big)
     # a real root of the content gives a whole line of zeros
-    croots = rational_roots(cont)
-    if croots:
-        return "witness", (croots[0][0], Fraction(0))
-    if count_real_roots(cont) > 0:
-        return "unknown", None
-    if len(prim) == 1:
-        # no z-dependence after content: no zeros (content has none)
-        return "empty", None
+    verdict, data = _on_line(_decide_univariate([cont]))
+    if verdict != "empty":
+        return verdict, data
     sf = zp_exact_div(prim, zp_gcd(prim, zp_derivative(prim)))
     elim = zp_resultant(sf, zp_derivative(sf)) * sf[-1]
     if elim.is_zero():
@@ -198,40 +201,15 @@ def classify_low_rank(h: LinearSubalgebra, r):
 
 
 def _exhaustive_small_dim(h, r):
-    """Projective chart sweep of the rank-<= r minor variety for dim h <= 3."""
-    n = h.n
+    """Projective chart sweep of the rank-<= r minor variety for dim h <= 3:
+    chart t sets x_s = 0 for s < t, x_t = 1, x_{t+1} = y and x_{t+2} = z."""
     d = h.dim
-    if d == 0:
-        return "empty"
     for t in range(d):
-        active = list(range(t, d))
-        free = len(active) - 1
-        entries = _pencil(h, active, n)
-        minors = _minors(entries, r + 1, n)
-        if free == 0:
-            if not any(minors):
-                point = [Fraction(0)] * d
-                point[t] = Fraction(1)
-                return tuple(point)
-            continue
-        if free == 1:
-            verdict, y0 = _decide_univariate([m[0] if m else Poly([]) for m in minors])
-            if verdict == "witness":
-                point = [Fraction(0)] * d
-                point[t] = Fraction(1)
-                point[t + 1] = y0
-                return tuple(point)
-            if verdict == "unknown":
-                return "unknown"
-            continue
-        verdict, data = _decide_bivariate(minors)
+        verdict, data = _decide_bivariate(_minors(_pencil(h, range(t, d), h.n), r + 1, h.n))
         if verdict == "witness":
-            y0, z0 = data
-            point = [Fraction(0)] * d
-            point[t] = Fraction(1)
-            point[t + 1] = y0
-            point[t + 2] = z0
-            return tuple(point)
+            # a chart with fewer than three coordinates decides z-free
+            # minors, so the (y, z) it drops past x_{d-1} are 0
+            return tuple(([Fraction(0)] * t + [Fraction(1), *data])[:d])
         if verdict == "unknown":
             return "unknown"
     return "empty"

@@ -33,7 +33,7 @@ from .polynomials import (
     Poly,
     char_poly,
     count_real_roots,
-    rational_roots,
+    rational_split,
     squarefree_part,
 )
 from .spectral import chain_vectors, jordan_chains, primary_components
@@ -84,11 +84,16 @@ class Group(NamedTuple):
         return f"n >= {m} divisible by {m}" if m > 1 else "n >= 2"
 
     def check(self, n, p=None):
-        """ValueError unless n, and p for a signature group, fit the group."""
-        if n < 2 or n % self.modulus:
-            raise ValueError(f"{self.name} structures need {self.rule}, got n = {n}")
-        if self.signature and (p is None or not 1 <= p <= n - 1):
-            raise ValueError(f"{self.name} structures need a signature 1 <= p <= {n - 1}, got p = {p}")
+        """ValueError unless n is an int that fits the group, and p is an int
+        1 <= p <= n-1 for a signature group and None for any other (a bool
+        is not an int here)."""
+        if type(n) is not int or n < 2 or n % self.modulus:
+            raise ValueError(f"{self.name} structures need {self.rule}, got n = {n!r}")
+        if not self.signature:
+            if p is not None:
+                raise ValueError(f"{self.name} structures take no signature p, got p = {p!r}")
+        elif type(p) is not int or not 1 <= p <= n - 1:
+            raise ValueError(f"{self.name} structures need a signature 1 <= p <= {n - 1}, got p = {p!r}")
 
     def index(self, n, p):
         """The coordinate the orbit frames turn on: p, else n/2."""
@@ -159,8 +164,8 @@ def _obstruction(name, n, p, type_index):
     g.check(n, p)
     if n < g.least_pattern_n:
         raise ValueError(f"{name} obstruction patterns need n >= {g.least_pattern_n}")
-    if not 1 <= type_index <= len(g.orbits):
-        raise ValueError(f"type must be 1..{len(g.orbits)}")
+    if type(type_index) is not int or not 1 <= type_index <= len(g.orbits):
+        raise ValueError(f"type must be an int 1..{len(g.orbits)}, got {type_index!r}")
     return g.orbits[type_index - 1].pattern(n, g.index(n, p))
 
 
@@ -523,13 +528,8 @@ def _special_unitary_verdict(group, aa):
     r = _unitary_spectrum(f)
     if r is None or f.trace() != 0:
         return "no"
-    roots = {}
-    work = r
-    for root, mult in rational_roots(r):
-        roots[root] = mult
-        for _ in range(mult):
-            work = work.exact_div(Poly([-root, 1]))
-    if work.degree > 0:
+    roots, rest = rational_split(r)
+    if rest.degree > 0:
         return "unknown"
     for sizes in _theta_classes(roots).values():
         if not _signed_cancellation_possible(sizes):
@@ -538,11 +538,11 @@ def _special_unitary_verdict(group, aa):
 
 
 def _theta_classes(roots):
-    """The thetas sqrt(-root), grouped by rational-square class and given
-    as rational multiples of the first theta of their class; imaginary
-    parts cancel only within a class."""
+    """The thetas sqrt(-root) of the (root, multiplicity) pairs, grouped by
+    rational-square class and given as rational multiples of the first
+    theta of their class; imaginary parts cancel only within a class."""
     classes = {}
-    for root, mult in roots.items():
+    for root, mult in roots:
         if root == 0:
             continue
         base = next((b for b in classes if _rational_sqrt(-root / b) is not None), -root)

@@ -2,12 +2,15 @@
 
 Supports the spectral pipeline: characteristic polynomials via
 Faddeev-LeVerrier, Yun squarefree decomposition, Sturm-chain real root
-counting and rational root extraction.  Q[y][z] has one form, a list
-of `Poly`s in y indexed by the power of z (the `zp_*` functions, with
-primitive-PRS gcd, exact division and the Sylvester resultant); the
-quadratic-factor search and the rank solve of `ellipticity` build in
-it.  All coefficients are Fractions; there is no numerical root
-finding anywhere.
+counting and rational root extraction.  Zeros are found through two
+primitives: `poly_gcd(*polys)`, the monic gcd of any number of
+polynomials, and `rational_split(p)`, the rational roots of p with
+their multiplicities together with the cofactor they leave.  Q[y][z]
+has one form, a list of `Poly`s in y indexed by the power of z (the
+`zp_*` functions, with primitive-PRS gcd, exact division and the
+Sylvester resultant); the quadratic-factor search and the rank solve
+of `ellipticity` build in it.  All coefficients are Fractions; there
+is no numerical root finding anywhere.
 """
 
 from __future__ import annotations
@@ -133,10 +136,16 @@ class Poly(Value):
         return Poly([c / lead for c in self.coeffs])
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+def poly_gcd(*polys: Poly) -> Poly:
+    """The monic gcd of polys: zero when every one is zero, and 1 as soon
+    as the gcd of a prefix is a nonzero constant (the rest is not read)."""
+    g = Poly([])
+    for p in polys:
+        while not p.is_zero():
+            g, p = p, g % p
+        if g.degree == 0:
+            return Poly([1])
+    return g.monic()
 
 
 def squarefree_decomposition(p: Poly):
@@ -200,8 +209,9 @@ def _variations_at_inf(chain, positive):
 
 
 def count_real_roots(p: Poly, a=None, b=None) -> int:
-    """Distinct real roots of p in the interval (a, b]; whole line by default."""
-    if p.degree <= 0:
+    """Distinct real roots of p in the interval (a, b]; whole line by
+    default, and 0 when a >= b leaves the interval empty."""
+    if p.degree <= 0 or (a is not None and b is not None and fr(a) >= fr(b)):
         return 0
     sf = squarefree_part(p)
     chain = sturm_chain(sf)
@@ -211,29 +221,24 @@ def count_real_roots(p: Poly, a=None, b=None) -> int:
 
 
 def rational_roots(p: Poly):
-    """All rational roots of p, as a list of (root, multiplicity)."""
+    """All rational roots of p, as a sorted list of (root, multiplicity)."""
+    return rational_split(p)[0]
+
+
+def rational_split(p: Poly):
+    """(roots, cofactor): the sorted rational roots of p with their
+    multiplicities, and p divided by (x - root)^multiplicity for each.
+    A constant or zero p has no roots and is its own cofactor."""
     if p.degree <= 0:
-        return []
-    roots = []
-    work = p
-    mult0 = 0
-    while work.coeffs[0] == 0:
-        work = Poly(work.coeffs[1:])
-        mult0 += 1
-    if mult0:
-        roots.append((Fraction(0), mult0))
-    if work.degree <= 0:
-        return roots
+        return [], p
+    zeros = next(i for i, c in enumerate(p.coeffs) if c != 0)
+    roots = [(Fraction(0), zeros)] if zeros else []
+    work = Poly(p.coeffs[zeros:])
     den = math.lcm(*(c.denominator for c in work.coeffs))
     ints = [int(c * den) for c in work.coeffs]
     g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    candidates = set()
-    for pnum in _divisors(a0):
-        for qden in _divisors(an):
-            candidates.add(Fraction(pnum, qden))
-            candidates.add(Fraction(-pnum, qden))
+    a0, an = abs(ints[0]) // g, abs(ints[-1]) // g
+    candidates = {Fraction(sign * a, b) for a in _divisors(a0) for b in _divisors(an) for sign in (1, -1)}
     for cand in sorted(candidates):
         if work(cand) == 0:
             mult = 0
@@ -243,7 +248,7 @@ def rational_roots(p: Poly):
             roots.append((cand, mult))
         if work.degree <= 0:
             break
-    return sorted(roots)
+    return sorted(roots), work
 
 
 def _divisors(n):
@@ -305,18 +310,13 @@ def zp_eval_y(p, y0) -> Poly:
     return Poly([c(y0) for c in p])
 
 
-def zp_content(p):
-    g = Poly([])
-    for c in p:
-        g = poly_gcd(g, c) if not g.is_zero() else c.monic()
-    return g if not g.is_zero() else Poly([1])
-
-
 def zp_primitive(p):
+    """(content, primitive part): the monic gcd in y of the coefficients
+    of p, and p divided by it; (1, []) for p = 0."""
     p = zp_trim(p)
     if not p:
         return Poly([1]), []
-    cont = zp_content(p)
+    cont = poly_gcd(*p)
     return cont, [c.exact_div(cont) for c in p]
 
 

@@ -21,7 +21,7 @@ from .polynomials import (
     char_poly,
     count_real_roots,
     quadratic_rational_factors,
-    rational_roots,
+    rational_split,
     squarefree_decomposition,
 )
 
@@ -32,17 +32,13 @@ def spectral_summary(f: Mat):
     the leftovers that rational roots and quadratics do not split."""
     split, unsplit = [], []
     for q, mult in squarefree_decomposition(char_poly(f)):
-        work = q
-        for root, _ in rational_roots(q):
-            split.append((Poly([-root, 1]), mult))
-            work = work.exact_div(Poly([-root, 1]))
-        if work.degree > 2:
+        roots, work = rational_split(q)
+        split.extend((Poly([-root, 1]), mult) for root, _ in roots)
+        if work.degree >= 2:
             quads, work = quadratic_rational_factors(work)
             split.extend((quad, mult) for quad in quads)
-        if work.degree == 2:
-            split.append((work.monic(), mult))
-        elif work.degree > 2:
-            unsplit.append((work.monic(), mult))
+        if work.degree > 0:
+            unsplit.append((work, mult))
     return split, unsplit
 
 

@@ -386,6 +386,8 @@ SPEC_FILE = "<spec file>"
         (("space", "--algebra", '{"basis": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]}'), "basis is not bracket-closed"),
         (("space", "--algebra", "gl:n"), "malformed builder parameter"),
         (("orbits", "--group", "hpc", "--n", "4"), "has no orbit types"),
+        (("exists", "tangent", "--p", "1", "--f", "[[1,0,0],[0,1,0],[0,0,1]]"), "tangent structures take no signature p"),
+        (("orbits", "--group", "u", "--n", "4", "--p", "3"), "u structures take no signature p"),
         # an integer past Python's int-string digit limit stops json.loads
         (("check", "--algebra", "gl:n=2", "--f", f"[[{HUGE}]]"), "integer string conversion"),
         (("check", "--algebra", "gl:n=2", "--f", "[[1]]", "--hyperplane-map", f"[[{HUGE}, 0], [0, 1]]"), "integer string conversion"),
@@ -450,6 +452,8 @@ SPEC_FILE = "<spec file>"
         "basis-not-closed",
         "builder-parameter-without-value",
         "orbits-of-a-group-without-types",
+        "p-on-tangent",
+        "orbits-p-on-u",
         "f-huge-integer",
         "hyperplane-map-huge-integer",
         "inline-spec-huge-integer",
@@ -576,6 +580,26 @@ def test_flags_outside_their_group_are_input_errors(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert "error:" in proc.stderr and proc.stdout == ""
+
+
+# the stdlib modules `import torsionlab.cli` may add to a fresh interpreter:
+# process start plus import is a cost every CLI call pays (a module the
+# interpreter loaded at start is not added, and costs nothing)
+CLI_STDLIB_IMPORTS = {
+    "__future__", "_decimal", "_json", "argparse", "decimal", "fractions", "gettext",
+    "json", "json.decoder", "json.encoder", "json.scanner", "numbers",
+}
+
+
+def test_cli_import_adds_only_the_package_and_pinned_stdlib_modules():
+    probe = "import sys; before = set(sys.modules); import torsionlab.cli; print(*sorted(set(sys.modules) - before))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), check=True
+    )
+    added = set(proc.stdout.split())
+    assert "torsionlab.cli" in added
+    extra = {m for m in added if m.partition(".")[0] != "torsionlab"} - CLI_STDLIB_IMPORTS
+    assert not extra, f"import torsionlab.cli now also loads {sorted(extra)}"
 
 
 def test_group_help_lists_every_group():

@@ -9,6 +9,7 @@ from torsionlab.algebras import LinearSubalgebra
 from torsionlab.builders import build_gl, build_gl_H, build_so, build_sp_H, build_su, build_u
 from torsionlab.ellipticity import (
     _decide_bivariate,
+    _decide_univariate,
     _minors,
     _pencil,
     _sign_normalized_grid,
@@ -116,6 +117,89 @@ def test_decide_bivariate_unknown_on_irrational_zeros():
     assert _decide_bivariate([[Poly([-1, 1])], [Poly([-2]), Poly([]), Poly([1])]]) == ("unknown", None)
     # (y^2 - 2)(z^2 + 1) vanishes on the lines y = +-sqrt 2
     assert _decide_bivariate([[Poly([-2, 0, 1]), Poly([]), Poly([-2, 0, 1])]]) == ("unknown", None)
+
+
+def test_decide_univariate_on_all_zero_polys_is_a_witness_at_zero():
+    assert _decide_univariate([Poly([]), Poly([])]) == ("witness", Fraction(0))
+
+
+def test_decide_univariate_is_empty_once_the_gcd_reaches_1():
+    # (y - 1)(y - 2) and y - 3 share no root
+    assert _decide_univariate([Poly([2, -3, 1]), Poly([-3, 1]), Poly([-1, 1])]) == ("empty", None)
+
+
+def test_decide_bivariate_on_all_zero_polys_is_a_witness_at_the_origin():
+    assert _decide_bivariate([[], []]) == ("witness", (Fraction(0), Fraction(0)))
+
+
+def test_decide_bivariate_with_a_nonzero_constant_is_empty():
+    # 3 = 0 has no solution, whatever y - z = 0 allows
+    assert _decide_bivariate([[Poly([0, 1]), Poly([-1])], [Poly([3])]]) == ("empty", None)
+
+
+@pytest.mark.parametrize(
+    "polys,expected",
+    [
+        # y^2 + 1 has no real zero, whatever z is
+        ([[Poly([1, 0, 1])]], ("empty", None)),
+        # y^2 - 1 and y + 1 meet on the line y = -1
+        ([[Poly([-1, 0, 1])], [Poly([1, 1])]], ("witness", (Fraction(-1), Fraction(0)))),
+        # y^2 - 2 vanishes only on the lines y = +-sqrt 2
+        ([[Poly([-2, 0, 1])]], ("unknown", None)),
+    ],
+    ids=["empty", "witness", "unknown"],
+)
+def test_decide_bivariate_on_a_z_free_system_decides_it_in_y(polys, expected):
+    assert _decide_bivariate(polys) == expected
+
+
+def test_decide_bivariate_unknown_when_the_projection_has_only_irrational_roots():
+    # y^2 + z^2 - 2: the projection's critical values are y = +-sqrt 2
+    assert _decide_bivariate([[Poly([-2, 0, 1]), Poly([]), Poly([1])]]) == ("unknown", None)
+
+
+def test_low_rank_witness_stops_at_the_grid_budget(monkeypatch):
+    import torsionlab.ellipticity as ellipticity
+
+    h = build_so(5)
+    assert low_rank_witness(h, 2) is not None
+    monkeypatch.setattr(ellipticity, "GRID_BUDGET", 0)
+    assert low_rank_witness(h, 2) is None
+
+
+def test_minor_solve_refutes_with_the_last_basis_element_when_the_grid_is_cut(monkeypatch):
+    # the chart x_0 = 1 of a one-element span has no free coordinate
+    import torsionlab.ellipticity as ellipticity
+
+    monkeypatch.setattr(ellipticity, "GRID_BUDGET", 0)
+    h = LinearSubalgebra(2, [Mat([[1, 0], [0, 0]])], name="line")
+    res = classify_low_rank(h, 1)
+    assert (res["status"], res["method"], res["witness_coeffs"]) == ("refuted", "minor-solve", (Fraction(1),))
+
+
+def test_zero_span_is_certified_by_the_minor_solve():
+    h = LinearSubalgebra(2, [], name="zero", validate=False)
+    assert classify_low_rank(h, 1) == {"status": "certified", "method": "minor-variety-empty"}
+
+
+def test_dim3_minor_solve_refutes_outside_the_grid():
+    # [[5a + b, c], [c, 5a - b]] has det 25 a^2 - b^2 - c^2: its rational
+    # zeros have b^2 + c^2 = 25 a^2, none in the grid [-2, 2]^3; the chart
+    # a = 1 finds the critical point (y, z) = (-5, 0) of the circle
+    basis = [Mat([[5, 0], [0, 5]]), Mat([[1, 0], [0, -1]]), Mat([[0, 1], [1, 0]])]
+    h = LinearSubalgebra(2, basis, name="circle", validate=False)
+    res = classify_low_rank(h, 1)
+    assert (res["status"], res["method"]) == ("refuted", "minor-solve")
+    assert res["witness_coeffs"] == (Fraction(1), Fraction(-5), Fraction(0))
+    assert res["witness"] == Mat([[0, 0], [0, 10]])
+
+
+def test_dim3_minor_solve_unknown_on_irrational_critical_values():
+    # [[5a + b, 5a + c], [c - 5a, 5a - b]] has det 50 a^2 - b^2 - c^2: the
+    # chart a = 1 is the circle y^2 + z^2 = 50, critical at y = +-sqrt 50
+    basis = [Mat([[5, 5], [-5, 5]]), Mat([[1, 0], [0, -1]]), Mat([[0, 1], [1, 0]])]
+    h = LinearSubalgebra(2, basis, name="circle50", validate=False)
+    assert classify_low_rank(h, 1) == {"status": "unknown", "method": "budget-exhausted"}
 
 
 def test_minor_solve_refutes_outside_the_grid():

@@ -15,6 +15,7 @@ from torsionlab.existence import (
     classify_hyperparacomplex,
     decide_product,
     decide_tangent,
+    existence_group,
     hpc_flatness,
     orbit_catalog,
     product_eigendims,
@@ -76,6 +77,35 @@ def test_pattern_dims():
         tangent_obstruction(2, 1)
     with pytest.raises(ValueError):
         tangent_obstruction(5, 1)
+
+
+@pytest.mark.parametrize("p", [Fraction(3, 2), True, Fraction(2), "2", None])
+def test_a_signature_that_is_not_an_int_is_refused(p):
+    # 1.5 used to answer "no" for every type and "yes" overall, True was read as 1
+    with pytest.raises(ValueError, match="signature 1 <= p <= 3"):
+        admits_torsion_free("product", AlmostAbelian(diag(1, 2, 3)), p=p)
+    with pytest.raises(ValueError, match="signature"):
+        existence_group("product").check(4, 1.5)
+
+
+def test_a_group_without_a_signature_refuses_p():
+    with pytest.raises(ValueError, match="gl_C structures take no signature p"):
+        admits_torsion_free("gl_C", AlmostAbelian(diag(1, 2, 3)), p=3)
+    with pytest.raises(ValueError, match="tangent structures take no signature p"):
+        orbit_catalog("tangent", 4, p=2)
+
+
+@pytest.mark.parametrize("n", [4.0, True, Fraction(4)])
+def test_a_dimension_that_is_not_an_int_is_refused(n):
+    with pytest.raises(ValueError, match="product structures need n >= 2"):
+        orbit_catalog("product", n, p=1)
+
+
+def test_a_pattern_type_that_is_not_an_int_is_refused():
+    with pytest.raises(ValueError, match="type must be an int 1..3, got True"):
+        product_obstruction(4, 2, True)
+    with pytest.raises(ValueError, match="type must be an int 1..2, got 1.0"):
+        tangent_obstruction(4, 1.0)
 
 
 @pytest.mark.parametrize("n,p", [(4, 2), (5, 2), (5, 3), (6, 3)])
@@ -310,6 +340,10 @@ def test_admits_unitary_family():
     assert admits_torsion_free("u", AlmostAbelian(non_semisimple))["overall"] == "yes"
     shear = Mat([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
     assert admits_torsion_free("u", AlmostAbelian(shear))["overall"] == "no"
+    # the primitive 8th roots of unity beside 0: chi = x (x^4 + 1), and
+    # r(x) = x^2 + 1 has no real root, so no theta is real
+    eighth = Mat([[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    assert admits_torsion_free("u", AlmostAbelian(block([[eighth, None], [None, Mat.zeros(1, 1)]])))["overall"] == "no"
 
 
 @pytest.mark.parametrize("group", ["u", "su"])
@@ -332,6 +366,12 @@ def test_admits_su_family():
     assert admits_torsion_free("su", AlmostAbelian(rot_only))["overall"] == "no"
     rot_traced = Mat([[0, -2, 0], [2, 0, 0], [0, 0, 5]])
     assert admits_torsion_free("su", AlmostAbelian(rot_traced))["overall"] == "no"
+    # the companion block of x^4 + 3 x^2 + 1 = r(x^2), r = x^2 + 3x + 1: its
+    # thetas are irrational, so rational_split leaves r whole
+    companion = Mat([[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, -3], [0, 0, 1, 0]])
+    f = block([[companion, None], [None, Mat.zeros(1, 1)]])
+    assert admits_torsion_free("su", AlmostAbelian(f))["overall"] == "unknown"
+    assert admits_torsion_free("u", AlmostAbelian(f))["overall"] == "yes"
 
 
 def test_admits_glH_family():

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from torsionlab.polynomials import (
     poly_gcd,
     quadratic_rational_factors,
     rational_roots,
+    rational_split,
     squarefree_decomposition,
     squarefree_part,
     zp_add,
@@ -60,6 +62,11 @@ def test_sturm_counts():
     assert count_real_roots(p, -1, 0) == 1  # (-1, 0] catches the root at 0
     assert count_real_roots(Poly([1, 0, 1])) == 0
     assert count_real_roots(from_roots([1, 1, 1])) == 1  # distinct roots only
+
+
+@pytest.mark.parametrize("a,b", [(2, -2), (1, 1), (Fraction(1, 2), Fraction(1, 3))])
+def test_sturm_count_of_an_empty_interval_is_0(a, b):
+    assert count_real_roots(from_roots([-1, 1]), a, b) == 0
 
 
 def test_rational_roots():
@@ -171,3 +178,73 @@ def test_quadratic_rational_factors_match_sympy():
         assert theirs == sorted(pick)
         assert found == [quadratic(s, t) for s, t in theirs]
         assert left * math.prod(found, start=Poly([1])) == q.monic()
+
+
+def _random_poly(rng, degree):
+    return Poly([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree + 1)])
+
+
+def _to_sympy(sympy, x, p):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)] or [0], x, domain="QQ")
+
+
+def _from_sympy(p):
+    return Poly([Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())])
+
+
+def test_poly_gcd_of_many_matches_sympy():
+    # seeded products of a shared factor with cofactors, zeros among them;
+    # once a prefix has gcd 1, the inputs after it are never read
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    unread = object()  # reading it raises AttributeError
+    rng = random.Random(47)
+    assert poly_gcd() == Poly([]) and poly_gcd(Poly([]), Poly([])) == Poly([])
+    assert poly_gcd(Poly([]), Poly([Fraction(-3, 2)]), unread) == Poly([1])
+    coprime = 0
+    for _ in range(60):
+        shared = _random_poly(rng, rng.randint(0, 3))
+        ps = [shared * _random_poly(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            ps.insert(rng.randrange(len(ps) + 1), Poly([]))
+        theirs = functools.reduce(sympy.gcd, [_to_sympy(sympy, x, p) for p in ps])
+        assert poly_gcd(*ps) == _from_sympy(theirs.monic() if not theirs.is_zero else theirs), ps
+        if theirs.degree() == 0:
+            coprime += 1
+            assert poly_gcd(*ps, unread) == Poly([1]), ps
+    assert coprime >= 5
+
+
+def test_rational_split_matches_sympy():
+    # seeded products of rational roots (0 and repeats among them) with a
+    # random cofactor and scale; sympy's linear factors give the roots
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(53)
+    assert rational_split(Poly([])) == ([], Poly([]))
+    assert rational_split(Poly([Fraction(5, 3)])) == ([], Poly([Fraction(5, 3)]))
+    assert rational_split(Poly([0, 0, 0, 2])) == ([(Fraction(0), 3)], Poly([2]))
+    pool = [0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), 3]
+    with_zero = 0
+    for _ in range(40):
+        p = _random_poly(rng, rng.randint(0, 3))
+        if p.is_zero():
+            continue
+        for root in rng.sample(pool, rng.randint(0, 3)):
+            p = p * from_roots([root] * rng.randint(1, 3))
+        p = p * Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+        _, factors = sympy.factor_list(_to_sympy(sympy, x, p))
+        roots = sorted(
+            (Fraction(int(r.p), int(r.q)), mult)
+            for f, mult in factors
+            if f.degree() == 1
+            for r in [-f.all_coeffs()[1] / f.all_coeffs()[0]]
+        )
+        cofactor = _to_sympy(sympy, x, p)
+        for root, mult in roots:
+            cofactor = cofactor.exquo(_to_sympy(sympy, x, from_roots([root] * mult)))
+        ours = rational_split(p)
+        assert ours == (roots, _from_sympy(cofactor)), p
+        assert rational_roots(p) == roots
+        with_zero += any(root == 0 for root, _ in roots)
+    assert with_zero >= 5
