@@ -337,13 +337,16 @@ DEFAULT_MAX_N = 12  # the cap on the ambient dimension when TORSIONLAB_MAX_N is 
 
 
 def ambient_dim(spec) -> int:
-    """The ambient dimension of the algebra a spec describes, read from
-    its parameters or its first basis matrix before anything is built."""
+    """The ambient dimension, at least 2, of the algebra a spec describes, read
+    from its parameters or its first basis matrix before anything is built."""
     if _spec_is_builder(spec):
         return _builder_call(spec)[2]
-    if isinstance(spec["basis"], list) and spec["basis"]:
-        return _spec_matrix("basis[0]", spec["basis"][0]).rows
-    raise ValueError("spec must contain 'builder' or a non-empty 'basis'")
+    if not isinstance(spec["basis"], list) or not spec["basis"]:
+        raise ValueError("spec must contain 'builder' or a non-empty 'basis'")
+    n = _spec_matrix("basis[0]", spec["basis"][0]).rows
+    if n < 2:
+        raise ValueError(f"explicit basis gives ambient dimension {n}; it must be at least 2")
+    return n
 
 
 def build(spec) -> LinearSubalgebra:
@@ -359,12 +362,8 @@ def build(spec) -> LinearSubalgebra:
     if _spec_is_builder(spec):
         fn, kwargs, _ = _builder_call(spec)
         return fn(**kwargs)
-    if not isinstance(spec["basis"], list) or not spec["basis"]:
-        raise ValueError("explicit basis must be a non-empty list of matrices")
+    n = ambient_dim(spec)
     mats = [_spec_matrix(f"basis[{i}]", b) for i, b in enumerate(spec["basis"])]
-    n = mats[0].rows
-    if n < 2:
-        raise ValueError(f"explicit basis gives ambient dimension {n}; it must be at least 2")
     structures = {}
     for key, kind in STRUCTURE_KINDS.items():
         if key not in spec:

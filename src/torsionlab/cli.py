@@ -2,10 +2,10 @@
 
 Commands: space, check, flat, exists, classify-hpc, orbits, catalog,
 verify-paper.  JSON in, JSON (or text) out; rationals travel as "p/q"
-strings.  Each command hands its raw result to ``_emit``, which converts
-it once with ``reporting.to_json`` for either format.  Exit codes: 0
-success or certificate, 1 honest negative, refusal, or a reader that
-closed stdout, 2 input error (malformed JSON included), 3 internal
+strings.  Each command hands its raw result to ``_emit``, which writes it
+as ``reporting.view`` converts it, node by node, in either format.  Exit
+codes: 0 success or certificate, 1 honest negative, refusal, or a reader
+that closed stdout, 2 input error (malformed JSON included), 3 internal
 invariant violation.
 TORSIONLAB_MAX_N (default 12) caps the ambient dimension.
 """
@@ -116,15 +116,15 @@ def parse_f(text, h) -> Mat:
 
 
 def _emit(report, fmt):
-    """Print a raw result, converted once by reporting.to_json.  Every input
-    is parsed by now, so Python's int-string digit limit is lifted meanwhile."""
+    """Write a raw result as it is converted, JSON by reporting.dump, text by
+    _emit_text; every input is parsed, so the int-string digit limit is lifted."""
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        report = reporting.to_json(report)
         if fmt == "json":
-            print(reporting.dumps(report))
+            reporting.dump(report, sys.stdout.write)
+            sys.stdout.write("\n")
         else:
             _emit_text(report)
     finally:
@@ -132,21 +132,22 @@ def _emit(report, fmt):
             sys.set_int_max_str_digits(limit)
 
 
-def _line(value):
-    """A scalar, or a list of scalars such as a matrix row, on one line."""
-    return "[" + ", ".join(str(x) for x in value) + "]" if isinstance(value, list) else str(value)
-
-
 def _emit_text(report, indent=0):
+    """Print report a key or a "-" per line, each node through reporting.view."""
     pad = "  " * indent
-    labelled = isinstance(report, dict)
-    items = [(f"{key}:", report[key]) for key in sorted(report)] if labelled else [("-", v) for v in report]
+    items = [(f"{key}:", report[key]) for key in sorted(report)] if isinstance(report, dict) else [("-", v) for v in report]
     for label, value in items:
-        if isinstance(value, dict) or (isinstance(value, list) and any(isinstance(x, (dict, list)) for x in value)):
+        value = reporting.view(value)
+        if isinstance(value, (list, tuple)) and (
+            set(map(type, value)) <= {str}  # a basis line, tested in C
+            or not any(isinstance(reporting.view(x), (dict, list, tuple)) for x in value)
+        ):
+            print(f"{pad}{label} [{', '.join(map(str, value))}]")  # scalars, such as a matrix row, on one line
+        elif isinstance(value, (dict, list, tuple)):
             print(f"{pad}{label}")
             _emit_text(value, indent + 1)
         else:
-            print(f"{pad}{label} {_line(value)}")
+            print(f"{pad}{label} {value}")
 
 
 def cmd_space(args):

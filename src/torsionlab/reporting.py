@@ -1,15 +1,14 @@
 """JSON interchange: rationals as "p/q" strings, matrices as string grids.
 
-``to_json`` is the one conversion of results for output: it maps every
-Fraction, Mat, Subspace and ConnectionTensor inside dicts, lists and
-tuples to its JSON form, so commands hand over raw results.  A Fraction
-prints as "p/q", or "p" when q = 1, which is the form ``linalg.fr``
-reads back.  ``dumps`` writes every payload with sorted keys, so
-identical jobs produce byte-identical output.  Its output is exactly
-``json.dumps(obj, sort_keys=True, indent=2)`` (ASCII only, non-ASCII and
-control characters escaped), for every value that call accepts; it is
-not the stdlib call because that call's encoder runs in Python once an
-indent is given.
+A result is converted as it is written.  ``view`` converts one level: a
+Fraction to "p/q", or "p" when q = 1 (the form ``linalg.fr`` reads back),
+a Mat and a ConnectionTensor to their grids of such strings, and a
+Subspace to its {"ambient_dim", "dim", "basis"} object, whose lines are
+built from the sparse rows one at a time.  ``dump`` views each node it
+reaches and hands out the text piece by piece, with sorted keys, so no
+copy of a whole report is held and identical jobs give identical bytes:
+those of ``json.dumps(obj, sort_keys=True, indent=2)``, whose encoder runs
+in Python once an indent is given.  ``dumps`` is dump into one string.
 """
 
 from __future__ import annotations
@@ -29,46 +28,54 @@ def mat_from_json(rows) -> Mat:
     return Mat(rows)
 
 
-def subspace_to_json(s: Subspace):
-    basis = []
-    for row in s.rows:
-        line = ["0"] * s.ambient_dim
-        for c, x in row.items():
+class _Line:
+    """A basis line of a Subspace, kept as its sparse row until view builds it."""
+
+    __slots__ = ("width", "row")
+
+    def __init__(self, width, row):
+        self.width, self.row = width, row
+
+    def strings(self):
+        line = ["0"] * self.width
+        for c, x in self.row.items():
             line[c] = str(x)
-        basis.append(line)
-    return {"ambient_dim": s.ambient_dim, "dim": s.dim, "basis": basis}
+        return line
 
 
-def to_json(value):
-    """value with each Fraction as "p/q", each Mat and ConnectionTensor as
-    its grid of such strings and each Subspace as subspace_to_json,
-    through dicts, lists and tuples; any other value is returned as is."""
-    if isinstance(value, ConnectionTensor):  # the grid gamma[i][j][k]
-        n, gamma = value.n, value.gamma
-        value = [[gamma[(i * n + j) * n : (i * n + j + 1) * n] for j in range(n)] for i in range(n)]
-    elif isinstance(value, Mat):
-        value = value.data
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, Subspace):
-        return subspace_to_json(value)
-    if isinstance(value, dict):
-        return {key: to_json(x) for key, x in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_json(x) for x in value]
-    return value
+def _grid(nabla):  # the grid gamma[i][j][k] of a connection
+    n = nabla.n
+    return [[list(map(str, nabla.gamma[(i * n + j) * n : (i * n + j + 1) * n])) for j in range(n)] for i in range(n)]
+
+
+_VIEWS = {
+    Fraction: str,
+    Mat: lambda m: [list(map(str, row)) for row in m.data],
+    ConnectionTensor: _grid,
+    Subspace: lambda s: {"ambient_dim": s.ambient_dim, "dim": s.dim, "basis": [_Line(s.ambient_dim, r) for r in s.rows]},
+    _Line: _Line.strings,
+}
+
+
+def view(value):
+    """value converted one level for output, by its exact type; dicts,
+    lists, tuples and every other value are returned as they are."""
+    convert = _VIEWS.get(type(value))
+    return value if convert is None else convert(value)
+
+
+def subspace_to_json(s: Subspace):
+    """view(s) with its basis lines built: dumps writes the same bytes for both."""
+    obj = view(s)
+    obj["basis"] = list(map(view, obj["basis"]))
+    return obj
 
 
 def dumps(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), byte for byte."""
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, after view."""
     out = []
-    _write(obj, "\n", out)
+    dump(obj, out.append)
     return "".join(out)
-
-
-def _plain(text):
-    """Whether text needs no JSON escape: printable ASCII, no quote or backslash."""
-    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
 
 
 def _key(key):
@@ -79,49 +86,40 @@ def _key(key):
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _write(obj, newline, out):
-    """Append obj's text to out; newline is a line break plus obj's indentation.
+def dump(obj, write, newline="\n"):
+    """Hand obj's text to write, a piece at a time, each node through view;
+    newline is a line break plus obj's indentation.
 
-    A list of strings, such as a basis line, is written by one join,
-    which quotes the entries in C; every other scalar goes through
-    json.dumps.  When no entry needs an escape, as for every basis
-    line, the join quotes only the separators: that writes in half the
-    time of quoting each entry and makes no quoted copy of the entries
-    (a cold gl(12) space --with-bases peaks at 129 MB, not 165 MB).
+    A list of strings, such as a basis line, is one piece, made by one
+    join, which quotes the entries in C; every other scalar goes through
+    json.dumps.  When no entry needs an escape, as for every basis line,
+    the join quotes only the separators, which writes in half the time of
+    quoting each entry.  The largest piece of a report is one basis line,
+    so the writer never holds the report.
     """
+    obj = view(obj)
+    inner, items = newline + "  ", None
     if isinstance(obj, str):
-        out.append(_quote(obj))
+        write(_quote(obj))
+    elif not isinstance(obj, (dict, list, tuple)):
+        write(json.dumps(obj))
+    elif not obj:
+        write("{}" if isinstance(obj, dict) else "[]")
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            out.append(sep + _key(key) + ": ")
-            _write(obj[key], inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
+        sep, close, items = "{" + inner, newline + "}", ((_key(key) + ": ", obj[key]) for key in sorted(obj))
+    else:
         try:
             flat = "".join(obj)
         except TypeError:  # not all strings
-            pass
+            sep, close, items = "[" + inner, newline + "]", (("", x) for x in obj)
         else:
-            if _plain(flat):  # no entry needs an escape: quote the separators
-                out.append("[" + inner + '"' + ('",' + inner + '"').join(obj) + '"' + newline + "]")
+            if flat.isascii() and flat.isprintable() and '"' not in flat and "\\" not in flat:  # no entry needs an escape
+                write("[" + inner + '"' + ('",' + inner + '"').join(obj) + '"' + newline + "]")
             else:
-                out.append("[" + inner + ("," + inner).join(map(_quote, obj)) + newline + "]")
-            return
-        sep = "[" + inner
-        for x in obj:
-            out.append(sep)
-            _write(x, inner, out)
+                write("[" + inner + ("," + inner).join(map(_quote, obj)) + newline + "]")
+    if items is not None:
+        for prefix, x in items:
+            write(sep + prefix)
+            dump(x, write, inner)
             sep = "," + inner
-        out.append(newline + "]")
-    else:
-        out.append(json.dumps(obj))
+        write(close)

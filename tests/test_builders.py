@@ -153,6 +153,17 @@ def test_build_dispatcher():
     assert hb.dim == 1
     with pytest.raises(ValueError):
         build({"basis": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]})
+    with pytest.raises(ValueError, match="non-empty 'basis'"):
+        build({"basis": []})
+
+
+def test_an_explicit_spec_reads_a_triple():
+    from torsionlab.reporting import view
+
+    h = build_delta_gl(2)
+    spec = {"basis": [view(b) for b in h.basis], "hpc": [view(x) for x in h.structures["hpc"]]}
+    user = build(spec)
+    assert user.span == h.span and user.structures == {"hpc": h.structures["hpc"]}
 
 
 def test_standard_structures_shapes():

@@ -50,6 +50,22 @@ def test_closed_stdout_exits_1_without_traceback(args):
     assert "Traceback" not in err and "runtime:" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_stdout_closed_mid_report_exits_1_without_traceback(fmt):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torsionlab.cli", "space", "--algebra", "gl:n=8", "--with-bases", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+    )
+    assert len(proc.stdout.read(4096)) == 4096  # the reader goes once the report has begun
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "runtime:" in err
+
+
 def test_space_sp4():
     proc = run_cli("space", "--algebra", "sp:m=2")
     assert proc.returncode == 0
@@ -127,8 +143,9 @@ REPORT_CASES = [
     ("orbits", "--group", "product", "--n", "4", "--p", "2"),
     ("orbits", "--group", "tangent", "--n", "6", "--format", "text"),
     ("catalog", "--crosscheck", "--format", "text"),
+    ("space", "--algebra", "sp_H:k=1", "--with-bases", "--format", "text"),
 ]
-REPORT_DIGEST = "223884b6105011962a293414bc0589673c4be0b094806099898adc74e7b94d2a"
+REPORT_DIGEST = "dddb8f8eca26700ae2a6ded83f972de80c040d6760fae1389bdf321206541845"
 
 
 def test_every_report_is_pinned(capsys):
@@ -413,6 +430,8 @@ SPEC_FILE = "<spec file>"
         (("space", "--algebra", '{"basis": [[[1, 0], [0, 0]]], "validate": 0}'), "'validate' must be true or false"),
         (("space", "--algebra", '{"basis": [[[1, 0], [0, 0]]], "validate": "no"}'), "'validate' must be true or false"),
         (("space", "--algebra", '{"basis": [[[1, 0], [0, 0]]], "name": [1]}'), "'name' must be a string"),
+        (("space", "--algebra", '{"builder": "gl", "params": [3]}'), "gl: params must be an object"),
+        (("space", "--algebra", '{"builder": "u", "params": {"p": 1, "gram": [[1, 0], [0, 2]]}}'), "gram is not J-invariant"),
     ],
     ids=[
         "v-in-hyperplane",
@@ -475,6 +494,8 @@ SPEC_FILE = "<spec file>"
         "validate-zero",
         "validate-string",
         "name-a-list",
+        "params-not-an-object",
+        "u-gram-not-J-invariant",
     ],
 )
 def test_bad_input_is_an_input_error(args, named, tmp_path):
@@ -626,8 +647,8 @@ def test_explicit_basis_space_matches_the_builder(which):
     else:  # a unimodular upper times lower triangular T fills in most entries of each element
         t = Mat([[1, 1, 0, -1], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]) * Mat([[1, 0, 0, 0], [1, 1, 0, 0], [-1, 0, 1, 0], [0, 1, 1, 1]])
         h = conjugate(build_sp(2), t)
-    spec = {key: reporting.to_json(value) for key, value in h.structures.items() if key == "omega"}
-    spec["basis"] = reporting.to_json(h.basis)
+    spec = {key: reporting.view(value) for key, value in h.structures.items() if key == "omega"}
+    spec["basis"] = [reporting.view(b) for b in h.basis]
     proc = run_cli("space", "--algebra", json.dumps(spec), "--with-bases")
     assert proc.returncode == 0, proc.stderr
     spaces = {

@@ -59,23 +59,36 @@ REPORTS = {
 }
 
 
+def plain(value):
+    """value with reporting.view applied at every node: the JSON values dump writes."""
+    value = reporting.view(value)
+    if isinstance(value, dict):
+        return {key: plain(x) for key, x in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(x) for x in value]
+    return value
+
+
 @pytest.mark.parametrize("argv", REPORTS.values(), ids=REPORTS.keys())
 def test_writer_is_json_dumps_on_every_report(argv, monkeypatch, capsys):
+    # dump calls itself through the module name, so the recorder sees every
+    # node; the report itself is the one call at the top indentation
     written = []
-    real = reporting.dumps
+    real = reporting.dump
 
-    def recording(obj):
-        written.append(obj)
-        return real(obj)
+    def recording(obj, write, newline="\n"):
+        if newline == "\n":
+            written.append(obj)
+        real(obj, write, newline)
 
-    monkeypatch.setattr(reporting, "dumps", recording)
+    monkeypatch.setattr(reporting, "dump", recording)
     with pytest.raises(SystemExit):
         cli.main(argv)
     assert len(written) == 1
-    assert capsys.readouterr().out == json.dumps(written[0], sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == json.dumps(plain(written[0]), sort_keys=True, indent=2) + "\n"
 
 
-def test_to_json_converts_inside_every_container():
+def test_dumps_converts_inside_every_container():
     from fractions import Fraction
 
     from torsionlab.engine import ConnectionTensor
@@ -88,10 +101,41 @@ def test_to_json_converts_inside_every_container():
         "nabla": ConnectionTensor(2, range(8)),
         "plain": (True, None, "x", 3),
     }
-    assert reporting.to_json(value) == {
+    assert json.loads(reporting.dumps(value)) == {
         "pair": ["1/2", ["3", ["-2/3"]]],
         "mat": [["1", "-2/3"]],
         "space": {"ambient_dim": 2, "dim": 1, "basis": [["1", "2"]]},
         "nabla": [[["0", "1"], ["2", "3"]], [["4", "5"], ["6", "7"]]],
         "plain": [True, None, "x", 3],
     }
+
+
+class Discard:
+    """A stdout that keeps only the number and the longest of its writes."""
+
+    def __init__(self):
+        self.written = self.longest = 0
+
+    def write(self, text):
+        self.written += len(text)
+        self.longest = max(self.longest, len(text))
+
+    def flush(self):
+        pass
+
+
+def test_space_with_bases_is_written_as_it_is_converted(monkeypatch):
+    import tracemalloc
+
+    out = Discard()
+    monkeypatch.setattr("sys.stdout", out)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as done:
+            cli.main(["space", "--algebra", "gl:n=8", "--with-bases"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert done.value.code == 0 and out.written > 4_000_000
+    # the report is never held whole: not as a converted copy, not as one string
+    assert peak < out.written / 4 and out.longest <= 8192
