@@ -1,16 +1,19 @@
 """Exact polynomial arithmetic over Q.
 
 Supports the spectral pipeline: characteristic polynomials via
-Faddeev-LeVerrier, Yun squarefree decomposition, Sturm-chain real root
-counting and rational root extraction.  Zeros are found through two
-primitives: `poly_gcd(*polys)`, the monic gcd of any number of
-polynomials, and `rational_split(p)`, the rational roots of p with
-their multiplicities together with the cofactor they leave.  Q[y][z]
-has one form, a list of `Poly`s in y indexed by the power of z (the
-`zp_*` functions, with primitive-PRS gcd, exact division and the
-Sylvester resultant); the quadratic-factor search and the rank solve
-of `ellipticity` build in it.  All coefficients are Fractions; there
-is no numerical root finding anywhere.
+Faddeev-LeVerrier on integers, Yun squarefree decomposition, Sturm-chain
+real root counting and the rational factors of degree <= 2.  Zeros are
+found through two primitives: `poly_gcd(*polys)`, the monic gcd of any
+number of polynomials, and `rational_split(p)`, the rational roots of p
+with their multiplicities together with the cofactor they leave.
+`rational_split` and `quadratic_rational_factors` read one integer
+routine, `_low_degree_factors`: factors mod a prime, Hensel-lifted and
+tested by exact division, on int lists.  Q[y][z] has one form, a list
+of `Poly`s in y indexed by the power of z (the `zp_*` functions, with
+primitive-PRS gcd, exact division and the Sylvester resultant); the
+rank solve of `ellipticity` builds in it.  A `Poly` holds Fractions,
+and every result is a `Poly` or a Fraction; there is no numerical root
+finding anywhere.
 """
 
 from __future__ import annotations
@@ -121,9 +124,12 @@ class Poly(Value):
         return acc
 
     def eval_mat(self, m: Mat) -> Mat:
-        acc = Mat.zeros(m.rows, m.cols)
-        for c in reversed(self.coeffs):
-            acc = acc * m + Mat.identity(m.rows).scale(c)
+        """p(m) by Horner: from lc(p) I, multiply by m and add c on the diagonal."""
+        if self.is_zero():
+            return Mat.zeros(m.rows, m.cols)
+        acc = Mat.identity(m.rows).scale(self.coeffs[-1])
+        for c in reversed(self.coeffs[:-1]):
+            acc = Mat([[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate((acc * m).data)])
         return acc
 
     def derivative(self):
@@ -234,51 +240,166 @@ def rational_split(p: Poly):
     zeros = next(i for i, c in enumerate(p.coeffs) if c != 0)
     roots = [(Fraction(0), zeros)] if zeros else []
     work = Poly(p.coeffs[zeros:])
-    den = math.lcm(*(c.denominator for c in work.coeffs))
-    ints = [int(c * den) for c in work.coeffs]
-    g = math.gcd(*ints)
-    a0, an = abs(ints[0]) // g, abs(ints[-1]) // g
-    candidates = {Fraction(sign * a, b) for a in _divisors(a0) for b in _divisors(an) for sign in (1, -1)}
-    for cand in sorted(candidates):
-        if work(cand) == 0:
-            mult = 0
-            while work(cand) == 0:
-                work = work.exact_div(Poly([-cand, 1]))
-                mult += 1
-            roots.append((cand, mult))
-        if work.degree <= 0:
-            break
+    for root in _low_degree_factors(squarefree_part(work))[0]:
+        mult = 0
+        while work(root) == 0:
+            work = work.exact_div(Poly([-root, 1]))
+            mult += 1
+        roots.append((root, mult))
     return sorted(roots), work
 
 
-def _divisors(n):
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def char_poly(m: Mat) -> Poly:
-    """Monic characteristic polynomial det(xI - m) by Faddeev-LeVerrier."""
+    """Monic characteristic polynomial det(xI - m) by Faddeev-LeVerrier on
+    integers: with d the lcm of the denominators of m, chi_m(x) is
+    d^-n chi_{dm}(dx), and the coefficient -tr(M_k) / k of x^(n-k) in
+    chi_{dm} is an exact integer division."""
     if not m.is_square():
         raise ValueError("characteristic polynomial of non-square matrix")
     n = m.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = Mat.identity(n)
+    d = math.lcm(*(x.denominator for row in m.data for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in m.data]
+    coeffs, mk = [1], a
     for k in range(1, n + 1):
-        mk = m * mk
-        ck = -mk.trace() / k
-        coeffs[n - k] = ck
-        mk = mk + Mat.identity(n).scale(ck)
-    return Poly(coeffs)
+        coeffs.append(-sum(mk[i][i] for i in range(n)) // k)
+        if k < n:  # M_{k+1} = a (M_k + coeffs[k] I)
+            cols = list(zip(*(row[:i] + [row[i] + coeffs[k]] + row[i + 1 :] for i, row in enumerate(mk))))
+            mk = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return Poly([Fraction(c, d**k) for k, c in reversed(list(enumerate(coeffs)))])
+
+
+# -- Z[x] and (Z/m)[x]: int lists, low-to-high, no trailing zeros
+
+
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _lin(p, q, m, c=1):
+    """p + c q mod m."""
+    out = [a % m for a in p] + [0] * (len(q) - len(p))
+    for i, b in enumerate(q):
+        out[i] = (out[i] + c * b) % m
+    return _trim(out)
+
+
+def _mul(p, q, m):
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _trim([c % m for c in out])
+
+
+def _divmod(p, q, m):
+    """Quotient and remainder of p by q mod m; q's leading coefficient is a unit."""
+    inv, rem, dq = pow(q[-1], -1, m), [c % m for c in p], len(q) - 1
+    quo = [0] * max(0, len(p) - dq)
+    for i in range(len(quo) - 1, -1, -1):
+        c = quo[i] = rem[i + dq] * inv % m
+        for j, b in enumerate(q):
+            rem[i + j] = (rem[i + j] - c * b) % m
+    return _trim(quo), _trim(rem[:dq])
+
+
+def _powmod(base, e, g, p):
+    """base^e mod g, mod p."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _divmod(_mul(out, base, p), g, p)[1]
+        base, e = _divmod(_mul(base, base, p), g, p)[1], e >> 1
+    return out
+
+
+def _xgcd(a, b, p):
+    """(g, s, t) mod p: g the monic gcd of a and b, and s a + t b = g."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        quo, rem = _divmod(r0, r1, p)
+        r0, r1 = r1, rem
+        s0, s1, t0, t1 = s1, _lin(s0, _mul(quo, s1, p), p, -1), t1, _lin(t0, _mul(quo, t1, p), p, -1)
+    inv = [pow(r0[-1], -1, p)]
+    return _mul(r0, inv, p), _mul(s0, inv, p), _mul(t0, inv, p)
+
+
+def _split(g, d, p):
+    """The monic irreducible factors mod p of g, a product of distinct ones of
+    degree d: Cantor-Zassenhaus with x + a, a = 0, 1, ..., for the random
+    element (by the Weil bound some a < p splits any two factors, p >= 101)."""
+    if len(g) - 1 <= d:
+        return [g]
+    for a in range(p):
+        u = _xgcd(g, _lin(_powmod([a, 1], (p**d - 1) // 2, g, p), [1], p, -1), p)[0]
+        if 1 < len(u) < len(g):
+            return _split(u, d, p) + _split(_divmod(g, u, p)[0], d, p)
+    raise ArithmeticError("no split found")
+
+
+def _hensel(f, h, p, m):
+    """The monic factor h of f mod p lifted to a factor of f mod m = p^(2^k)
+    (von zur Gathen and Gerhard, Algorithm 15.10); f mod p is squarefree,
+    of the degree of f."""
+    g, mod = _divmod(f, h, p)[0], p
+    _, s, t = _xgcd(g, h, p)
+    while mod < m:
+        mod *= mod
+        e = _lin(f, _mul(g, h, mod), mod, -1)
+        quo, rem = _divmod(_mul(s, e, mod), h, mod)
+        g, h = _lin(g, _lin(_mul(t, e, mod), _mul(quo, g, mod), mod), mod), _lin(h, rem, mod)
+        b = _lin(_lin(_mul(s, g, mod), _mul(t, h, mod), mod), [1], mod, -1)
+        c, d = _divmod(_mul(s, b, mod), h, mod)
+        s, t = _lin(s, d, mod, -1), _lin(t, _lin(_mul(t, b, mod), _mul(c, g, mod), mod), mod, -1)
+    return h
+
+
+def _low_degree_factors(q: Poly):
+    """(roots, quadratics): the rational roots of the squarefree q, and its
+    monic rational quadratic factors without rational roots.
+
+    Zassenhaus's method cut to degree <= 2 (von zur Gathen and Gerhard,
+    ch. 15; the roots are Loos's p-adic rational zeros).  f, q with its
+    denominators cleared, is factored mod the first prime p >= 101 that
+    keeps its degree and leaves it squarefree.  The linear and quadratic
+    factors mod p are lifted mod m > 4 (|f|_2 + 1): lc(f) times a monic
+    rational factor of degree <= 2 has coefficients of size at most
+    2 |f|_2 (Mignotte), so its symmetric residue mod m is exact.  Each
+    lifted linear, lifted quadratic and product of two lifted linears that
+    are not factors themselves is then tested by exact division.
+    """
+    if q.degree <= 1:
+        return [-q.coeffs[0] / q.coeffs[1]] if q.degree == 1 else [], []
+    den = math.lcm(*(c.denominator for c in q.coeffs))
+    f = [c.numerator * (den // c.denominator) for c in q.coeffs]
+    p, df = 101, [i * c for i, c in enumerate(f)][1:]
+    # the next odd p until it is prime, does not divide lc(f) and leaves f squarefree
+    while (any(p % k == 0 for k in range(3, math.isqrt(p) + 1, 2)) or f[-1] % p == 0
+           or len(_xgcd(_lin(f, [], p), _lin(df, [], p), p)[0]) > 1):
+        p += 2
+    fp = _lin(f, [], p)
+    xp = _powmod([0, 1], p, fp, p)
+    ones = _xgcd(fp, _lin(xp, [0, 1], p, -1), p)[0]
+    rest = _divmod(fp, ones, p)[0]
+    twos = _xgcd(rest, _lin(_powmod(_divmod(xp, rest, p)[1], p, rest, p), [0, 1], p, -1), p)[0]
+    bound, m = 4 * (math.isqrt(sum(c * c for c in f)) + 1), p
+    while m <= bound:
+        m *= m
+
+    def rational(h):  # the monic rational factor lc(f) h mod m stands for, if it divides q
+        fac = Poly([(f[-1] * a + m // 2) % m - m // 2 for a in h]).monic()
+        return fac if (q % fac).is_zero() else None
+
+    found, strays = [], []
+    for h in (_hensel(f, u, p, m) for g, d in ((ones, 1), (twos, 2)) for u in _split(g, d, p) if len(u) > 1):
+        fac = rational(h)
+        if fac is not None:
+            found.append(fac)
+        elif len(h) == 2:
+            strays.append(h)
+    found += filter(None, (rational(_mul(h, k, m)) for i, h in enumerate(strays) for k in strays[i + 1 :]))
+    return [-fac.coeffs[0] for fac in found if fac.degree == 1], [fac for fac in found if fac.degree == 2]
 
 
 # -- Q[y][z] as lists: p[j] is the coefficient of z^j, a Poly in y, no trailing zeros
@@ -414,49 +535,11 @@ def zp_resultant(a, b):
 
 
 def quadratic_rational_factors(q: Poly):
-    """All monic quadratics x^2 - s x + t with rational s, t dividing q.
-
-    Solved exactly: the remainder of q modulo x^2 - s x + t is
-    A(s, t) x + B(s, t); rational common zeros of (A, B) are found by a
-    resultant elimination plus rational root extraction.  q is assumed
-    squarefree with no rational roots; factors the method cannot reach
-    stay in the caller's unsplit pile.
-    """
-    found = []
+    """(found, cofactor): the monic quadratics x^2 - s x + t with rational
+    s, t dividing q, in ascending (s, t), and q.monic() divided by them.
+    q is assumed squarefree with no rational roots."""
     work = q.monic()
-    while work.degree >= 4:
-        fac = _one_quadratic_factor(work)
-        if fac is None:
-            break
-        found.append(fac)
+    found = sorted(_low_degree_factors(squarefree_part(work))[1], key=lambda fac: (-fac.coeffs[1], fac.coeffs[0]))
+    for fac in found:
         work = work.exact_div(fac)
-    if work.degree == 2:
-        found.append(work.monic())
-        work = Poly([1])
     return found, work
-
-
-def _one_quadratic_factor(q):
-    # x^k mod (x^2 - s x + t) = a_k x + b_k in Q[s][t], with s = y, t = z:
-    # a_{k+1} = s a_k + b_k and b_{k+1} = -t a_k; q mod (x^2 - s x + t)
-    # is then za x + zb with za = sum c_k a_k and zb = sum c_k b_k
-    a, b = [], [Poly([1])]
-    za, zb = [], []
-    for c in q.coeffs:
-        if c != 0:
-            za, zb = zp_add(za, zp_scale(a, c)), zp_add(zb, zp_scale(b, c))
-        a, b = zp_add([Poly((0,) + ak.coeffs) for ak in a], b), zp_shift([-ak for ak in a], 1)
-    if not za or not zb:
-        return None
-    elim = zp_resultant(za, zb)
-    if elim.is_zero():
-        return None
-    for s0, _ in rational_roots(elim):
-        g = poly_gcd(zp_eval_y(za, s0), zp_eval_y(zb, s0))
-        if g.degree <= 0:
-            continue
-        for t0, _ in rational_roots(g):
-            fac = Poly([t0, -s0, 1])
-            if (q % fac).is_zero():
-                return fac
-    return None

@@ -59,10 +59,10 @@ class FactorData(Value):
 def _kernel_ladder(f: Mat, phi: Poly, mult: int):
     """ker phi(f)^k for k = 1..mult, up to where the dimension stops growing."""
     nmat = phi.eval_mat(f)
-    power = Mat.identity(f.rows)
-    ladder = []
+    power, ladder = nmat, []
     for _ in range(mult):
-        power = power * nmat
+        if ladder:
+            power = power * nmat
         ker = kernel(power)
         if ker.dim == (ladder[-1].dim if ladder else 0):
             break

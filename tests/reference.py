@@ -5,12 +5,17 @@ kernel, Zassenhaus, inverse and reduce routes built on it; block
 matrices, the matrix commutator and the closure test on dense Mat
 products; and the torsion, curvature and Nijenhuis tensors of a
 connection on g_f as loops over every index tuple of the dense bracket
-tensor.
+tensor.  The Fraction routes of the spectral pipeline: Faddeev-LeVerrier
+on dense Mat products, rational roots from the divisors of the end
+coefficients, and the quadratic-factor search through a Sylvester
+resultant in Q[s][t].
 """
 
+import math
 from fractions import Fraction
 
 from torsionlab.linalg import Mat, ShapeError
+from torsionlab.polynomials import Poly, poly_gcd, zp_add, zp_eval_y, zp_resultant, zp_scale, zp_shift
 
 
 
@@ -195,3 +200,91 @@ def zp_expr(p, y, z):
     """An element of Q[y][z] (a list of Polys in y, one per power of z) as
     an expression in the symbols y and z, for the sympy cross-checks."""
     return sum(c * y**i * z**j for j, q in enumerate(p) for i, c in enumerate(q.coeffs))
+
+
+def fraction_char_poly(m):
+    """det(xI - m) by Faddeev-LeVerrier on Fraction matrices."""
+    n = m.rows
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    mk = Mat.identity(n)
+    for k in range(1, n + 1):
+        mk = m * mk
+        coeffs[n - k] = -mk.trace() / k
+        mk = mk + Mat.identity(n).scale(coeffs[n - k])
+    return Poly(coeffs)
+
+
+def _divisors(n):
+    """The divisors of n >= 0 by trial division up to sqrt(n); [1] for 0."""
+    out = {1}
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out |= {d, n // d}
+        d += 1
+    return sorted(out)
+
+
+def divisor_rational_split(p):
+    """rational_split by trying every a/b with a | p(0) and b | lc(p), after
+    the zero roots; for small end coefficients only."""
+    if p.degree <= 0:
+        return [], p
+    zeros = next(i for i, c in enumerate(p.coeffs) if c != 0)
+    roots = [(Fraction(0), zeros)] if zeros else []
+    work = Poly(p.coeffs[zeros:])
+    den = math.lcm(*(c.denominator for c in work.coeffs))
+    ints = [int(c * den) for c in work.coeffs]
+    g = math.gcd(*ints)
+    a0, an = abs(ints[0]) // g, abs(ints[-1]) // g
+    for cand in sorted({Fraction(sign * a, b) for a in _divisors(a0) for b in _divisors(an) for sign in (1, -1)}):
+        mult = 0
+        while work(cand) == 0:
+            work = work.exact_div(Poly([-cand, 1]))
+            mult += 1
+        if mult:
+            roots.append((cand, mult))
+    return sorted(roots), work
+
+
+def resultant_quadratic_factors(q):
+    """quadratic_rational_factors by elimination: q mod (x^2 - s x + t) is
+    A(s, t) x + B(s, t), and each rational s with Res_t(A, B)(s) = 0 is
+    tried with the rational t of gcd(A(s), B(s)).  It misses a factor
+    when the resultant vanishes identically."""
+    found, work = [], q.monic()
+    while work.degree >= 4:
+        fac = _one_quadratic_factor(work)
+        if fac is None:
+            break
+        found.append(fac)
+        work = work.exact_div(fac)
+    if work.degree == 2:
+        found.append(work.monic())
+        work = Poly([1])
+    return found, work
+
+
+def _one_quadratic_factor(q):
+    # x^k mod (x^2 - s x + t) = a_k x + b_k in Q[s][t]:
+    # a_{k+1} = s a_k + b_k and b_{k+1} = -t a_k
+    a, b = [], [Poly([1])]
+    za, zb = [], []
+    for c in q.coeffs:
+        if c != 0:
+            za, zb = zp_add(za, zp_scale(a, c)), zp_add(zb, zp_scale(b, c))
+        a, b = zp_add([Poly((0,) + ak.coeffs) for ak in a], b), zp_shift([-ak for ak in a], 1)
+    if not za or not zb:
+        return None
+    elim = zp_resultant(za, zb)
+    if elim.is_zero():
+        return None
+    for s0, _ in divisor_rational_split(elim)[0]:
+        g = poly_gcd(zp_eval_y(za, s0), zp_eval_y(zb, s0))
+        if g.degree <= 0:
+            continue
+        for t0, _ in divisor_rational_split(g)[0]:
+            fac = Poly([t0, -s0, 1])
+            if (q % fac).is_zero():
+                return fac
+    return None

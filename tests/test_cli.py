@@ -697,3 +697,46 @@ def test_violated_invariant_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal invariant violation: forced" in captured.err and "Traceback" not in captured.err
+
+
+# Every module a fresh `import torsionlab.cli` loads on Python 3.11, the
+# interpreter's start-up and its site hooks included.  A new import, or a
+# table of primes or other module-level work pulling one in, changes this
+# list.  Much of the import cost is compiling: with bytecode writing off
+# (PYTHONDONTWRITEBYTECODE=1) there is no __pycache__, and compiling the
+# package's 4,700 source lines takes about 40 ms of the 75 ms the import
+# adds to interpreter start (Python 3.11, 2-vCPU Xeon VM), so the
+# benchmark's setup_s also pays for every source line.
+CLI_IMPORTS = """
+    __future__ __main__ _abc _bisect _bz2 _codecs _collections _collections_abc _compression _decimal
+    _distutils_hack _frozen_importlib _frozen_importlib_external _functools _imp _io _json _lzma
+    _operator _random _sha512 _signal _sitebuiltins _sre _stat _struct _thread _typing _warnings
+    _weakref _weakrefset abc argparse atexit binascii bisect builtins bz2 certifi certifi.core codecs
+    collections collections.abc contextlib copyreg decimal encodings encodings.aliases encodings.utf_8
+    enum errno fnmatch fractions functools genericpath gettext importlib importlib._abc
+    importlib._bootstrap importlib._bootstrap_external importlib.readers importlib.resources
+    importlib.resources._adapters importlib.resources._common importlib.resources._itertools
+    importlib.resources._legacy importlib.resources.abc importlib.resources.readers importlib.util io
+    ipaddress itertools json json.decoder json.encoder json.scanner keyword lzma marshal math ntpath
+    numbers operator os os.path pathlib posix posixpath random re re._casefix re._compiler
+    re._constants re._parser reprlib shutil site stat struct sys tempfile threading time torsionlab
+    torsionlab.algebras torsionlab.builders torsionlab.cli torsionlab.ellipticity torsionlab.engine
+    torsionlab.existence torsionlab.linalg torsionlab.polynomials torsionlab.profiles
+    torsionlab.reporting torsionlab.spectral torsionlab.verify types typing typing.io typing.re urllib
+    urllib.parse warnings weakref zipfile zipimport zlib
+""".split()
+
+
+def test_importing_the_cli_loads_the_pinned_modules():
+    if sys.version_info[:2] != (3, 11):
+        pytest.skip("the list is pinned for Python 3.11")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, torsionlab.cli; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert len(CLI_IMPORTS) == 127
+    assert loaded == CLI_IMPORTS, (sorted(set(loaded) - set(CLI_IMPORTS)), sorted(set(CLI_IMPORTS) - set(loaded)))

@@ -1,10 +1,12 @@
+import contextlib
 import functools
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
-from reference import zp_expr
+from reference import divisor_rational_split, fraction_char_poly, resultant_quadratic_factors, zp_expr
 
 from torsionlab.linalg import Mat
 from torsionlab.polynomials import (
@@ -23,6 +25,7 @@ from torsionlab.polynomials import (
     zp_resultant,
     zp_sub,
 )
+from torsionlab.spectral import primary_components
 
 
 def from_roots(roots):
@@ -248,3 +251,87 @@ def test_rational_split_matches_sympy():
         assert rational_roots(p) == roots
         with_zero += any(root == 0 for root, _ in roots)
     assert with_zero >= 5
+
+
+def test_integer_route_matches_the_fraction_references():
+    # seeded rational matrices, n = 2..9, with non-integer entries: the
+    # integer Faddeev-LeVerrier against the Fraction one; then products of
+    # known rational roots (repeats among them) and irreducible quadratics,
+    # scaled by a non-integer constant: rational_split against the divisor
+    # route, and quadratic_rational_factors against the resultant search
+    rng = random.Random(59)
+    for n in range(2, 10):
+        for _ in range(4):
+            m = Mat([[Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3, 4])) if rng.random() < 0.8 else 0 for _ in range(n)] for _ in range(n)])
+            assert char_poly(m) == fraction_char_poly(m), m
+    pool = [Fraction(r) for r in (-2, -1, 1, 3)] + [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+    quads_found = 0
+    for _ in range(40):
+        pick = sorted(rng.sample(IRREDUCIBLE_QUADRATICS, rng.randint(0, 3)))
+        p = from_roots(rng.sample(pool, rng.randint(0, 3)) * rng.randint(1, 2)) * Fraction(rng.choice([-5, 2, 7]), rng.choice([3, 4, 6]))
+        for s, t in pick:
+            p = p * quadratic(s, t)
+        assert rational_split(p) == divisor_rational_split(p), p
+        rest = rational_split(p)[1]
+        assert quadratic_rational_factors(rest) == resultant_quadratic_factors(rest) == ([quadratic(s, t) for s, t in pick], Poly([1])), p
+        quads_found += len(pick)
+    assert quads_found >= 30
+
+
+@contextlib.contextmanager
+def under_a_second():
+    """Raise TimeoutError in the block once it has run for a second."""
+
+    def expire(*_):
+        raise TimeoutError("ran for a second")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # the two generic n = 8 product queries of the benchmark's query-mix,
+        # whose chi_f, irreducible of degree 7, the divisor route never finished
+        [[1, -1, -4, -5, -4, -1, -2], [-3, 0, 1, -4, -4, -1, 2], [3, 2, 5, 2, 4, 4, -1], [0, -5, 5, 3, 2, 3, 3],
+         [-5, 0, -3, 3, -3, 2, -5], [-1, -4, -1, -1, -1, 4, -4], [-1, -5, 1, -2, -4, 4, 0]],
+        [[3, 4, -4, 4, -4, -5, 4], [-3, 3, -1, 4, -5, 1, 4], [-1, 3, 1, 1, 0, -3, 0], [4, -4, -3, 1, -4, 3, 4],
+         [1, 1, 1, 0, 2, -1, -5], [4, -4, 3, 3, 2, 2, 3], [-1, -4, 1, -3, 0, 4, -4]],
+    ],
+)
+def test_generic_degree_7_spectrum_within_a_second(rows):
+    f = Mat(rows)
+    with under_a_second():
+        spec = primary_components(f)
+    assert spec.split == () and spec.unsplit == ((char_poly(f), 1),)
+
+
+def test_30_digit_rational_roots_within_a_second():
+    rng = random.Random(61)
+    roots = sorted({Fraction(rng.randrange(10**29, 10**30) * rng.choice([-1, 1]), rng.randrange(10**29, 10**30)) for _ in range(4)})
+    mults = [1, 2, 1, 1]
+    p = Poly([Fraction(-7, 3)]) * Poly([1, 1, 1])
+    for root, mult in zip(roots, mults):
+        p = p * from_roots([root] * mult)
+    with under_a_second():
+        split = rational_split(p)
+    assert split == (list(zip(roots, mults)), Poly([Fraction(-7, 3)] * 3))
+
+
+def test_two_40_digit_irreducible_quadratics_within_a_second():
+    # one with two real irrational roots, which split mod most primes, and
+    # one with complex roots
+    rng = random.Random(67)
+    s1, t1 = rng.randrange(10**39, 10**40), -rng.randrange(10**39, 10**40)
+    s2, t2 = Fraction(rng.randrange(10**39, 10**40), 7), Fraction(rng.randrange(10**79, 10**80), 9)
+    assert math.isqrt(s1 * s1 - 4 * t1) ** 2 != s1 * s1 - 4 * t1 and s2 * s2 < 4 * t2
+    q = quadratic(s2, t2) * quadratic(s1, t1) * Fraction(5, 3)
+    with under_a_second():
+        found = quadratic_rational_factors(q)
+    assert found == ([quadratic(s, t) for s, t in sorted([(s1, t1), (s2, t2)])], Poly([1]))

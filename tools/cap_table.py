@@ -7,7 +7,9 @@ Runs `python -m torsionlab.cli space --algebra A` without and with
 the two, for every row of ROWS.  Prints one Markdown row per algebra: the
 min-max (median) wall time of each command, the largest peak memory of
 the child (its `ru_maxrss`, from `os.wait4`, so POSIX only) and the
-stdout size with bases.  --src imports torsionlab from another checkout's
+stdout size with bases.  Then one row per `exists` command of EXISTS_ROWS
+on a dense f at the cap, n = 12: an 11 x 11 f drawn row by row from
+`random.Random(12)`, entries in [-9, 9], run K times the same way.  --src imports torsionlab from another checkout's
 src/; --digest adds the SHA-256 of that stdout, so two trees can be
 compared byte for byte.  Measured times swing with the load on the
 machine; give the hardware with the table.
@@ -17,6 +19,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -37,6 +40,7 @@ ROWS = [
     ("`gl:n=13` (`TORSIONLAB_MAX_N=13`)", "gl:n=13", {"TORSIONLAB_MAX_N": "13"}),
     ("explicit basis of gl(12), validated", "explicit", {}),
 ]
+EXISTS_ROWS = [["tangent"], ["product", "--p", "5"]]
 
 
 def gl_basis_spec(n):
@@ -93,6 +97,18 @@ def main():
                    f"| {max(r[1] for r in plain):.0f} / {max(r[1] for r in bases):.0f} MB "
                    f"| {bases[0][2] / 1e6:.1f} MB |")
             print(row + (f" `{bases[0][3][:16]}` |" if args.digest else ""), flush=True)
+        rng = random.Random(12)
+        dense = os.path.join(tmp, "dense11.json")
+        with open(dense, "w") as fh:
+            json.dump([[rng.randint(-9, 9) for _ in range(11)] for _ in range(11)], fh)
+        print("\n| dense f, n = 12 | time | peak |" + (" SHA-256 |" if args.digest else ""))
+        print("|---|---|---|" + ("---|" if args.digest else ""))
+        env = dict(os.environ, PYTHONPATH=args.src)
+        for mode in EXISTS_ROWS:
+            argv = [sys.executable, "-m", "torsionlab.cli", "exists", *mode, "--f", dense, "--format", args.format]
+            runs = [run_once(argv, env) for _ in range(args.runs)]
+            row = f"| `exists {' '.join(mode)}` | {spread([r[0] for r in runs])} | {max(r[1] for r in runs):.0f} MB |"
+            print(row + (f" `{runs[0][3][:16]}` |" if args.digest else ""), flush=True)
 
 
 if __name__ == "__main__":
