@@ -27,7 +27,7 @@ from .polynomials import (
     Poly,
     count_real_roots,
     poly_gcd,
-    rational_roots,
+    rational_split,
     zp_add,
     zp_derivative,
     zp_eval_y,
@@ -62,7 +62,7 @@ def _decide_univariate(polys):
         return "witness", Fraction(0)
     if g.degree == 0:
         return "empty", None
-    roots = rational_roots(g)
+    roots = rational_split(g)[0]
     if roots:
         return "witness", roots[0][0]
     if count_real_roots(g) == 0:
@@ -97,7 +97,7 @@ def _decide_bivariate(polys):
     elim = zp_resultant(sf, zp_derivative(sf)) * sf[-1]
     if elim.is_zero():
         return "unknown", None
-    elim_roots = rational_roots(elim)
+    elim_roots = rational_split(elim)[0]
     n_real = count_real_roots(elim)
     for y0, _ in elim_roots:
         verdict, z0 = _decide_univariate([zp_eval_y(p, y0) for p in polys])

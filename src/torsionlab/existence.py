@@ -509,10 +509,9 @@ def _unitary_spectrum(f):
     if any(rest.coeffs[i] != 0 for i in range(1, len(rest.coeffs), 2)):
         return None
     r = Poly(rest.coeffs[::2])
-    # all roots of r must be real and <= 0 (they are -theta^2)
-    if count_real_roots(r) != squarefree_part(r).degree:
-        return None
-    if count_real_roots(r, 0) > 0:
+    # all roots of r must be real and <= 0 (they are -theta^2): its
+    # distinct roots in (-inf, 0] number deg sqf(r)
+    if count_real_roots(r, None, 0) != squarefree_part(r).degree:
         return None
     # f is semisimple iff the squarefree part of its characteristic
     # polynomial annihilates it

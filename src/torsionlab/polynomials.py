@@ -4,16 +4,16 @@ Supports the spectral pipeline: characteristic polynomials via
 Faddeev-LeVerrier on integers, Yun squarefree decomposition, Sturm-chain
 real root counting and the rational factors of degree <= 2.  Zeros are
 found through two primitives: `poly_gcd(*polys)`, the monic gcd of any
-number of polynomials, and `rational_split(p)`, the rational roots of p
-with their multiplicities together with the cofactor they leave.
-`rational_split` and `quadratic_rational_factors` read one integer
-routine, `_low_degree_factors`: factors mod a prime, Hensel-lifted and
-tested by exact division, on int lists.  Q[y][z] has one form, a list
-of `Poly`s in y indexed by the power of z (the `zp_*` functions, with
-primitive-PRS gcd, exact division and the Sylvester resultant); the
-rank solve of `ellipticity` builds in it.  A `Poly` holds Fractions,
-and every result is a `Poly` or a Fraction; there is no numerical root
-finding anywhere.
+number of polynomials, and `low_degree_factors(q)`, the rational roots
+and rational quadratic factors of a squarefree q: factors mod a prime,
+Hensel-lifted and tested by exact division, on int lists.
+`rational_split(p)` reads it for the rational roots of any p with their
+multiplicities, together with the cofactor they leave.  Q[y][z] has one
+form, a list of `Poly`s in y indexed by the power of z (the `zp_*`
+functions, with primitive-PRS gcd, exact division and the Sylvester
+resultant); the rank solve of `ellipticity` builds in it.  A `Poly`
+holds Fractions, and every result is a `Poly` or a Fraction; there is
+no numerical root finding anywhere.
 """
 
 from __future__ import annotations
@@ -219,16 +219,14 @@ def count_real_roots(p: Poly, a=None, b=None) -> int:
     default, and 0 when a >= b leaves the interval empty."""
     if p.degree <= 0 or (a is not None and b is not None and fr(a) >= fr(b)):
         return 0
-    sf = squarefree_part(p)
-    chain = sturm_chain(sf)
+    # the chain of p over its last term, gcd(p, p') up to a constant, is a
+    # Sturm chain of the squarefree part (Basu, Pollack and Roy, ch. 2)
+    chain = sturm_chain(p)
+    if chain[-1].degree > 0:
+        chain = [q.exact_div(chain[-1]) for q in chain]
     va = _variations_at(chain, fr(a)) if a is not None else _variations_at_inf(chain, positive=False)
     vb = _variations_at(chain, fr(b)) if b is not None else _variations_at_inf(chain, positive=True)
     return va - vb
-
-
-def rational_roots(p: Poly):
-    """All rational roots of p, as a sorted list of (root, multiplicity)."""
-    return rational_split(p)[0]
 
 
 def rational_split(p: Poly):
@@ -240,7 +238,7 @@ def rational_split(p: Poly):
     zeros = next(i for i, c in enumerate(p.coeffs) if c != 0)
     roots = [(Fraction(0), zeros)] if zeros else []
     work = Poly(p.coeffs[zeros:])
-    for root in _low_degree_factors(squarefree_part(work))[0]:
+    for root in low_degree_factors(squarefree_part(work))[0]:
         mult = 0
         while work(root) == 0:
             work = work.exact_div(Poly([-root, 1]))
@@ -355,9 +353,10 @@ def _hensel(f, h, p, m):
     return h
 
 
-def _low_degree_factors(q: Poly):
-    """(roots, quadratics): the rational roots of the squarefree q, and its
-    monic rational quadratic factors without rational roots.
+def low_degree_factors(q: Poly):
+    """(roots, quadratics): the rational roots of the squarefree q in
+    ascending order, and its monic rational quadratic factors without
+    rational roots, x^2 - s x + t in ascending (s, t).
 
     Zassenhaus's method cut to degree <= 2 (von zur Gathen and Gerhard,
     ch. 15; the roots are Loos's p-adic rational zeros).  f, q with its
@@ -399,7 +398,8 @@ def _low_degree_factors(q: Poly):
         elif len(h) == 2:
             strays.append(h)
     found += filter(None, (rational(_mul(h, k, m)) for i, h in enumerate(strays) for k in strays[i + 1 :]))
-    return [-fac.coeffs[0] for fac in found if fac.degree == 1], [fac for fac in found if fac.degree == 2]
+    roots = sorted(-fac.coeffs[0] for fac in found if fac.degree == 1)
+    return roots, sorted((fac for fac in found if fac.degree == 2), key=lambda fac: (-fac.coeffs[1], fac.coeffs[0]))
 
 
 # -- Q[y][z] as lists: p[j] is the coefficient of z^j, a Poly in y, no trailing zeros
@@ -533,13 +533,3 @@ def zp_resultant(a, b):
         rows.append([Poly([])] * i + list(reversed(b)) + [Poly([])] * (size - i - db - 1))
     return poly_mat_det(rows)
 
-
-def quadratic_rational_factors(q: Poly):
-    """(found, cofactor): the monic quadratics x^2 - s x + t with rational
-    s, t dividing q, in ascending (s, t), and q.monic() divided by them.
-    q is assumed squarefree with no rational roots."""
-    work = q.monic()
-    found = sorted(_low_degree_factors(squarefree_part(work))[1], key=lambda fac: (-fac.coeffs[1], fac.coeffs[0]))
-    for fac in found:
-        work = work.exact_div(fac)
-    return found, work

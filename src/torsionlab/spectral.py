@@ -4,7 +4,9 @@
 of the primary decomposition of f over Q as far as rational roots and
 quadratics split chi_f: the ``FactorData`` of each factor of degree 1
 or 2 (kernel ladder, Jordan block counts, and from them explicit chain
-bases) and the leftover factors of higher degree.  The existence
+bases) and the leftover factors of higher degree.  ``spectral_summary``
+finds them with one ``low_degree_factors`` call per squarefree factor of
+Yun's decomposition of chi_f.  The existence
 deciders read four things from it: ``fully_split``, ``exhaustive``
 (the rational invariant subspaces are all the real ones), ``dims``
 (the invariant-subspace dimensions it reaches) and
@@ -16,14 +18,7 @@ callers fall back to honest "unknown" verdicts.
 from __future__ import annotations
 
 from .linalg import Mat, Subspace, Value, kernel, memo
-from .polynomials import (
-    Poly,
-    char_poly,
-    count_real_roots,
-    quadratic_rational_factors,
-    rational_split,
-    squarefree_decomposition,
-)
+from .polynomials import Poly, char_poly, count_real_roots, low_degree_factors, squarefree_decomposition
 
 
 def spectral_summary(f: Mat):
@@ -32,13 +27,12 @@ def spectral_summary(f: Mat):
     the leftovers that rational roots and quadratics do not split."""
     split, unsplit = [], []
     for q, mult in squarefree_decomposition(char_poly(f)):
-        roots, work = rational_split(q)
-        split.extend((Poly([-root, 1]), mult) for root, _ in roots)
-        if work.degree >= 2:
-            quads, work = quadratic_rational_factors(work)
-            split.extend((quad, mult) for quad in quads)
-        if work.degree > 0:
-            unsplit.append((work, mult))
+        roots, quads = low_degree_factors(q)
+        for phi in [Poly([-root, 1]) for root in roots] + quads:
+            split.append((phi, mult))
+            q = q.exact_div(phi)
+        if q.degree > 0:
+            unsplit.append((q, mult))
     return split, unsplit
 
 

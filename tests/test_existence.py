@@ -374,6 +374,26 @@ def test_admits_su_family():
     assert admits_torsion_free("u", AlmostAbelian(f))["overall"] == "yes"
 
 
+ROT2 = Mat([[0, -2], [2, 0]])
+
+
+@pytest.mark.parametrize(
+    "f, verdict",
+    [
+        (Mat.zeros(5, 5), "yes"),  # r = x^2
+        (block_diag(ROT2, ROT2, Mat.zeros(5, 5)), "yes"),  # r = (x + 4)^2 x^2
+        (diag(1, -1, 0), "no"),  # r = x - 1
+        (block_diag(ROT2, diag(1, -1), Mat.zeros(3, 3)), "no"),  # r = (x + 4) (x - 1) x
+    ],
+    ids=["zero-twice", "rotations-and-zero-twice", "positive", "positive-beside-zero"],
+)
+@pytest.mark.parametrize("group", ["u", "su"])
+def test_unitary_roots_of_r_lie_in_the_closed_half_line(group, f, verdict):
+    # the roots of r are -theta^2: 0, even as a repeated root, is allowed
+    # and a positive root is not
+    assert admits_torsion_free(group, AlmostAbelian(f))["overall"] == verdict
+
+
 def test_admits_glH_family():
     assert admits_torsion_free("gl_H", AlmostAbelian(diag(3, 3, 3)))["overall"] == "yes"
     assert admits_torsion_free("gl_H", AlmostAbelian(diag(1, 2, 3)))["overall"] == "no"

@@ -13,12 +13,12 @@ from torsionlab.polynomials import (
     Poly,
     char_poly,
     count_real_roots,
+    low_degree_factors,
     poly_gcd,
-    quadratic_rational_factors,
-    rational_roots,
     rational_split,
     squarefree_decomposition,
     squarefree_part,
+    sturm_chain,
     zp_add,
     zp_eval_y,
     zp_mul,
@@ -72,17 +72,33 @@ def test_sturm_count_of_an_empty_interval_is_0(a, b):
     assert count_real_roots(from_roots([-1, 1]), a, b) == 0
 
 
+@pytest.mark.parametrize("a,b", [(-1, 2), (-2, -1), (1, 3), (-1, 3), (None, 3), (-1, None), (None, None)])
+def test_sturm_count_of_a_repeated_root_at_an_end(a, b):
+    # roots -1 (twice), 1 and 3 (three times) beside x^2 + 1; the root at
+    # a lies outside (a, b] and the root at b inside
+    p = from_roots([-1, -1, 1, 3, 3, 3]) * Poly([1, 0, 1]) * Fraction(-2, 3)
+    chain = sturm_chain(squarefree_part(p))
+
+    def variations(x, sign):
+        values = [q(x) if x is not None else q.leading() * sign**q.degree for q in chain]
+        signs = [v > 0 for v in values if v != 0]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    expected = sum(1 for root in (-1, 1, 3) if (a is None or a < root) and (b is None or root <= b))
+    assert count_real_roots(p, a, b) == variations(a, -1) - variations(b, 1) == expected
+
+
 def test_rational_roots():
     p = Poly([0, 0, 1]) * from_roots([Fraction(3, 2)]) * Poly([2, 0, 2])
-    rr = rational_roots(p)
+    rr = rational_split(p)[0]
     assert (Fraction(0), 2) in rr
     assert (Fraction(3, 2), 1) in rr
     assert len(rr) == 2
     # fractional coefficients and a negative leading coefficient
     q = from_roots([Fraction(-2, 3), Fraction(5, 7), Fraction(5, 7)]) * Poly([1, 1, 1]) * Fraction(-7, 4)
-    assert rational_roots(q) == [(Fraction(-2, 3), 1), (Fraction(5, 7), 2)]
+    assert rational_split(q)[0] == [(Fraction(-2, 3), 1), (Fraction(5, 7), 2)]
     # denominators 6 and 4 clear only with their lcm, 12
-    assert rational_roots(Poly([Fraction(-1, 6), Fraction(3, 4)]) * Poly([1, 0, 1])) == [(Fraction(2, 9), 1)]
+    assert rational_split(Poly([Fraction(-1, 6), Fraction(3, 4)]) * Poly([1, 0, 1]))[0] == [(Fraction(2, 9), 1)]
 
 
 def test_char_poly():
@@ -142,9 +158,7 @@ def test_quadratic_rational_factors_finds_each_factor_in_order():
         q = rest
         for s, t in pick:
             q = q * quadratic(s, t)
-        found, left = quadratic_rational_factors(q)
-        assert found == [quadratic(s, t) for s, t in pick], pick
-        assert left == rest
+        assert low_degree_factors(q) == ([], [quadratic(s, t) for s, t in pick]), pick
 
 
 def test_zp_resultant_matches_sympy():
@@ -175,12 +189,11 @@ def test_quadratic_rational_factors_match_sympy():
         for s, t in pick:
             q = q * quadratic(s, t)
         q = q * Fraction(3, 2)
-        found, left = quadratic_rational_factors(q)
+        roots, found = low_degree_factors(q)
         _, factors = sympy.factor_list(sum(c * x**i for i, c in enumerate(q.coeffs)), x)
         theirs = sorted((-int(b), int(c)) for f, _ in factors if sympy.degree(f, x) == 2 for _, b, c in [sympy.Poly(f, x).all_coeffs()])
         assert theirs == sorted(pick)
-        assert found == [quadratic(s, t) for s, t in theirs]
-        assert left * math.prod(found, start=Poly([1])) == q.monic()
+        assert roots == [] and found == [quadratic(s, t) for s, t in theirs]
 
 
 def _random_poly(rng, degree):
@@ -248,7 +261,6 @@ def test_rational_split_matches_sympy():
             cofactor = cofactor.exquo(_to_sympy(sympy, x, from_roots([root] * mult)))
         ours = rational_split(p)
         assert ours == (roots, _from_sympy(cofactor)), p
-        assert rational_roots(p) == roots
         with_zero += any(root == 0 for root, _ in roots)
     assert with_zero >= 5
 
@@ -258,7 +270,8 @@ def test_integer_route_matches_the_fraction_references():
     # integer Faddeev-LeVerrier against the Fraction one; then products of
     # known rational roots (repeats among them) and irreducible quadratics,
     # scaled by a non-integer constant: rational_split against the divisor
-    # route, and quadratic_rational_factors against the resultant search
+    # route, and low_degree_factors of the squarefree part against both the
+    # divisor route and the resultant search
     rng = random.Random(59)
     for n in range(2, 10):
         for _ in range(4):
@@ -271,9 +284,11 @@ def test_integer_route_matches_the_fraction_references():
         p = from_roots(rng.sample(pool, rng.randint(0, 3)) * rng.randint(1, 2)) * Fraction(rng.choice([-5, 2, 7]), rng.choice([3, 4, 6]))
         for s, t in pick:
             p = p * quadratic(s, t)
-        assert rational_split(p) == divisor_rational_split(p), p
-        rest = rational_split(p)[1]
-        assert quadratic_rational_factors(rest) == resultant_quadratic_factors(rest) == ([quadratic(s, t) for s, t in pick], Poly([1])), p
+        split = rational_split(p)
+        assert split == divisor_rational_split(p), p
+        quads = [quadratic(s, t) for s, t in pick]
+        assert resultant_quadratic_factors(split[1]) == (quads, Poly([1])), p
+        assert low_degree_factors(squarefree_part(p)) == ([root for root, _ in split[0]], quads), p
         quads_found += len(pick)
     assert quads_found >= 30
 
@@ -333,5 +348,5 @@ def test_two_40_digit_irreducible_quadratics_within_a_second():
     assert math.isqrt(s1 * s1 - 4 * t1) ** 2 != s1 * s1 - 4 * t1 and s2 * s2 < 4 * t2
     q = quadratic(s2, t2) * quadratic(s1, t1) * Fraction(5, 3)
     with under_a_second():
-        found = quadratic_rational_factors(q)
-    assert found == ([quadratic(s, t) for s, t in sorted([(s1, t1), (s2, t2)])], Poly([1]))
+        found = low_degree_factors(q)
+    assert found == ([], [quadratic(s, t) for s, t in sorted([(s1, t1), (s2, t2)])])

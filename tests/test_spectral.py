@@ -132,6 +132,27 @@ def test_multiplicity_one_unsplit_piece_builds_its_kernel_only_when_picked(monke
     assert len(ladders) == 1
 
 
+def test_one_factoring_per_yun_factor(monkeypatch):
+    """chi = (x - 1)^2 (x - 2) (x^2 + 1) (x^3 - 2): the finder runs once on
+    each of the two Yun factors, and no squarefree part is taken."""
+    from torsionlab import polynomials, spectral
+
+    companion = Mat([[0, 0, 2], [1, 0, 0], [0, 1, 0]])  # x^3 - 2
+    f = block([[Mat([[1, 1], [0, 1]]), None, None, None], [None, Mat([[2]]), None, None],
+               [None, None, Mat([[0, -1], [1, 0]]), None], [None, None, None, companion]])
+    yun = polynomials.squarefree_decomposition(polynomials.char_poly(f))
+    assert [mult for _, mult in yun] == [1, 2]
+    finds, sqfs = [], []
+    real_find, real_sqf = polynomials.low_degree_factors, polynomials.squarefree_part
+    monkeypatch.setattr(spectral, "low_degree_factors", lambda q: finds.append(q) or real_find(q))
+    monkeypatch.setattr(polynomials, "low_degree_factors", lambda q: finds.append(q) or real_find(q))
+    monkeypatch.setattr(polynomials, "squarefree_part", lambda p: sqfs.append(p) or real_sqf(p))
+    spec = primary_components(f)
+    assert finds == [q for q, _ in yun] and sqfs == []
+    assert [(fd.phi, fd.dim) for fd in spec.split] == [(Poly([-2, 1]), 1), (Poly([1, 0, 1]), 2), (Poly([-1, 1]), 2)]
+    assert spec.unsplit == ((Poly([-2, 0, 0, 1]), 1),)
+
+
 def test_unsplit_flag_ties_keep_the_first_choice():
     # chi = (x^3 - 2)(x^3 - 3)^2 with one Jordan block for x^3 - 3: both
     # unsplit pieces reach dimension 3, and the flags 0, 3 of the first
